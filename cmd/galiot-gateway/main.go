@@ -50,8 +50,7 @@ func run() int {
 		meanGap   = flag.Float64("gap", 0.05, "mean idle gap per transmitter (s); smaller = more collisions")
 		edge      = flag.Bool("edge", true, "resolve uncollided packets at the edge")
 		impaired  = flag.Bool("impaired", true, "use the RTL-SDR impairment model (vs ideal front-end)")
-		window    = flag.Int("window", 0, "max unacknowledged segments in flight on a v2 session (0 = default)")
-		protocol  = flag.Int("protocol", 0, "backhaul protocol version to offer (0 = latest; 1 = legacy request/reply, no reconnect)")
+		window    = flag.Int("window", 0, "max unacknowledged segments in flight per session (0 = default)")
 		retry     = flag.Int("retry", 0, "max consecutive reconnect attempts before giving up (0 = default)")
 		spool     = flag.Int("spool", 0, "segment spool capacity between detection and backhaul (0 = default)")
 		obsAddr   = flag.String("obs-addr", "", "serve /metrics, /trace/recent, /events/recent, /healthz, /readyz and pprof on this address (empty = off)")
@@ -110,7 +109,6 @@ func run() int {
 		Frontend:   fe,
 		EdgeDecode: *edge,
 		Window:     *window,
-		Protocol:   *protocol,
 		Obs:        reg,
 		Tracer:     tracer,
 		Journal:    journal,
@@ -159,29 +157,16 @@ func run() int {
 			log.Printf("cloud decoded %-5s @%-9d crc=%v payload=%x", f.Tech, f.Offset, f.CRCOK, f.Payload)
 		}
 	}
-	if *protocol == 1 {
-		// Legacy request/reply has no sequence acks to replay, so it runs
-		// over a single connection without the resilient client.
-		var conn net.Conn
-		conn, err = net.Dial("tcp", *cloudAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "galiot-gateway: cloud unreachable:", err)
-			return 1
-		}
-		defer conn.Close()
-		err = gw.Run(conn, captures, reports)
-	} else {
-		err = gw.RunResilient(galiot.GatewayResilient{
-			Dial: func() (io.ReadWriteCloser, error) {
-				return net.Dial("tcp", *cloudAddr)
-			},
-			Retry:         galiot.RetryPolicy{MaxAttempts: *retry, Seed: *seed},
-			SpoolCapacity: *spool,
-			Epoch:         uint64(time.Now().UnixNano()),
-			WALDir:        *walDir,
-			WALSync:       walPolicy,
-		}, captures, reports)
-	}
+	err = gw.RunResilient(galiot.GatewayResilient{
+		Dial: func() (io.ReadWriteCloser, error) {
+			return net.Dial("tcp", *cloudAddr)
+		},
+		Retry:         galiot.RetryPolicy{MaxAttempts: *retry, Seed: *seed},
+		SpoolCapacity: *spool,
+		Epoch:         uint64(time.Now().UnixNano()),
+		WALDir:        *walDir,
+		WALSync:       walPolicy,
+	}, captures, reports)
 	exit := 0
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "galiot-gateway:", err)

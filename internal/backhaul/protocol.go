@@ -40,30 +40,27 @@ import (
 // MsgType identifies a protocol message.
 type MsgType uint8
 
-// Protocol message types. Types 1-4 are the v1 wire protocol; 5-7 were
-// added by protocol v2 (sequence-numbered segments with admission-control
-// rejects and an explicit hello acknowledgement carrying the negotiated
-// version).
+// Protocol message types. Type 2 was the unsequenced segment of the retired
+// v1 request/reply protocol; it stays reserved and is answered like any
+// unexpected type.
 const (
 	MsgHello      MsgType = 1 // JSON Hello
-	MsgSegment    MsgType = 2 // binary segment (v1, unsequenced)
 	MsgFrames     MsgType = 3 // JSON FramesReport
 	MsgBye        MsgType = 4 // empty payload, orderly shutdown
-	MsgBusy       MsgType = 5 // v2: [seq:8], segment rejected by admission control
-	MsgSegmentSeq MsgType = 6 // v2: [seq:8] + v1 segment payload
-	MsgHelloAck   MsgType = 7 // v2: JSON HelloAck, cloud -> gateway
+	MsgBusy       MsgType = 5 // [seq:8], segment rejected by admission control
+	MsgSegmentSeq MsgType = 6 // [seq:8] + binary segment payload
+	MsgHelloAck   MsgType = 7 // JSON HelloAck, cloud -> gateway
 )
 
 // Version is the current (newest) protocol version. MinVersion is the
-// oldest version the cloud still serves: v1 gateways get the original
-// synchronous ship/reply exchange, v2 gateways get sequence-numbered
-// segments, pipelining and busy rejects, v3 sessions may additionally
+// oldest version the cloud still serves: v2 sessions ship sequence-numbered
+// segments, pipelined, with busy rejects; v3 sessions may additionally
 // carry per-segment trace context (the flagTrace extension). v3 changes
-// no framing — it only licenses the extension — so v1/v2 peers are
+// no framing — it only licenses the extension — so v2 peers are
 // byte-compatibly unaffected.
 const (
 	Version    = 3
-	MinVersion = 1
+	MinVersion = 2
 )
 
 // Negotiate maps a gateway's hello version to the version the session will
@@ -93,15 +90,14 @@ type Hello struct {
 	// repeats the same nonzero epoch on every re-hello, letting the cloud
 	// recognize replayed segments from a connection flap (dedup by
 	// gateway+epoch+segment start) while a restarted gateway — new epoch —
-	// never collides with stale cache entries. Zero (the v1/v2 legacy value)
-	// disables dedup.
+	// never collides with stale cache entries. Zero (a single-session
+	// gateway, Gateway.Run) disables dedup.
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
-// HelloAck is the cloud's v2 reply to a hello: it confirms the session and
+// HelloAck is the cloud's reply to a hello: it confirms the session and
 // carries the negotiated protocol version plus advisory capacity hints the
-// gateway may use to size its shipping window. It is only sent to gateways
-// that offered version >= 2 (v1 gateways do not expect a reply to hello).
+// gateway may use to size its shipping window.
 type HelloAck struct {
 	Version int `json:"version"`
 	// Window advises the gateway how many unacked segments the cloud is
@@ -136,8 +132,8 @@ type FrameReport struct {
 }
 
 // FramesReport carries the decode results for one segment. Seq echoes the
-// segment's sequence number on v2 sessions so a pipelining gateway can
-// match reports to in-flight segments; v1 reports leave it zero.
+// segment's sequence number so a pipelining gateway can match reports to
+// in-flight segments.
 type FramesReport struct {
 	SegmentStart int64         `json:"segment_start"`
 	Seq          uint64        `json:"seq,omitempty"`
@@ -440,19 +436,7 @@ func DecodeSegment(payload []byte) (Segment, error) {
 	return Segment{Start: start, SampleRate: rate, Samples: samples, Trace: trace, Parent: parent}, nil
 }
 
-// SendSegment encodes and writes a segment.
-func (c *Conn) SendSegment(sc SegmentCodec, seg Segment) (wireBytes int, err error) {
-	payload, err := sc.Encode(seg)
-	if err != nil {
-		return 0, err
-	}
-	if err := c.WriteMessage(MsgSegment, payload); err != nil {
-		return 0, err
-	}
-	return 5 + len(payload), nil
-}
-
-// SendSegmentSeq encodes and writes a v2 sequence-numbered segment.
+// SendSegmentSeq encodes and writes a sequence-numbered segment.
 func (c *Conn) SendSegmentSeq(sc SegmentCodec, seq uint64, seg Segment) (wireBytes int, err error) {
 	payload, err := sc.Encode(seg)
 	if err != nil {
@@ -467,8 +451,8 @@ func (c *Conn) SendSegmentSeq(sc SegmentCodec, seq uint64, seg Segment) (wireByt
 	return 5 + len(framed), nil
 }
 
-// DecodeSegmentSeq deserializes a v2 segment payload: an 8-byte sequence
-// number followed by the v1 segment encoding.
+// DecodeSegmentSeq deserializes a sequenced segment payload: an 8-byte
+// sequence number followed by the segment encoding.
 func DecodeSegmentSeq(payload []byte) (uint64, Segment, error) {
 	if len(payload) < 8 {
 		return 0, Segment{}, fmt.Errorf("backhaul: sequenced segment payload too short")
@@ -494,7 +478,7 @@ func ParseBusy(payload []byte) (uint64, error) {
 	return binary.BigEndian.Uint64(payload), nil
 }
 
-// SendHelloAck writes the cloud's v2 session acknowledgement.
+// SendHelloAck writes the cloud's session acknowledgement.
 func (c *Conn) SendHelloAck(a HelloAck) error {
 	data, err := json.Marshal(a)
 	if err != nil {

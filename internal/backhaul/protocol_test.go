@@ -49,7 +49,7 @@ func TestMessageTruncatedStream(t *testing.T) {
 }
 
 func TestMessageOversizeRejected(t *testing.T) {
-	hdr := []byte{byte(MsgSegment), 0xFF, 0xFF, 0xFF, 0xFF}
+	hdr := []byte{byte(MsgSegmentSeq), 0xFF, 0xFF, 0xFF, 0xFF}
 	c := NewConn(bytes.NewBuffer(hdr))
 	if _, _, err := c.ReadMessage(); err == nil {
 		t.Fatal("oversize length should be rejected before allocation")
@@ -194,7 +194,7 @@ func TestNegotiate(t *testing.T) {
 		ok          bool
 	}{
 		{0, 0, false},
-		{1, 1, true},
+		{1, 0, false}, // the retired request/reply protocol is rejected, not served
 		{2, 2, true},
 		{3, 3, true},
 		{4, 0, false},
@@ -303,7 +303,7 @@ func TestOverTCPLikePipe(t *testing.T) {
 			done <- err
 			return
 		}
-		if _, err := c.SendSegment(DefaultCodec, Segment{Start: 42, SampleRate: 1e6, Samples: samples}); err != nil {
+		if _, err := c.SendSegmentSeq(DefaultCodec, 9, Segment{Start: 42, SampleRate: 1e6, Samples: samples}); err != nil {
 			done <- err
 			return
 		}
@@ -315,11 +315,11 @@ func TestOverTCPLikePipe(t *testing.T) {
 		t.Fatalf("hello: %v %v", typ, err)
 	}
 	typ, payload, err := c.ReadMessage()
-	if err != nil || typ != MsgSegment {
+	if err != nil || typ != MsgSegmentSeq {
 		t.Fatalf("segment: %v %v", typ, err)
 	}
-	seg, err := DecodeSegment(payload)
-	if err != nil || seg.Start != 42 || len(seg.Samples) != 3000 {
+	seq, seg, err := DecodeSegmentSeq(payload)
+	if err != nil || seq != 9 || seg.Start != 42 || len(seg.Samples) != 3000 {
 		t.Fatalf("segment decode: %v %+v", err, seg.Start)
 	}
 	typ, _, err = c.ReadMessage()

@@ -7,10 +7,9 @@
 // Decoding scales across gateways through the decode farm (internal/farm):
 // when a farm is attached with StartFarm, every session feeds the shared
 // bounded queue and a fixed worker pool drains it, so one slow collision
-// decode no longer stalls its whole gateway session. Sessions speaking
-// backhaul protocol v2 pipeline sequence-numbered segments and receive
-// explicit MsgBusy rejects under overload; v1 sessions are served unchanged
-// (the farm applies backpressure by blocking their reads instead).
+// decode no longer stalls its whole gateway session. Sessions pipeline
+// sequence-numbered segments and receive explicit MsgBusy rejects under
+// overload.
 package cloud
 
 import (
@@ -231,11 +230,11 @@ func (s *Service) Totals() (int, cancel.Stats, farm.Stats) {
 
 // session carries the per-connection state of one ServeConn call.
 type session struct {
-	svc     *Service
-	conn    *backhaul.Conn
-	version int
-	ctx     context.Context
-	dedup   *sessionDedup // nil when the hello carried no epoch
+	svc   *Service
+	conn  *backhaul.Conn
+	site  uint64 // obs.SiteID of the hello's gateway ID, for trace minting
+	ctx   context.Context
+	dedup *sessionDedup // nil when the hello carried no epoch
 
 	seqr farm.Sequencer
 	wmu  sync.Mutex // guards writeErr (writes themselves serialize in seqr)
@@ -281,8 +280,7 @@ func ReadHello(conn *backhaul.Conn) (backhaul.Hello, error) {
 }
 
 // ServeConn handles one gateway session over a byte stream: hello (with
-// version negotiation), segments, bye. v1 gateways get one synchronous
-// frames report per segment; v2 gateways pipeline sequence-numbered
+// version negotiation), segments, bye. Gateways pipeline sequence-numbered
 // segments and get per-segment frames reports or busy rejects, always in
 // segment order. It returns when the gateway says bye or the stream
 // errors; on bye, every admitted segment has been answered first.
@@ -297,7 +295,7 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 }
 
 // ServeHello serves a session whose hello has already been consumed from
-// conn (see ReadHello). hint seeds the v2 hello ack: a sharded front tier
+// conn (see ReadHello). hint seeds the hello ack: a sharded front tier
 // passes its aggregate-capacity fields (Shards, Capacity) and may pin
 // Window/Workers; zero hint fields are filled from this service's farm,
 // and Version always comes from negotiation. The caller keeps ownership
@@ -308,21 +306,19 @@ func (s *Service) ServeHello(conn *backhaul.Conn, hello backhaul.Hello, hint bac
 		return fmt.Errorf("cloud: %w", err)
 	}
 	f := s.Farm()
-	if version >= 2 {
-		ack := hint
-		ack.Version = version
-		if f != nil && (ack.Window == 0 || ack.Workers == 0) {
-			snap := f.Snapshot()
-			if ack.Window == 0 {
-				ack.Window = snap.QueueDepth
-			}
-			if ack.Workers == 0 {
-				ack.Workers = snap.Workers
-			}
+	ack := hint
+	ack.Version = version
+	if f != nil && (ack.Window == 0 || ack.Workers == 0) {
+		snap := f.Snapshot()
+		if ack.Window == 0 {
+			ack.Window = snap.QueueDepth
 		}
-		if err := conn.SendHelloAck(ack); err != nil {
-			return err
+		if ack.Workers == 0 {
+			ack.Workers = snap.Workers
 		}
+	}
+	if err := conn.SendHelloAck(ack); err != nil {
+		return err
 	}
 	if s.Logf != nil {
 		s.Logf("session from %s (v%d, fs=%.0f, techs=%v)", hello.GatewayID, version, hello.SampleRate, hello.Techs)
@@ -331,7 +327,7 @@ func (s *Service) ServeHello(conn *backhaul.Conn, hello backhaul.Hello, hint bac
 	// dead session are skipped by the farm instead of decoded into the void.
 	ctx, cancelSession := context.WithCancel(context.Background())
 	defer cancelSession()
-	ss := &session{svc: s, conn: conn, version: version, ctx: ctx}
+	ss := &session{svc: s, conn: conn, site: obs.SiteID(hello.GatewayID), ctx: ctx}
 	if hello.Epoch != 0 {
 		// An epoch-bearing gateway replays its unacked window after every
 		// reconnect; remembering decoded reports per (gateway, epoch,
@@ -350,23 +346,12 @@ func (s *Service) ServeHello(conn *backhaul.Conn, hello backhaul.Hello, hint bac
 			return err
 		}
 		switch typ {
-		case backhaul.MsgSegment:
-			seg, err := backhaul.DecodeSegment(payload)
-			if err != nil {
-				return fmt.Errorf("cloud: bad segment: %w", err)
-			}
-			if err := ss.handleSegment(f, 0, false, seg); err != nil {
-				return err
-			}
 		case backhaul.MsgSegmentSeq:
-			if version < 2 {
-				return fmt.Errorf("cloud: sequenced segment on a v%d session", version)
-			}
 			seq, seg, err := backhaul.DecodeSegmentSeq(payload)
 			if err != nil {
 				return fmt.Errorf("cloud: bad segment: %w", err)
 			}
-			if err := ss.handleSegment(f, seq, true, seg); err != nil {
+			if err := ss.handleSegment(f, seq, seg); err != nil {
 				return err
 			}
 		case backhaul.MsgBye:
@@ -387,17 +372,18 @@ func (s *Service) ServeHello(conn *backhaul.Conn, hello backhaul.Hello, hint bac
 }
 
 // handleSegment routes one segment: inline decode when no farm is
-// attached, otherwise farm admission with per-version overload behavior
-// (v1 blocks for backpressure, v2 rejects with MsgBusy).
-func (ss *session) handleSegment(f *farm.Farm, seq uint64, sequenced bool, seg backhaul.Segment) error {
+// attached, otherwise farm admission, where overload is answered with
+// MsgBusy.
+func (ss *session) handleSegment(f *farm.Farm, seq uint64, seg backhaul.Segment) error {
 	// The cloud-side span joins the trace the gateway minted: a v3 segment
 	// carries its trace ID and the shipping span's ID in the wire trace
 	// context, so this span stitches under the gateway's as a true child.
-	// Pre-v3 segments (no context) fall back to the implicit correlation by
-	// absolute start sample, exactly as before.
+	// A segment without context (v2 peer, untraced gateway) is minted here
+	// with the gateway's own function over the same inputs, which is the ID
+	// an unsalted gateway (Gateway.Run) mints for it.
 	traceID, parent := seg.Trace, seg.Parent
 	if traceID == 0 {
-		traceID = obs.SegmentTraceID(seg.Start)
+		traceID = obs.MintTraceID(ss.site, seg.Start)
 	}
 	sp := ss.svc.tracer.StartChild("cloud-segment", traceID, parent)
 	ctx := obs.ContextWithSpan(ss.ctx, sp)
@@ -415,7 +401,7 @@ func (ss *session) handleSegment(f *farm.Farm, seq uint64, sequenced bool, seg b
 			}
 			slot := ss.seqr.Reserve()
 			ss.seqr.Deliver(slot, func() {
-				ss.reply(seq, sequenced, seg, farm.Result{Report: rep})
+				ss.reply(seq, farm.Result{Report: rep})
 				sp.End()
 			})
 			return nil
@@ -437,17 +423,11 @@ func (ss *session) handleSegment(f *farm.Farm, seq uint64, sequenced bool, seg b
 			ss.dedup.put(seg.Start, res.Report)
 		}
 		ss.seqr.Deliver(slot, func() {
-			ss.reply(seq, sequenced, seg, res)
+			ss.reply(seq, res)
 			sp.End()
 		})
 	}
-	var err error
-	if sequenced {
-		err = f.TrySubmit(ctx, seg, deliver)
-	} else {
-		err = f.Submit(ctx, seg, deliver)
-	}
-	switch err {
+	switch err := f.TrySubmit(ctx, seg, deliver); err {
 	case nil:
 		return nil
 	case farm.ErrBusy:
@@ -466,18 +446,13 @@ func (ss *session) handleSegment(f *farm.Farm, seq uint64, sequenced bool, seg b
 
 // reply writes one segment's answer. Runs inside the sequencer, so replies
 // leave in segment order and never interleave.
-func (ss *session) reply(seq uint64, sequenced bool, seg backhaul.Segment, res farm.Result) {
-	switch {
-	case res.Err != nil && sequenced:
+func (ss *session) reply(seq uint64, res farm.Result) {
+	if res.Err != nil {
 		ss.setWriteErr(ss.conn.SendBusy(seq))
-	case res.Err != nil:
-		// v1 has no busy vocabulary: an empty report keeps the
-		// segment/report exchange balanced.
-		ss.setWriteErr(ss.conn.SendFrames(backhaul.FramesReport{SegmentStart: seg.Start}))
-	default:
-		res.Report.Seq = seq
-		ss.setWriteErr(ss.conn.SendFrames(res.Report))
+		return
 	}
+	res.Report.Seq = seq
+	ss.setWriteErr(ss.conn.SendFrames(res.Report))
 }
 
 // StdLogf adapts the standard logger for Service.Logf.

@@ -2,7 +2,9 @@ package cloud
 
 import (
 	"bytes"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 
 	"repro/internal/backhaul"
@@ -30,6 +32,22 @@ func makeSegment(t *testing.T, seed uint64) (backhaul.Segment, []byte) {
 	}
 	samples := channel.Mix(len(sig)+20000, []channel.Emission{{Samples: sig, Offset: 8000, SNRdB: 15}}, gen, fs)
 	return backhaul.Segment{Start: 1_000_000, SampleRate: fs, Samples: samples}, payload
+}
+
+// shipOne is the client side of a one-segment exchange on an established
+// session (see helloV2): ship seg under seq, read the frames report back.
+func shipOne(conn *backhaul.Conn, seq uint64, seg backhaul.Segment) (backhaul.FramesReport, error) {
+	if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, seq, seg); err != nil {
+		return backhaul.FramesReport{}, err
+	}
+	typ, data, err := conn.ReadMessage()
+	if err != nil {
+		return backhaul.FramesReport{}, err
+	}
+	if typ != backhaul.MsgFrames {
+		return backhaul.FramesReport{}, fmt.Errorf("expected frames report, got message type %d", typ)
+	}
+	return backhaul.ParseFrames(data)
 }
 
 func TestDecodeSegment(t *testing.T) {
@@ -60,20 +78,12 @@ func TestServeConnProtocol(t *testing.T) {
 	go func() { errCh <- svc.ServeConn(b) }()
 
 	conn := backhaul.NewConn(a)
-	// A v1 hello: the legacy strict request/reply session, no hello ack.
-	if err := conn.SendHello(backhaul.Hello{Version: 1, GatewayID: "t", SampleRate: fs}); err != nil {
-		t.Fatal(err)
+	if ack, err := helloV2(conn, "t"); err != nil || ack.Version != backhaul.Version {
+		t.Fatalf("hello ack %+v err %v", ack, err)
 	}
 	seg, payload := makeSegment(t, 2)
-	if _, err := conn.SendSegment(backhaul.DefaultCodec, seg); err != nil {
-		t.Fatal(err)
-	}
-	typ, data, err := conn.ReadMessage()
-	if err != nil || typ != backhaul.MsgFrames {
-		t.Fatalf("reply %v %v", typ, err)
-	}
-	report, err := backhaul.ParseFrames(data)
-	if err != nil || len(report.Frames) != 1 || !bytes.Equal(report.Frames[0].Payload, payload) {
+	report, err := shipOne(conn, 5, seg)
+	if err != nil || report.Seq != 5 || len(report.Frames) != 1 || !bytes.Equal(report.Frames[0].Payload, payload) {
 		t.Fatalf("report %+v err %v", report, err)
 	}
 	if err := conn.SendBye(); err != nil {
@@ -133,20 +143,13 @@ func TestTCPServer(t *testing.T) {
 	}
 	defer nc.Close()
 	conn := backhaul.NewConn(nc)
-	if err := conn.SendHello(backhaul.Hello{Version: 1, GatewayID: "tcp", SampleRate: fs}); err != nil {
+	if _, err := helloV2(conn, "tcp"); err != nil {
 		t.Fatal(err)
 	}
 	seg, payload := makeSegment(t, 3)
-	if _, err := conn.SendSegment(backhaul.DefaultCodec, seg); err != nil {
-		t.Fatal(err)
-	}
-	typ, data, err := conn.ReadMessage()
-	if err != nil || typ != backhaul.MsgFrames {
-		t.Fatalf("%v %v", typ, err)
-	}
-	report, _ := backhaul.ParseFrames(data)
-	if len(report.Frames) != 1 || !bytes.Equal(report.Frames[0].Payload, payload) {
-		t.Fatalf("report %+v", report)
+	report, err := shipOne(conn, 0, seg)
+	if err != nil || len(report.Frames) != 1 || !bytes.Equal(report.Frames[0].Payload, payload) {
+		t.Fatalf("report %+v err %v", report, err)
 	}
 	if err := conn.SendBye(); err != nil {
 		t.Fatal(err)
@@ -161,15 +164,68 @@ func TestServeConnRejectsCorruptSegment(t *testing.T) {
 	errCh := make(chan error, 1)
 	go func() { errCh <- svc.ServeConn(b) }()
 	conn := backhaul.NewConn(a)
-	if err := conn.SendHello(backhaul.Hello{Version: 1, GatewayID: "t", SampleRate: fs}); err != nil {
+	if _, err := helloV2(conn, "t"); err != nil {
 		t.Fatal(err)
 	}
-	// Garbage segment payload: too short to carry a header.
-	if err := conn.WriteMessage(backhaul.MsgSegment, []byte{1, 2, 3}); err != nil {
+	// Garbage segment payload: a sequence number, then too few bytes to
+	// carry a segment header.
+	if err := conn.WriteMessage(backhaul.MsgSegmentSeq, []byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-errCh; err == nil {
 		t.Fatal("corrupt segment accepted")
+	}
+}
+
+// TestServeConnRejectsV1Hello: the retired request/reply protocol is refused
+// at negotiation — the session ends with an error and no ack is written.
+func TestServeConnRejectsV1Hello(t *testing.T) {
+	svc := NewService(techs())
+	a, b := net.Pipe()
+	defer a.Close()
+	errCh := make(chan error, 1)
+	go func() {
+		err := svc.ServeConn(b)
+		b.Close() // a server closes a refused session; the client then reads EOF
+		errCh <- err
+	}()
+	conn := backhaul.NewConn(a)
+	if err := conn.SendHello(backhaul.Hello{Version: 1, GatewayID: "legacy", SampleRate: fs}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errCh; err == nil || !strings.Contains(err.Error(), "version 1 unsupported") {
+		t.Fatalf("v1 hello: err = %v, want a negotiation error", err)
+	}
+	if typ, _, err := conn.ReadMessage(); err == nil {
+		t.Fatalf("refused hello was answered with message type %d", typ)
+	}
+}
+
+// TestServeConnRejectsRetiredSegmentType: message type 2 (the unsequenced
+// v1 segment) stays reserved and ends the session like any unexpected type.
+func TestServeConnRejectsRetiredSegmentType(t *testing.T) {
+	svc := NewService(techs())
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	errCh := make(chan error, 1)
+	go func() { errCh <- svc.ServeConn(b) }()
+	conn := backhaul.NewConn(a)
+	if _, err := helloV2(conn, "t"); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := backhaul.DefaultCodec.Encode(backhaul.Segment{Start: 0, SampleRate: fs, Samples: make([]complex128, 16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.WriteMessage(backhaul.MsgType(2), payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errCh; err == nil || !strings.Contains(err.Error(), "unexpected message type 2") {
+		t.Fatalf("type-2 message: err = %v, want unexpected-type error", err)
+	}
+	if n, _, _ := svc.Totals(); n != 0 {
+		t.Fatalf("retired segment type was decoded (%d frames)", n)
 	}
 }
 
@@ -207,23 +263,18 @@ func TestTCPServerConcurrentGateways(t *testing.T) {
 			}
 			defer nc.Close()
 			conn := backhaul.NewConn(nc)
-			if err := conn.SendHello(backhaul.Hello{Version: 1, GatewayID: "gw", SampleRate: fs}); err != nil {
+			if _, err := helloV2(conn, "gw"); err != nil {
 				errCh <- err
 				return
 			}
 			seg, payload := makeSegment(t, uint64(10+g))
-			if _, err := conn.SendSegment(backhaul.DefaultCodec, seg); err != nil {
+			report, err := shipOne(conn, 0, seg)
+			if err != nil {
 				errCh <- err
 				return
 			}
-			typ, data, err := conn.ReadMessage()
-			if err != nil || typ != backhaul.MsgFrames {
-				errCh <- err
-				return
-			}
-			report, err := backhaul.ParseFrames(data)
-			if err != nil || len(report.Frames) != 1 || !bytes.Equal(report.Frames[0].Payload, payload) {
-				errCh <- err
+			if len(report.Frames) != 1 || !bytes.Equal(report.Frames[0].Payload, payload) {
+				errCh <- fmt.Errorf("gateway %d: report %+v", g, report)
 				return
 			}
 			errCh <- conn.SendBye()

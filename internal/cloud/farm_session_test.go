@@ -335,67 +335,3 @@ func TestFarmDrainOnServerClose(t *testing.T) {
 		t.Fatalf("farm stats %+v", fst)
 	}
 }
-
-func TestFarmServesOldHello(t *testing.T) {
-	// A v1 gateway against a farm-backed cloud: negotiation keeps the
-	// session at v1 (no hello ack), segments still decode through the farm,
-	// and the reply is a plain frames report.
-	svc := NewService(techs())
-	svc.StartFarm(farm.Config{Workers: 2, QueueDepth: 4})
-	defer svc.Close()
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	errCh := make(chan error, 1)
-	go func() { errCh <- svc.ServeConn(b) }()
-	conn := backhaul.NewConn(a)
-	if err := conn.SendHello(backhaul.Hello{Version: 1, GatewayID: "legacy", SampleRate: fs}); err != nil {
-		t.Fatal(err)
-	}
-	seg, payload := makeSegment(t, 30)
-	if _, err := conn.SendSegment(backhaul.DefaultCodec, seg); err != nil {
-		t.Fatal(err)
-	}
-	typ, data, err := conn.ReadMessage()
-	if err != nil || typ != backhaul.MsgFrames {
-		t.Fatalf("reply %v %v", typ, err)
-	}
-	report, err := backhaul.ParseFrames(data)
-	if err != nil || len(report.Frames) != 1 || !bytes.Equal(report.Frames[0].Payload, payload) {
-		t.Fatalf("report %+v err %v", report, err)
-	}
-	if err := conn.SendBye(); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := conn.ReadMessage(); err != nil || typ != backhaul.MsgBye {
-		t.Fatalf("bye ack %v %v", typ, err)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	if n, _, fst := svc.Totals(); n != 1 || fst.Admitted != 1 {
-		t.Fatalf("totals n=%d farm=%+v", n, fst)
-	}
-}
-
-// TestSequencedSegmentOnV1Session checks the cloud refuses v2 framing on a
-// session negotiated down to v1.
-func TestSequencedSegmentOnV1Session(t *testing.T) {
-	svc := NewService(techs())
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	errCh := make(chan error, 1)
-	go func() { errCh <- svc.ServeConn(b) }()
-	conn := backhaul.NewConn(a)
-	if err := conn.SendHello(backhaul.Hello{Version: 1, GatewayID: "t", SampleRate: fs}); err != nil {
-		t.Fatal(err)
-	}
-	tiny := backhaul.Segment{Start: 0, SampleRate: fs, Samples: make([]complex128, 16)}
-	if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, 0, tiny); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errCh; err == nil {
-		t.Fatal("sequenced segment accepted on a v1 session")
-	}
-}

@@ -11,8 +11,8 @@
 //   - Admission control: the queue depth is a hard bound. TrySubmit rejects
 //     with ErrBusy when the queue is full (the session answers the gateway
 //     with an explicit MsgBusy instead of growing memory without bound);
-//     Submit blocks, which turns the bound into backpressure for protocol-v1
-//     sessions that have no busy vocabulary.
+//     Submit blocks, which turns the bound into backpressure for in-process
+//     producers (experiments, benchmarks) that have no busy vocabulary.
 //   - Deadlines/cancellation: every job carries a context.Context. A job
 //     whose context is already done when a worker picks it up is skipped
 //     (counted as DeadlineExceeded) — dead sessions do not waste decode
@@ -191,7 +191,7 @@ func (f *Farm) TrySubmit(ctx context.Context, seg backhaul.Segment, done func(Re
 
 // Submit admits seg, blocking while the queue is full. It returns ErrClosed
 // if the farm closes before a slot frees up. Blocking admission is the
-// backpressure path for protocol-v1 sessions, which cannot be told "busy".
+// backpressure path for in-process producers, which cannot be told "busy".
 func (f *Farm) Submit(ctx context.Context, seg backhaul.Segment, done func(Result)) error {
 	return f.admit(ctx, seg, done, true)
 }

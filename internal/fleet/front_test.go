@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"sort"
@@ -104,12 +103,11 @@ func TestFrontBackwardCompat(t *testing.T) {
 	}
 }
 
-// TestFrontV1Gateway checks the legacy strict request/reply protocol is
-// untouched by sharding: a v1 session through the front gets no hello ack
-// and one frames reply per segment, same as the seed server.
+// TestFrontV1Gateway: the retired request/reply protocol is refused by the
+// sharded front like by a bare service — the shard's negotiation error ends
+// the session and nothing is decoded.
 func TestFrontV1Gateway(t *testing.T) {
-	ts := testTechs()
-	front, err := New(Config{Shards: 2, Techs: ts})
+	front, err := New(Config{Shards: 2, Techs: testTechs()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,36 +123,17 @@ func TestFrontV1Gateway(t *testing.T) {
 	if err := conn.SendHello(backhaul.Hello{Version: 1, GatewayID: "legacy", SampleRate: fs}); err != nil {
 		t.Fatal(err)
 	}
-	payload := []byte("v1 through the front")
-	sig, err := xbee.Default().Modulate(payload, fs)
-	if err != nil {
-		t.Fatal(err)
+	if err := <-errCh; err == nil {
+		t.Fatal("v1 hello served through the front")
 	}
-	gen := rng.New(21)
-	samples := channel.Mix(len(sig)+20000, []channel.Emission{{Samples: sig, Offset: 8000, SNRdB: 15}}, gen, fs)
-	if _, err := conn.SendSegment(backhaul.DefaultCodec, backhaul.Segment{Start: 0, SampleRate: fs, Samples: samples}); err != nil {
-		t.Fatal(err)
-	}
-	typ, data, err := conn.ReadMessage()
-	if err != nil || typ != backhaul.MsgFrames {
-		t.Fatalf("reply %v %v", typ, err)
-	}
-	report, err := backhaul.ParseFrames(data)
-	if err != nil || len(report.Frames) != 1 || !bytes.Equal(report.Frames[0].Payload, payload) {
-		t.Fatalf("report %+v err %v", report, err)
-	}
-	if err := conn.SendBye(); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := conn.ReadMessage(); err != nil || typ != backhaul.MsgBye {
-		t.Fatalf("bye ack %v %v", typ, err)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
+	for i, st := range front.Stats() {
+		if st.Farm.Admitted != 0 {
+			t.Fatalf("shard %d admitted %d jobs from a refused session", i, st.Farm.Admitted)
+		}
 	}
 }
 
-// TestFrontHelloAckCapacity checks the v2 negotiation additions: the ack
+// TestFrontHelloAckCapacity checks the hello ack of a sharded plane: it
 // advertises the plane's shard count and aggregate capacity, while Window
 // stays the landing shard's own queue depth.
 func TestFrontHelloAckCapacity(t *testing.T) {

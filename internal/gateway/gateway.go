@@ -18,10 +18,11 @@ import (
 	"repro/internal/frontend"
 	"repro/internal/obs"
 	"repro/internal/phy"
+	"repro/internal/resilience"
 )
 
-// DefaultWindow is how many shipped segments Run keeps in flight
-// unacknowledged on a v2 session before blocking.
+// DefaultWindow is how many shipped segments a session keeps in flight
+// unacknowledged before blocking.
 const DefaultWindow = 8
 
 // Config assembles a gateway.
@@ -32,12 +33,8 @@ type Config struct {
 	Detector   detect.Detector // nil: universal-preamble detector at threshold 0.08
 	EdgeDecode bool            // try single-technology decode locally first
 	Codec      backhaul.SegmentCodec
-	// Protocol pins the backhaul version Run offers in its hello
-	// (default: backhaul.Version). Set 1 to speak the legacy strict
-	// request/reply protocol.
-	Protocol int
-	// Window bounds the unacknowledged segments Run pipelines on a v2
-	// session (default DefaultWindow). The cloud's hello ack may shrink it.
+	// Window bounds the unacknowledged segments a session pipelines
+	// (default DefaultWindow). The cloud's hello ack may shrink it.
 	Window int
 	// Obs receives the gateway's metrics (gateway_*, detect_* and
 	// backhaul_* series). Nil creates a private registry; Stats reads from
@@ -112,11 +109,9 @@ func newMetrics(reg *obs.Registry, techs []phy.Technology) metrics {
 // detected once enough samples have arrived; call Flush when the stream
 // ends to drain segments still held back at the buffer tail.
 type Gateway struct {
-	cfg       Config
-	det       detect.Detector
-	stream    *detect.Stream
-	edge      *cancel.Decoder
-	maxPacket int
+	cfg    Config
+	stream *detect.Stream
+	edge   *cancel.Decoder
 
 	reg    *obs.Registry
 	m      metrics
@@ -172,15 +167,13 @@ func New(cfg Config) (*Gateway, error) {
 	stream := detect.NewStream(det, maxPacket)
 	stream.SetMetrics(detect.NewStreamMetrics(reg))
 	return &Gateway{
-		cfg:       cfg,
-		det:       det,
-		stream:    stream,
-		edge:      edge,
-		maxPacket: maxPacket,
-		reg:       reg,
-		m:         newMetrics(reg, cfg.Techs),
-		tracer:    cfg.Tracer,
-		idHash:    obs.SiteID(cfg.ID),
+		cfg:    cfg,
+		stream: stream,
+		edge:   edge,
+		reg:    reg,
+		m:      newMetrics(reg, cfg.Techs),
+		tracer: cfg.Tracer,
+		idHash: obs.SiteID(cfg.ID),
 	}, nil
 }
 
@@ -290,18 +283,19 @@ func (g *Gateway) handle(segments []detect.StreamSegment, detectDur int64) Resul
 	return res
 }
 
-// scaleWindow applies the cloud's hello-ack capacity advice to the shipping
-// window. An auto-sized window (Config.Window unset) grows with the decode
-// plane: a sharded cloud serves each session from one shard but spreads the
-// fleet over all of them, so a gateway can keep DefaultWindow segments in
-// flight per advertised shard. The landing shard's own admission bound
-// (ack.Window) then caps the result either way — pipelining past what the
-// shard will queue only buys busy rejects. A caller-pinned window is never
-// grown, only shrunk by the shard bound.
-func scaleWindow(auto bool, window int, ack backhaul.HelloAck) int {
-	if auto && ack.Shards > 1 {
-		if w := DefaultWindow * ack.Shards; w > window {
-			window = w
+// scaleWindow derives a session's shipping window from Config.Window and the
+// cloud's hello-ack capacity advice. An auto-sized window (Config.Window
+// unset) grows with the decode plane: a sharded cloud serves each session
+// from one shard but spreads the fleet over all of them, so a gateway can
+// keep DefaultWindow segments in flight per advertised shard. The landing
+// shard's own admission bound (ack.Window) then caps the result either way —
+// pipelining past what the shard will queue only buys busy rejects. A
+// caller-pinned window is never grown, only shrunk by the shard bound.
+func scaleWindow(window int, ack backhaul.HelloAck) int {
+	if window <= 0 {
+		window = DefaultWindow
+		if ack.Shards > 1 {
+			window = DefaultWindow * ack.Shards
 		}
 	}
 	if ack.Window > 0 && ack.Window < window {
@@ -328,152 +322,38 @@ func (g *Gateway) likelyCollision(samples []complex128, decoded *phy.Frame) bool
 	return false
 }
 
-// countBadReport records a cloud reply the gateway could not parse, so
-// malformed traffic shows up in Stats instead of being silently discarded.
-func (g *Gateway) countBadReport() { g.m.badReports.Inc() }
-
-// Run drives a session over a backhaul connection: hello (with version
-// negotiation), then the shipped segments of each capture delivered on
-// captures, then bye. On a v2 session shipping is pipelined: up to
-// Config.Window sequence-numbered segments stay in flight unacknowledged,
-// and each cloud reply — a frames report or an explicit busy reject —
-// frees a window slot. Decode reports arriving from the cloud are
-// delivered to the reports callback (may be nil).
+// Run drives one session over a caller-owned backhaul stream: hello (with
+// version negotiation), the shipped segments of each capture delivered on
+// captures, then bye. It is a single session of the engine RunResilient
+// redials around (see session), fed through a rendezvous instead of a
+// spool: up to Config.Window sequence-numbered segments stay in flight
+// unacknowledged, and a full window backpressures the capture source —
+// nothing is spooled, dropped or degraded. The hello carries no epoch, so
+// the cloud keeps no replay cache for it; a session failure is returned,
+// not retried. Decode reports are delivered to the reports callback (may
+// be nil) from the calling goroutine, in segment order.
+//
+// Run does not close rw on the orderly path. A failing session closes it,
+// when it implements io.Closer (net.Conn and net.Pipe ends do), to force
+// its reader goroutine out of a blocked read.
 func (g *Gateway) Run(rw io.ReadWriter, captures <-chan []complex128, reports func(backhaul.FramesReport)) error {
-	conn := backhaul.NewConn(rw)
-	conn.SetMetrics(backhaul.NewConnMetrics(g.reg))
-	version := g.cfg.Protocol
-	if version == 0 {
-		version = backhaul.Version
-	}
-	techs := make([]string, 0, len(g.cfg.Techs))
-	for _, t := range g.cfg.Techs {
-		techs = append(techs, t.Name())
-	}
-	if err := conn.SendHello(backhaul.Hello{
-		Version:    version,
-		GatewayID:  g.cfg.ID,
-		SampleRate: g.cfg.Frontend.SampleRate(),
-		Techs:      techs,
-	}); err != nil {
-		return err
-	}
-	auto := g.cfg.Window <= 0
-	window := g.cfg.Window
-	if auto {
-		window = DefaultWindow
-	}
-	negotiated := version
-	if version >= 2 {
-		// The hello ack closes negotiation; the cloud may shrink the window
-		// to what its admission queue is willing to hold, and its version is
-		// the one the session actually speaks — a v2 cloud answering a v3
-		// hello pins the session to v2, which gates the trace extension off.
-		typ, payload, err := conn.ReadMessage()
-		if err != nil {
-			return err
-		}
-		if typ != backhaul.MsgHelloAck {
-			return fmt.Errorf("gateway: expected hello ack, got message type %d", typ)
-		}
-		ack, err := backhaul.ParseHelloAck(payload)
-		if err != nil {
-			return fmt.Errorf("gateway: bad hello ack: %w", err)
-		}
-		if ack.Version > 0 && ack.Version < negotiated {
-			negotiated = ack.Version
-		}
-		window = scaleWindow(auto, window, ack)
-	}
-	// Reader side: collect decode reports and busy rejects until the bye
-	// ack. On v2 sessions every reply returns one window token.
-	done := make(chan struct{})
-	tokens := make(chan struct{}, window)
-	release := func() {
-		select {
-		case <-tokens:
-		default: // spurious reply with nothing in flight
-		}
-	}
+	r := g.newRun(Resilient{}, reports)
+	fresh := make(chan resilience.Item) // unbuffered: the window is the only queue
+	r.source = fresh
+	quit := make(chan struct{})
+	fed := make(chan struct{})
 	go func() {
-		defer close(done)
-		for {
-			typ, payload, err := conn.ReadMessage()
-			if err != nil {
-				return
+		defer close(fed)
+		defer close(fresh)
+		g.feed(captures, quit, func(it resilience.Item) {
+			select {
+			case fresh <- it:
+			case <-quit:
 			}
-			switch typ {
-			case backhaul.MsgFrames:
-				if r, err := backhaul.ParseFrames(payload); err != nil {
-					g.countBadReport()
-				} else if reports != nil {
-					reports(r)
-				}
-				release()
-			case backhaul.MsgBusy:
-				if _, err := backhaul.ParseBusy(payload); err != nil {
-					g.countBadReport()
-				} else {
-					g.m.busyRejects.Inc()
-				}
-				release()
-			case backhaul.MsgBye:
-				return
-			default:
-				g.countBadReport()
-			}
-		}
+		})
 	}()
-	var seq uint64
-	ship := func(res Result) error {
-		for i, seg := range res.Shipped {
-			var sp *obs.Span
-			if i < len(res.Spans) {
-				sp = res.Spans[i]
-			}
-			if negotiated < 3 {
-				// Pre-v3 peers reject the trace flag bit; strip the context
-				// (seg is a loop copy, the queued segment keeps its identity).
-				seg.Trace, seg.Parent = 0, 0
-			}
-			var n int
-			var err error
-			if version >= 2 {
-				tWait := sp.Now()
-				select {
-				case tokens <- struct{}{}: // claim a window slot
-				case <-done:
-					return errors.New("gateway: connection closed while shipping")
-				}
-				sp.Stage("ship_wait", sp.Now()-tWait, float64(len(tokens)))
-				tShip := sp.Now()
-				n, err = conn.SendSegmentSeq(g.cfg.Codec, seq, seg)
-				sp.Stage("encode_ship", sp.Now()-tShip, float64(n))
-				seq++
-			} else {
-				tShip := sp.Now()
-				n, err = conn.SendSegment(g.cfg.Codec, seg)
-				sp.Stage("encode_ship", sp.Now()-tShip, float64(n))
-			}
-			sp.End()
-			if err != nil {
-				return err
-			}
-			g.m.wireBytes.Add(uint64(n))
-		}
-		return nil
-	}
-	for capture := range captures {
-		if err := ship(g.Process(capture)); err != nil {
-			return err
-		}
-	}
-	if err := ship(g.Flush()); err != nil {
-		return err
-	}
-	if err := conn.SendBye(); err != nil {
-		return err
-	}
-	<-done
-	return nil
+	_, err := r.session(rw)
+	close(quit)
+	<-fed
+	return err
 }

@@ -2,8 +2,13 @@ package gateway
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"net"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/backhaul"
 	"repro/internal/channel"
@@ -92,52 +97,222 @@ func TestRunWindowedPipelineWithFarm(t *testing.T) {
 	}
 }
 
+// scriptedCloud serves one session on rw as a minimal fake cloud: it acks
+// the hello, answers every segment through reply (nil: an empty frames
+// report), and acks the bye.
+func scriptedCloud(rw io.ReadWriter, reply func(c *backhaul.Conn, seq uint64, seg backhaul.Segment) error) error {
+	conn := backhaul.NewConn(rw)
+	for {
+		typ, payload, err := conn.ReadMessage()
+		if err != nil {
+			return err
+		}
+		switch typ {
+		case backhaul.MsgHello:
+			if err := conn.SendHelloAck(backhaul.HelloAck{Version: 2}); err != nil {
+				return err
+			}
+		case backhaul.MsgSegmentSeq:
+			seq, seg, err := backhaul.DecodeSegmentSeq(payload)
+			if err != nil {
+				return err
+			}
+			if reply != nil {
+				err = reply(conn, seq, seg)
+			} else {
+				err = conn.SendFrames(backhaul.FramesReport{SegmentStart: seg.Start, Seq: seq})
+			}
+			if err != nil {
+				return err
+			}
+		case backhaul.MsgBye:
+			return conn.SendBye()
+		default:
+			return fmt.Errorf("fake cloud: unexpected message type %d", typ)
+		}
+	}
+}
+
+// garbleFirst answers the first segment it sees (across every session
+// sharing the flag) with a frames payload that is not JSON.
+func garbleFirst(garbled *atomic.Bool) func(*backhaul.Conn, uint64, backhaul.Segment) error {
+	return func(c *backhaul.Conn, seq uint64, seg backhaul.Segment) error {
+		if garbled.CompareAndSwap(false, true) {
+			return c.WriteMessage(backhaul.MsgFrames, []byte{0xff, 0xfe})
+		}
+		return c.SendFrames(backhaul.FramesReport{SegmentStart: seg.Start, Seq: seq})
+	}
+}
+
+// TestRunCountsBadReports: a reply the gateway cannot parse is counted and
+// is session-fatal, because its in-flight slot can never be retired. Run
+// returns the error; RunResilient redials and replays the window.
 func TestRunCountsBadReports(t *testing.T) {
-	// A misbehaving cloud answers each segment with an unparseable frames
-	// payload; the gateway must count it instead of silently dropping it.
-	g, err := New(Config{Techs: techs(), Frontend: frontend.Ideal(fs), Protocol: 1})
+	t.Run("Run", func(t *testing.T) {
+		g, err := New(Config{Techs: techs(), Frontend: frontend.Ideal(fs)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		captures := make(chan []complex128, 1)
+		captures <- shipCapture(t, 50, []byte("garbled reply"))
+		close(captures)
+
+		a, b := net.Pipe()
+		defer b.Close()
+		var garbled atomic.Bool
+		srvErr := make(chan error, 1)
+		go func() { srvErr <- scriptedCloud(b, garbleFirst(&garbled)) }()
+		err = g.Run(a, captures, nil)
+		if err == nil || !strings.Contains(err.Error(), "bad frames report") {
+			t.Fatalf("Run err = %v, want the unparseable reply surfaced", err)
+		}
+		<-srvErr // the gateway tore the stream down; the cloud's read error is expected
+		if st := g.Stats(); st.SegmentsShipped != 1 || st.BadReports != 1 {
+			t.Fatalf("stats %+v, want 1 shipped and 1 bad report", st)
+		}
+	})
+	t.Run("RunResilient", func(t *testing.T) {
+		g, err := New(Config{Techs: techs(), Frontend: frontend.Ideal(fs)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		captures := make(chan []complex128, 1)
+		captures <- shipCapture(t, 50, []byte("garbled reply"))
+		close(captures)
+
+		var garbled atomic.Bool
+		srvErr := make(chan error, 2)
+		dial := func() (io.ReadWriteCloser, error) {
+			a, b := net.Pipe()
+			go func() { srvErr <- scriptedCloud(b, garbleFirst(&garbled)) }()
+			return a, nil
+		}
+		var reports atomic.Int64
+		err = g.RunResilient(Resilient{Dial: dial, Retry: resiliencePolicy(time.Millisecond)}, captures,
+			func(backhaul.FramesReport) { reports.Add(1) })
+		if err != nil {
+			t.Fatalf("RunResilient must survive a garbled reply: %v", err)
+		}
+		if first, second := <-srvErr, <-srvErr; (first == nil) == (second == nil) {
+			t.Fatalf("want one torn-down and one clean cloud session, got %v and %v", first, second)
+		}
+		if st := g.Stats(); st.SegmentsShipped != 1 || st.BadReports != 1 {
+			t.Fatalf("stats %+v, want 1 shipped and 1 bad report", st)
+		}
+		if got := counter(t, g, "gateway_reconnects_total"); got != 1 {
+			t.Fatalf("reconnects = %d, want 1", got)
+		}
+		if got := counter(t, g, "gateway_replayed_segments_total"); got != 1 {
+			t.Fatalf("replayed = %d, want 1", got)
+		}
+		if got := reports.Load(); got != 1 {
+			t.Fatalf("%d reports delivered, want the replayed segment's one", got)
+		}
+	})
+}
+
+// TestRunBackpressuresAtFullWindow pins the contract Run keeps that
+// RunResilient does not: there is no queue but the window. With Window 1
+// and a cloud sitting on its first reply, the capture source must stall —
+// a spool in Run's place would keep swallowing captures — and once the
+// cloud moves, every segment ships: nothing dropped, nothing degraded,
+// reports in segment order, all from the one goroutine that called Run
+// (the callback appends unsynchronized; -race polices that).
+func TestRunBackpressuresAtFullWindow(t *testing.T) {
+	ts := resTechs()
+	g, err := New(Config{Techs: ts, Frontend: frontend.Ideal(fs), Window: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	captures := make(chan []complex128, 1)
-	captures <- shipCapture(t, 50, []byte("garbled reply"))
+	const n = 4
+	captures := make(chan []complex128, n)
+	for i := 0; i < n; i++ {
+		captures <- techCapture(t, ts[0], uint64(90+i), []byte{'s', 'e', 'g', byte('0' + i)})
+	}
 	close(captures)
 
-	a, b := net.Pipe()
-	srvErr := make(chan error, 1)
-	go func() {
-		srvErr <- func() error {
-			conn := backhaul.NewConn(b)
-			for {
-				typ, _, err := conn.ReadMessage()
-				if err != nil {
-					return err
-				}
-				switch typ {
-				case backhaul.MsgHello:
-				case backhaul.MsgSegment:
-					// Not JSON: ParseFrames must fail on the gateway.
-					if err := conn.WriteMessage(backhaul.MsgFrames, []byte{0xff, 0xfe}); err != nil {
-						return err
-					}
-				case backhaul.MsgBye:
-					return conn.SendBye()
-				}
+	detected := g.Registry().Counter("gateway_segments_detected_total")
+	processed := g.Registry().Counter("gateway_captures_processed_total")
+	var before, after uint64
+	slowFirst := func(c *backhaul.Conn, seq uint64, seg backhaul.Segment) error {
+		if seq == 0 {
+			// Segment 0 fills the window. Once segment 1 is detected the
+			// feeder is at the rendezvous with it and must stay there; give
+			// it ample time to (wrongly) go back for another capture.
+			for detected.Value() < 2 {
+				time.Sleep(time.Millisecond)
 			}
-		}()
-	}()
-	if err := g.Run(a, captures, nil); err != nil {
+			before = processed.Value()
+			time.Sleep(100 * time.Millisecond)
+			after = processed.Value()
+		}
+		return c.SendFrames(backhaul.FramesReport{SegmentStart: seg.Start, Seq: seq})
+	}
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	srvErr := make(chan error, 1)
+	go func() { srvErr <- scriptedCloud(b, slowFirst) }()
+
+	var reports []backhaul.FramesReport
+	if err := g.Run(a, captures, func(r backhaul.FramesReport) { reports = append(reports, r) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-srvErr; err != nil {
 		t.Fatal(err)
 	}
-	st := g.Stats()
-	if st.SegmentsShipped == 0 {
-		t.Fatal("nothing shipped")
+	if before == n || after != before {
+		t.Fatalf("captures processed went %d -> %d (of %d) while the window was full: Run is queueing", before, after, n)
 	}
-	if st.BadReports != st.SegmentsShipped {
-		t.Fatalf("bad reports %d, want %d", st.BadReports, st.SegmentsShipped)
+	if st := g.Stats(); st.SegmentsShipped != n || len(reports) != n {
+		t.Fatalf("%d reports for %d shipped segments, want %d each", len(reports), st.SegmentsShipped, n)
+	}
+	for i, r := range reports {
+		if r.Seq != uint64(i) || (i > 0 && r.SegmentStart <= reports[i-1].SegmentStart) {
+			t.Fatalf("report %d out of segment order: seq %d start %d", i, r.Seq, r.SegmentStart)
+		}
+	}
+	for _, name := range []string{"gateway_spool_dropped_total", "gateway_degraded_frames_total"} {
+		if got := counter(t, g, name); got != 0 {
+			t.Fatalf("%s = %d, want 0", name, got)
+		}
+	}
+}
+
+// TestRunReturnsSessionError: Run is exactly one session. A cloud that
+// closes mid-session makes it return an error — no redial, no replay, no
+// degraded decode of what was in flight.
+func TestRunReturnsSessionError(t *testing.T) {
+	ts := resTechs()
+	g, err := New(Config{Techs: ts, Frontend: frontend.Ideal(fs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	captures := make(chan []complex128, 2)
+	captures <- techCapture(t, ts[0], 95, []byte("in flight"))
+	captures <- techCapture(t, ts[0], 96, []byte("never sent"))
+	close(captures)
+
+	a, b := net.Pipe()
+	defer a.Close()
+	hangUp := func(*backhaul.Conn, uint64, backhaul.Segment) error { return b.Close() }
+	go func() { _ = scriptedCloud(b, hangUp) }()
+
+	delivered := 0
+	err = g.Run(a, captures, func(backhaul.FramesReport) { delivered++ })
+	if err == nil {
+		t.Fatal("Run returned nil after the cloud closed mid-session")
+	}
+	if delivered != 0 {
+		t.Fatalf("%d reports delivered for segments the cloud never answered", delivered)
+	}
+	for _, name := range []string{
+		"gateway_dial_attempts_total", "gateway_reconnects_total", "gateway_replayed_segments_total",
+		"gateway_spool_dropped_total", "gateway_degraded_frames_total",
+	} {
+		if got := counter(t, g, name); got != 0 {
+			t.Fatalf("%s = %d, want 0", name, got)
+		}
 	}
 }
 
@@ -155,31 +330,9 @@ func TestRunBusyRejectCounted(t *testing.T) {
 	a, b := net.Pipe()
 	srvErr := make(chan error, 1)
 	go func() {
-		srvErr <- func() error {
-			conn := backhaul.NewConn(b)
-			for {
-				typ, payload, err := conn.ReadMessage()
-				if err != nil {
-					return err
-				}
-				switch typ {
-				case backhaul.MsgHello:
-					if err := conn.SendHelloAck(backhaul.HelloAck{Version: 2}); err != nil {
-						return err
-					}
-				case backhaul.MsgSegmentSeq:
-					seq, _, err := backhaul.DecodeSegmentSeq(payload)
-					if err != nil {
-						return err
-					}
-					if err := conn.SendBusy(seq); err != nil {
-						return err
-					}
-				case backhaul.MsgBye:
-					return conn.SendBye()
-				}
-			}
-		}()
+		srvErr <- scriptedCloud(b, func(c *backhaul.Conn, seq uint64, _ backhaul.Segment) error {
+			return c.SendBusy(seq)
+		})
 	}()
 	if err := g.Run(a, captures, nil); err != nil {
 		t.Fatal(err)

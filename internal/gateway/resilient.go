@@ -17,10 +17,9 @@ import (
 // Resilient.SpoolCapacity is zero.
 const DefaultSpoolCapacity = 64
 
-// DefaultWALBacklogMax is the replay-backlog readiness threshold when
-// Resilient.WALBacklogMax is zero: a gateway sitting on more unacked WAL
-// records than this would dump an oversized replay burst on restart, so
-// /readyz reports it out of headroom.
+// DefaultWALBacklogMax is the replay-backlog readiness threshold: a gateway
+// sitting on more unacked WAL records than this would dump an oversized
+// replay burst on restart, so /readyz reports it out of headroom.
 const DefaultWALBacklogMax = 4096
 
 // Resilient configures RunResilient, the reconnecting flavor of Run.
@@ -57,12 +56,6 @@ type Resilient struct {
 	WALDir string
 	// WALSync selects the WAL fsync policy (default wal.SyncBatched).
 	WALSync wal.SyncPolicy
-	// WALFileBytes caps one WAL file before rotation (default
-	// wal.DefaultFileBytes).
-	WALFileBytes int64
-	// WALBacklogMax bounds the wal_backlog_headroom readiness check
-	// (default DefaultWALBacklogMax).
-	WALBacklogMax int
 }
 
 // resMetrics is the registry-backed counter set of the resilience layer.
@@ -122,15 +115,47 @@ type ackEvent struct {
 	report backhaul.FramesReport
 }
 
-// degrade is the drop path: a segment the backhaul will never carry gets
+// resilientRun is the state of one Run or RunResilient call: what every
+// session of the call shares and what carries over between sessions.
+type resilientRun struct {
+	g  *Gateway
+	rc Resilient
+	rm *resMetrics
+	// source delivers fresh segments to the session and is closed after the
+	// last one: the spool's channel under RunResilient, an unbuffered
+	// rendezvous with the capture feeder under Run. Which one is decided by
+	// the entry point, never by a setting.
+	source  <-chan resilience.Item
+	spool   *resilience.Spool // RunResilient only
+	wal     *wal.Log          // nil when WALDir is unset
+	reports func(backhaul.FramesReport)
+	hello   backhaul.Hello
+
+	pending  []carried // backlog awaiting (re)shipment, oldest first
+	drained  bool      // source closed and fully consumed
+	sessions int       // established sessions so far
+	backoff  *resilience.Backoff
+	// degraded marks an active degraded-mode episode (spool overflow is
+	// dropping segments to edge-only decode). The feeder enters it and the
+	// session goroutine exits it, hence the CAS discipline: each transition
+	// is journaled exactly once no matter how the two goroutines interleave.
+	degraded atomic.Bool
+}
+
+// degradeItem is the drop path: a segment the backhaul will never carry gets
 // one edge-only decode pass, any CRC-clean frames are reported locally, and
 // the drop is charged to the per-technology counters (by the technology of
 // the first recovered frame, or the unknown bucket when nothing decodes).
+// The first drop of an episode journals its enter edge. The edge-only decode
+// is the item's final disposition, so its WAL record (if any) is acked.
 // Only the capture feeder and the post-exhaustion drain call this, never
 // concurrently, so reusing the gateway's edge decoder is safe.
-func (g *Gateway) degrade(rm *resMetrics, it resilience.Item, reports func(backhaul.FramesReport)) {
+func (r *resilientRun) degradeItem(it resilience.Item) {
+	if r.degraded.CompareAndSwap(false, true) {
+		r.g.cfg.Journal.Record("gateway_degraded_enter", int64(len(r.source)))
+	}
 	tEdge := it.Span.Now()
-	frames, _ := g.edge.DecodeTraced(it.Seg.Samples, it.Span)
+	frames, _ := r.g.edge.DecodeTraced(it.Seg.Samples, it.Span)
 	rep := backhaul.FramesReport{SegmentStart: it.Seg.Start}
 	tech := ""
 	for _, f := range frames {
@@ -148,61 +173,18 @@ func (g *Gateway) degrade(rm *resMetrics, it resilience.Item, reports func(backh
 			SNRdB:   f.SNRdB,
 		})
 	}
-	rm.spoolDropped.Inc()
-	if c, ok := rm.techDropped[tech]; ok {
+	r.rm.spoolDropped.Inc()
+	if c, ok := r.rm.techDropped[tech]; ok {
 		c.Inc()
 	} else {
-		rm.unknownDropped.Inc()
+		r.rm.unknownDropped.Inc()
 	}
-	rm.degradedFrames.Add(uint64(len(rep.Frames)))
+	r.rm.degradedFrames.Add(uint64(len(rep.Frames)))
 	it.Span.Stage("spool_drop", it.Span.Now()-tEdge, float64(len(rep.Frames)))
 	it.Span.End()
-	if len(rep.Frames) > 0 && reports != nil {
-		reports(rep)
+	if len(rep.Frames) > 0 && r.reports != nil {
+		r.reports(rep)
 	}
-}
-
-// segSpool abstracts over the in-memory spool and its WAL-backed flavor so
-// the feeder and session loop are indifferent to durability.
-type segSpool interface {
-	Put(resilience.Item) (resilience.Item, bool)
-	C() <-chan resilience.Item
-	Len() int
-	Cap() int
-	Close()
-}
-
-// resilientRun is the cross-session state of one RunResilient call.
-type resilientRun struct {
-	g       *Gateway
-	rc      Resilient
-	rm      *resMetrics
-	window  int
-	auto    bool // Config.Window was unset: ack capacity hints may grow it
-	spool   segSpool
-	wal     *wal.Log // nil when WALDir is unset
-	reports func(backhaul.FramesReport)
-	hello   backhaul.Hello
-
-	pending  []carried // backlog awaiting (re)shipment, oldest first
-	drained  bool      // spool closed and fully consumed
-	sessions int       // established sessions so far
-	backoff  *resilience.Backoff
-	// degraded marks an active degraded-mode episode (spool overflow is
-	// dropping segments to edge-only decode). The feeder enters it and the
-	// session goroutine exits it, hence the CAS discipline: each transition
-	// is journaled exactly once no matter how the two goroutines interleave.
-	degraded atomic.Bool
-}
-
-// degradeItem routes one segment through the degraded edge-only path and
-// journals the enter edge of the episode. The edge-only decode is the
-// item's final disposition, so its WAL record (if any) is acked.
-func (r *resilientRun) degradeItem(it resilience.Item) {
-	if r.degraded.CompareAndSwap(false, true) {
-		r.g.cfg.Journal.Record("gateway_degraded_enter", int64(r.spool.Len()))
-	}
-	r.g.degrade(r.rm, it, r.reports)
 	r.ack(it)
 }
 
@@ -224,11 +206,76 @@ func (r *resilientRun) closeWAL() {
 	}
 }
 
+// newRun builds the state Run and RunResilient share: the hello every
+// session of the call repeats (rc.Epoch zero leaves cloud dedup off), the
+// resilience counters and the redial pacing.
+func (g *Gateway) newRun(rc Resilient, reports func(backhaul.FramesReport)) *resilientRun {
+	techs := make([]string, 0, len(g.cfg.Techs))
+	for _, t := range g.cfg.Techs {
+		techs = append(techs, t.Name())
+	}
+	return &resilientRun{
+		g:       g,
+		rc:      rc,
+		rm:      g.newResMetrics(),
+		reports: reports,
+		backoff: resilience.NewBackoff(rc.Retry),
+		hello: backhaul.Hello{
+			Version:    backhaul.Version,
+			GatewayID:  g.cfg.ID,
+			SampleRate: g.cfg.Frontend.SampleRate(),
+			Techs:      techs,
+			Epoch:      rc.Epoch,
+		},
+	}
+}
+
+// feed is the capture side of a run: it drives the detection pipeline over
+// captures until the channel closes (then flushes the detector) or quit
+// closes, handing every segment that needs the cloud to put along with the
+// trace span that has followed it since detection.
+func (g *Gateway) feed(captures <-chan []complex128, quit <-chan struct{}, put func(resilience.Item)) {
+	ship := func(res Result) {
+		for i, seg := range res.Shipped {
+			put(resilience.Item{Seg: seg, Span: res.Spans[i]})
+		}
+	}
+	for {
+		select {
+		case capture, ok := <-captures:
+			if !ok {
+				ship(g.Flush())
+				return
+			}
+			ship(g.Process(capture))
+		case <-quit:
+			return
+		}
+	}
+}
+
+// admit journals a fresh segment to the WAL (when one is open) and spools
+// it; spool overflow routes the evicted (oldest) segment through degrade.
+// An append failure is absorbed: the segment still ships from memory, it
+// just loses its crash insurance, and wal_append_errors_total says so. An
+// evicted item still carries its WAL id, so degradeItem retires its record.
+func (r *resilientRun) admit(it resilience.Item) {
+	if r.wal != nil {
+		if id, err := r.wal.Append(it.Seg); err == nil {
+			it.WAL = id
+		}
+	}
+	if ev, dropped := r.spool.Put(it); dropped {
+		r.degradeItem(ev)
+	}
+	r.rm.spoolDepth.Set(int64(r.spool.Len()))
+}
+
 // RunResilient is Run behind a reconnecting backhaul client. Captures are
 // consumed continuously by a feeder goroutine into a bounded spool, so the
 // detection pipeline never stalls on a dead link; the sender drains the
-// spool over a sequence of v2 sessions, re-helloing (same epoch) after
-// every connection failure and replaying the unacknowledged window so no
+// spool over a sequence of sessions, re-helloing (same epoch) after every
+// connection failure and replaying the unacknowledged window so no
 // admitted segment is lost to a flap. When the spool saturates the oldest
 // segment falls back to a local edge-only decode (degraded mode) and is
 // counted dropped. The error is non-nil only when Retry's consecutive
@@ -242,9 +289,6 @@ func (g *Gateway) RunResilient(rc Resilient, captures <-chan []complex128, repor
 	if rc.Dial == nil {
 		return errors.New("gateway: RunResilient requires a Dial function")
 	}
-	if g.cfg.Protocol == 1 {
-		return errors.New("gateway: RunResilient requires backhaul protocol v2 (replay needs sequence acks)")
-	}
 	if rc.Epoch == 0 {
 		rc.Epoch = 1
 	}
@@ -255,48 +299,21 @@ func (g *Gateway) RunResilient(rc Resilient, captures <-chan []complex128, repor
 	if rc.SpoolCapacity <= 0 {
 		rc.SpoolCapacity = DefaultSpoolCapacity
 	}
-	version := g.cfg.Protocol
-	if version == 0 {
-		version = backhaul.Version
-	}
-	techs := make([]string, 0, len(g.cfg.Techs))
-	for _, t := range g.cfg.Techs {
-		techs = append(techs, t.Name())
-	}
-	auto := g.cfg.Window <= 0
-	window := g.cfg.Window
-	if auto {
-		window = DefaultWindow
-	}
-	rm := g.newResMetrics()
-	r := &resilientRun{
-		g:       g,
-		rc:      rc,
-		rm:      rm,
-		window:  window,
-		auto:    auto,
-		reports: reports,
-		backoff: resilience.NewBackoff(rc.Retry),
-		hello: backhaul.Hello{
-			Version:    version,
-			GatewayID:  g.cfg.ID,
-			SampleRate: g.cfg.Frontend.SampleRate(),
-			Techs:      techs,
-			Epoch:      rc.Epoch,
-		},
-	}
+	r := g.newRun(rc, reports)
+	rm := r.rm
+	r.spool = resilience.NewSpool(rc.SpoolCapacity)
+	r.source = r.spool.C()
 	if rc.WALDir != "" {
 		// The WAL re-encodes segments it journals; detach the codec metrics
 		// so those encodes do not double-count the backhaul encode totals.
 		codec := g.cfg.Codec
 		codec.Metrics = nil
 		wlog, recovered, err := wal.Open(wal.Options{
-			Dir:       rc.WALDir,
-			FileBytes: rc.WALFileBytes,
-			Sync:      rc.WALSync,
-			Codec:     codec,
-			Metrics:   wal.NewMetrics(g.reg),
-			Journal:   g.cfg.Journal,
+			Dir:     rc.WALDir,
+			Sync:    rc.WALSync,
+			Codec:   codec,
+			Metrics: wal.NewMetrics(g.reg),
+			Journal: g.cfg.Journal,
 		})
 		if err != nil {
 			return fmt.Errorf("gateway: wal: %w", err)
@@ -307,13 +324,12 @@ func (g *Gateway) RunResilient(rc Resilient, captures <-chan []complex128, repor
 		// already accounts for the restart replay. Recovered marks them so
 		// the sender re-opens a wal_replay span on each segment's original
 		// trace (the trace context journaled with the segment survives the
-		// crash byte-for-byte).
+		// crash byte-for-byte). They bypass admit, so they are not journaled
+		// a second time.
 		for _, e := range recovered {
 			r.pending = append(r.pending, carried{it: resilience.Item{Seg: e.Seg, WAL: e.ID, Recovered: true}})
 		}
-		r.spool, r.wal = resilience.NewDurableSpool(rc.SpoolCapacity, wlog), wlog
-	} else {
-		r.spool = resilience.NewSpool(rc.SpoolCapacity)
+		r.wal = wlog
 	}
 	if h := g.cfg.Health; h != nil {
 		// Liveness follows the session state: a gateway mid-redial is
@@ -334,10 +350,6 @@ func (g *Gateway) RunResilient(rc Resilient, captures <-chan []complex128, repor
 			return obs.Healthy(fmt.Sprintf("%d/%d spooled", depth, rc.SpoolCapacity))
 		})
 		if r.wal != nil {
-			backlogMax := rc.WALBacklogMax
-			if backlogMax <= 0 {
-				backlogMax = DefaultWALBacklogMax
-			}
 			// A wedged WAL cannot journal anything: the gateway still ships
 			// from memory but has lost its crash durability, which is a
 			// liveness-grade fault for a durably-configured gateway.
@@ -352,63 +364,30 @@ func (g *Gateway) RunResilient(rc Resilient, captures <-chan []complex128, repor
 			// traffic flows.
 			h.RegisterReadiness("wal_backlog_headroom", func() obs.CheckResult {
 				depth := r.wal.Backlog()
-				if depth > backlogMax {
-					return obs.Unhealthy(fmt.Sprintf("replay backlog %d exceeds %d", depth, backlogMax))
+				if depth > DefaultWALBacklogMax {
+					return obs.Unhealthy(fmt.Sprintf("replay backlog %d exceeds %d", depth, DefaultWALBacklogMax))
 				}
-				return obs.Healthy(fmt.Sprintf("%d/%d unacked records", depth, backlogMax))
+				return obs.Healthy(fmt.Sprintf("%d/%d unacked records", depth, DefaultWALBacklogMax))
 			})
 		}
 	}
 
-	// Feeder: keep detecting no matter what the backhaul is doing. Spool
-	// overflow routes the evicted (oldest) segment through degrade.
+	// Feeder: keep detecting no matter what the backhaul is doing.
 	quit := make(chan struct{})
 	feederDone := make(chan struct{})
 	go func() {
 		defer close(feederDone)
 		defer r.spool.Close()
-		put := func(res Result) {
-			for i, seg := range res.Shipped {
-				var sp *obs.Span
-				if i < len(res.Spans) {
-					sp = res.Spans[i]
-				}
-				if ev, dropped := r.spool.Put(resilience.Item{Seg: seg, Span: sp}); dropped {
-					r.degradeItem(ev)
-				}
-				rm.spoolDepth.Set(int64(r.spool.Len()))
-			}
-		}
-		for {
-			select {
-			case capture, ok := <-captures:
-				if !ok {
-					put(g.Flush())
-					return
-				}
-				put(g.Process(capture))
-			case <-quit:
-				return
-			}
-		}
+		g.feed(captures, quit, r.admit)
 	}()
 
-	var lastErr error
 	for {
-		rm.dialAttempts.Inc()
-		rwc, err := rc.Dial()
-		if err != nil {
-			rm.dialFailures.Inc()
-			lastErr = err
-		} else {
-			finished, serr := r.session(rwc)
-			if finished {
-				close(quit)
-				<-feederDone
-				r.closeWAL()
-				return nil
-			}
-			lastErr = serr
+		finished, lastErr := r.connect()
+		if finished {
+			close(quit)
+			<-feederDone
+			r.closeWAL()
+			return nil
 		}
 		if errors.Is(lastErr, resilience.ErrKilled) {
 			// Simulated SIGKILL: abandon all process state in place — no
@@ -430,7 +409,7 @@ func (g *Gateway) RunResilient(rc Resilient, captures <-chan []complex128, repor
 			// The backhaul is gone for good: drain everything still queued
 			// through the degraded path so it is accounted as dropped, then
 			// surface the failure.
-			for it := range r.spool.C() {
+			for it := range r.source {
 				r.degradeItem(it)
 			}
 			rm.spoolDepth.Set(0)
@@ -451,19 +430,34 @@ func (g *Gateway) RunResilient(rc Resilient, captures <-chan []complex128, repor
 	}
 }
 
-// session drives one connection from hello to death or completion. It
+// connect dials one backhaul connection and runs a session over it. The
+// run owns the dialed stream and closes it when the session ends.
+func (r *resilientRun) connect() (finished bool, err error) {
+	r.rm.dialAttempts.Inc()
+	rwc, err := r.rc.Dial()
+	if err != nil {
+		r.rm.dialFailures.Inc()
+		return false, err
+	}
+	defer rwc.Close()
+	return r.session(rwc)
+}
+
+// session drives one connection from hello to death or completion — the
+// only code that speaks the gateway side of the backhaul protocol. It
 // returns finished=true when every admitted segment has been acknowledged
 // and the capture stream is exhausted; otherwise the unacknowledged window
-// and unsent backlog are carried over in r.pending for the next session.
-func (r *resilientRun) session(rwc io.ReadWriteCloser) (finished bool, err error) {
+// and unsent backlog are carried over in r.pending for the next session
+// (RunResilient redials; Run returns the error). The stream stays the
+// caller's: session closes it only to tear down a failing session.
+func (r *resilientRun) session(rw io.ReadWriter) (finished bool, err error) {
 	g := r.g
-	defer rwc.Close()
 	// Session spans get their own trace, minted from the gateway ID and
 	// session ordinal under a salt that cannot collide with segment traces,
 	// so per-gateway session timelines stay distinct fleet-wide.
 	sp := g.tracer.Start("gateway-session", obs.MintTraceID(g.idHash^obs.SiteID("session"), int64(r.sessions)+1))
 	defer sp.End()
-	conn := backhaul.NewConn(resilience.WithDeadlines(rwc, r.rc.ReadTimeout, r.rc.WriteTimeout))
+	conn := backhaul.NewConn(resilience.WithDeadlines(rw, r.rc.ReadTimeout, r.rc.WriteTimeout))
 	conn.SetMetrics(backhaul.NewConnMetrics(g.reg))
 	if err := conn.SendHello(r.hello); err != nil {
 		return false, fmt.Errorf("gateway: hello: %w", err)
@@ -488,7 +482,7 @@ func (r *resilientRun) session(rwc io.ReadWriteCloser) (finished bool, err error
 	}
 	// Window sizing is re-derived every session: a redial may land on a
 	// plane whose shard count or admission bounds changed.
-	window := scaleWindow(r.auto, r.window, ack)
+	window := scaleWindow(g.cfg.Window, ack)
 	// Established: renegotiated and ready to ship. Consecutive-failure
 	// accounting restarts here, and anything after the first session is by
 	// definition a reconnect.
@@ -497,7 +491,7 @@ func (r *resilientRun) session(rwc io.ReadWriteCloser) (finished bool, err error
 	// A fresh session ends any degraded episode: the backhaul is carrying
 	// segments again.
 	if r.degraded.CompareAndSwap(true, false) {
-		g.cfg.Journal.Record("gateway_degraded_exit", int64(r.spool.Len()))
+		g.cfg.Journal.Record("gateway_degraded_exit", int64(len(r.source)))
 	}
 	r.rm.connected.Set(1)
 	defer r.rm.connected.Set(0)
@@ -523,26 +517,31 @@ func (r *resilientRun) session(rwc io.ReadWriteCloser) (finished bool, err error
 				readerDone <- err
 				return
 			}
+			// A reply that does not parse cannot retire its in-flight slot,
+			// so it is session-fatal like a corrupted segment (DESIGN.md §11):
+			// the window would otherwise never drain.
 			switch typ {
 			case backhaul.MsgFrames:
 				rep, err := backhaul.ParseFrames(payload)
 				if err != nil {
-					g.countBadReport()
-					continue
+					g.m.badReports.Inc()
+					readerDone <- fmt.Errorf("bad frames report: %w", err)
+					return
 				}
 				acks <- ackEvent{seq: rep.Seq, report: rep}
 			case backhaul.MsgBusy:
 				seq, err := backhaul.ParseBusy(payload)
 				if err != nil {
-					g.countBadReport()
-					continue
+					g.m.badReports.Inc()
+					readerDone <- fmt.Errorf("bad busy reject: %w", err)
+					return
 				}
 				acks <- ackEvent{seq: seq, busy: true}
 			case backhaul.MsgBye:
 				readerDone <- io.EOF
 				return
 			default:
-				g.countBadReport()
+				g.m.badReports.Inc()
 			}
 		}
 	}()
@@ -582,8 +581,10 @@ func (r *resilientRun) session(rwc io.ReadWriteCloser) (finished bool, err error
 	die := func(e error) (bool, error) {
 		// The session is already failing for error e; the close is only
 		// there to force the reader out of its blocked ReadMessage.
-		//lint:ignore errdrop close error is superseded by the session error being returned
-		_ = rwc.Close()
+		if c, ok := rw.(io.Closer); ok {
+			//lint:ignore errdrop close error is superseded by the session error being returned
+			_ = c.Close()
+		}
 		for {
 			select {
 			case a := <-acks:
@@ -693,21 +694,21 @@ func (r *resilientRun) session(rwc io.ReadWriteCloser) (finished bool, err error
 				}
 			}
 		}
-		var spoolC <-chan resilience.Item
+		var fresh <-chan resilience.Item
 		if len(inflight) < window && len(r.pending) == 0 && !r.drained {
-			spoolC = r.spool.C()
+			fresh = r.source
 		}
 		select {
-		case it, ok := <-spoolC:
+		case it, ok := <-fresh:
 			if !ok {
 				r.drained = true
 				continue
 			}
-			r.rm.spoolDepth.Set(int64(r.spool.Len()))
+			r.rm.spoolDepth.Set(int64(len(r.source)))
 			if err := sendItem(carried{it: it}); err != nil {
-				// The item left the spool but never made it into the
+				// The item left the source but never made it into the
 				// in-flight window: requeue it ahead of the backlog (it is
-				// older than anything still spooled, newer than inflight,
+				// older than anything still queued, newer than inflight,
 				// which die prepends) or it would be lost with the session.
 				// It touched the wire, so its reshipment is a replay.
 				r.pending = append([]carried{{it: it, sent: true}}, r.pending...)

@@ -395,12 +395,4 @@ func TestRunResilientValidation(t *testing.T) {
 	if err := g.RunResilient(Resilient{}, nil, nil); err == nil {
 		t.Fatal("nil Dial must be rejected")
 	}
-	g1, err := New(Config{Techs: techs(), Frontend: frontend.Ideal(fs), Protocol: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dial := func() (io.ReadWriteCloser, error) { return nil, errors.New("unused") }
-	if err := g1.RunResilient(Resilient{Dial: dial}, nil, nil); err == nil {
-		t.Fatal("protocol v1 must be rejected")
-	}
 }

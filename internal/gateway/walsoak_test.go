@@ -44,8 +44,8 @@ func soakRelay(t *testing.T, svc *cloud.Service) io.ReadWriteCloser {
 		//lint:ignore errdrop the relay kills this session by design; the soak's counters are the contract
 		_ = svc.ServeConn(clPeer)
 	}()
-	up := backhaul.NewConn(gwPeer)   // gateway -> relay
-	down := backhaul.NewConn(cl)     // relay -> cloud (and back)
+	up := backhaul.NewConn(gwPeer) // gateway -> relay
+	down := backhaul.NewConn(cl)   // relay -> cloud (and back)
 	closeAll := func() {
 		gwPeer.Close()
 		cl.Close()

@@ -21,7 +21,7 @@ func TestServerEndpoints(t *testing.T) {
 	reg.Gauge("farm_jobs_queued_count").Set(2)
 	reg.Histogram("farm_queue_wait_samples", 16).Observe(500)
 	tr := NewTracer(8)
-	sp := tr.Start("gateway-segment", SegmentTraceID(1))
+	sp := tr.Start("gateway-segment", MintTraceID(0, 1))
 	sp.Stage("detect", 3, 0)
 	sp.End()
 

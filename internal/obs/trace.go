@@ -362,17 +362,6 @@ func (t *Tracer) Recent() []TraceSnapshot {
 	return out
 }
 
-// SegmentTraceID derives a stable trace ID from a segment's absolute start
-// sample (splitmix64). The gateway and the cloud both see that offset —
-// it rides in the existing segment header — so the two sides of one
-// segment correlate into a single trace without any wire-format change.
-func SegmentTraceID(start int64) uint64 {
-	z := uint64(start) + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // SiteID hashes a site/process name (FNV-1a) for span-ID salting and
 // trace minting. A gateway's ID hash keys MintTraceID so the trace
 // identity a segment carries is stable across process restarts.
@@ -393,7 +382,9 @@ func SiteID(name string) uint64 {
 // splitmix64 over the minting site (gateway ID hash) and the segment's
 // absolute start sample. Both inputs survive crash/restart — a
 // WAL-recovered segment re-shipped under a fresh epoch keeps the same
-// trace identity it was minted with.
+// trace identity it was minted with. The cloud mints with the same function
+// for a segment that arrives without wire trace context, so both sides of
+// an unsalted gateway's segment still land on one trace.
 func MintTraceID(site uint64, start int64) uint64 {
 	z := (site ^ uint64(start)) + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

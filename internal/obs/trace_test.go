@@ -36,7 +36,7 @@ func TestNilTracerAndSpanAreInert(t *testing.T) {
 func TestSpanLifecycle(t *testing.T) {
 	t.Parallel()
 	tr := NewTracer(8)
-	id := SegmentTraceID(42)
+	id := MintTraceID(0, 42)
 	sp := tr.Start("gateway-segment", id)
 	if sp.TraceID() != id {
 		t.Fatalf("trace id = %d, want %d", sp.TraceID(), id)
@@ -69,14 +69,14 @@ func TestSpanLifecycle(t *testing.T) {
 func TestSpanGroupingByTraceID(t *testing.T) {
 	t.Parallel()
 	tr := NewTracer(8)
-	id := SegmentTraceID(7)
+	id := MintTraceID(0, 7)
 	gw := tr.Start("gateway-segment", id)
 	gw.Stage("detect", 1, 0)
 	gw.End()
 	cl := tr.Start("cloud-segment", id)
 	cl.Stage("decode", 2, 0)
 	cl.End()
-	other := tr.Start("cloud-segment", SegmentTraceID(8))
+	other := tr.Start("cloud-segment", MintTraceID(0, 8))
 	other.End()
 
 	traces := tr.Recent()
@@ -141,16 +141,20 @@ func TestContextCarriesSpan(t *testing.T) {
 	sp.End()
 }
 
-func TestSegmentTraceIDStableAndDistinct(t *testing.T) {
+func TestMintTraceIDStableAndDistinct(t *testing.T) {
 	t.Parallel()
-	if SegmentTraceID(1000) != SegmentTraceID(1000) {
+	site := SiteID("gw-a")
+	if MintTraceID(site, 1000) != MintTraceID(site, 1000) {
 		t.Fatal("trace id not stable")
+	}
+	if MintTraceID(site, 1000) == MintTraceID(SiteID("gw-b"), 1000) {
+		t.Fatal("two gateways minted the same trace id for the same start")
 	}
 	seen := map[uint64]bool{}
 	for i := int64(0); i < 1000; i++ {
-		id := SegmentTraceID(i)
-		if seen[id] {
-			t.Fatalf("collision at start=%d", i)
+		id := MintTraceID(site, i)
+		if id == 0 || seen[id] {
+			t.Fatalf("zero or colliding id at start=%d", i)
 		}
 		seen[id] = true
 	}
@@ -167,7 +171,7 @@ func TestTracerConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				sp := tr.Start("cloud-segment", SegmentTraceID(int64(w*1000+i)))
+				sp := tr.Start("cloud-segment", MintTraceID(0, int64(w*1000+i)))
 				sp.Stage("decode", 1, 0)
 				sp.End()
 			}
@@ -278,7 +282,7 @@ func TestTracerRingOverflowUnderHTTPSnapshots(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				sp := tr.Start("gateway-segment", SegmentTraceID(int64(w*perWorker+i)))
+				sp := tr.Start("gateway-segment", MintTraceID(0, int64(w*perWorker+i)))
 				// Overflow the stage cap on every third span so snapshots
 				// taken mid-run carry DroppedStages too.
 				n := 3

@@ -19,11 +19,19 @@
 package resilience
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/rng"
 )
+
+// ErrKilled is the sentinel a Dial function returns to simulate SIGKILL in
+// crash-recovery tests: the resilient client must abandon all process
+// state in place — no degraded drain, no WAL sync or compaction — exactly
+// as a killed process would, so a subsequent restart exercises the real
+// recovery path.
+var ErrKilled = errors.New("resilience: killed")
 
 // Defaults for RetryPolicy fields left zero.
 const (

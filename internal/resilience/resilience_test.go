@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -185,3 +186,54 @@ type nonDeadlineRW struct{}
 
 func (*nonDeadlineRW) Read(p []byte) (int, error)  { return 0, nil }
 func (*nonDeadlineRW) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestSpoolPutCloseConcurrent races many producers against Close: every put
+// item must be accounted exactly once — drained from the channel or reported
+// dropped back to its producer — and nothing may panic on the closed channel.
+func TestSpoolPutCloseConcurrent(t *testing.T) {
+	const (
+		producers = 8
+		perProd   = 200
+	)
+	for round := 0; round < 20; round++ {
+		// Capacity covers every item, so pre-Close puts never evict: any
+		// dropped report is the Put-after-Close path.
+		s := NewSpool(producers * perProd)
+		var (
+			wg      sync.WaitGroup
+			mu      sync.Mutex
+			dropped = make(map[int64]int)
+		)
+		start := make(chan struct{})
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < perProd; i++ {
+					id := int64(p*perProd + i)
+					if ev, drop := s.Put(Item{Seg: backhaul.Segment{Start: id}}); drop {
+						mu.Lock()
+						dropped[ev.Seg.Start]++
+						mu.Unlock()
+					}
+				}
+			}(p)
+		}
+		close(start)
+		s.Close() // race with the producers on purpose
+		wg.Wait()
+
+		seen := make(map[int64]int)
+		for it := range s.C() {
+			seen[it.Seg.Start]++
+		}
+		for id := int64(0); id < producers*perProd; id++ {
+			total := seen[id] + dropped[id]
+			if total != 1 {
+				t.Fatalf("round %d: item %d accounted %d times (drained %d, dropped %d)",
+					round, id, total, seen[id], dropped[id])
+			}
+		}
+	}
+}

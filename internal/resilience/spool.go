@@ -13,8 +13,8 @@ import (
 type Item struct {
 	Seg  backhaul.Segment
 	Span *obs.Span
-	// WAL is the item's write-ahead-log record id when it was journaled by
-	// a DurableSpool (0 = not journaled). Whoever finally handles the item
+	// WAL is the item's write-ahead-log record id when the gateway journaled
+	// it before spooling (0 = not journaled). Whoever finally handles the item
 	// — cloud ack, busy reject, degraded decode — acks this id so the
 	// record is not replayed after a restart.
 	WAL uint64
