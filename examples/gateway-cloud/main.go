@@ -64,7 +64,7 @@ func main() {
 	svc.UseObs(reg, tracer)
 	svc.StartFarm(galiot.FarmConfig{Workers: 2})
 	defer svc.Close()
-	srv := &galiot.CloudServer{Service: svc}
+	srv := svc.NewServer()
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		log.Fatal(err)
 	}

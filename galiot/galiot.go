@@ -75,7 +75,10 @@ type (
 	WALSyncPolicy = wal.SyncPolicy
 	// Cloud is the collision-decoding service.
 	Cloud = cloud.Service
-	// CloudServer is a TCP front for the Cloud service.
+	// CloudServer is the TCP front of a decode plane: an accept loop and
+	// idle-session reaper around a session handler. Get one from
+	// Cloud.NewServer (one service) or Fleet.NewServer (the sharded plane
+	// galiot-cloud runs); set SessionTimeout/Journal before Listen.
 	CloudServer = cloud.Server
 	// Farm is the cloud's concurrent decode farm (worker pool + admission
 	// control); attach one to a Cloud with its StartFarm method.
@@ -84,11 +87,11 @@ type (
 	FarmConfig = farm.Config
 	// FarmStats is a point-in-time snapshot of a Farm.
 	FarmStats = farm.Stats
-	// Fleet is the sharded decode plane's routing tier: N shared-nothing
-	// Cloud shards behind one accept loop, sessions routed by a consistent
-	// hash of (gateway, epoch).
+	// Fleet is the decode plane's routing tier: N shared-nothing Cloud
+	// shards (one by default) behind one accept loop, each with its own
+	// decode farm, sessions routed by a consistent hash of (gateway, epoch).
 	Fleet = fleet.Front
-	// FleetConfig sizes a Fleet (shard count, per-shard farm, ring).
+	// FleetConfig sizes a Fleet (shard count, per-shard farm).
 	FleetConfig = fleet.Config
 	// FleetShardStats is one shard's point-in-time view from Fleet.Stats.
 	FleetShardStats = fleet.ShardStats
@@ -239,10 +242,11 @@ func NewCloud(techs ...Technology) *Cloud {
 	return cloud.NewService(techs)
 }
 
-// NewFleet builds a sharded decode plane (default: the prototype
-// technology set). Plug its HandleConn into a CloudServer — or call its
-// NewServer method — to accept gateway sessions, and Close it to drain
-// the shard farms.
+// NewFleet builds a decode plane (default: the prototype technology set,
+// one shard). Call its NewServer method to accept gateway sessions — or
+// HandleConn with any byte stream — and Close it to drain the shard farms.
+// Per-shard farm_* series live on each shard's private registry: feed
+// Targets to an ObsFleet to read them per target at /fleet/metrics.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if len(cfg.Techs) == 0 {
 		cfg.Techs = Technologies()

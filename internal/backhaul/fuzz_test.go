@@ -27,6 +27,11 @@ func FuzzSegmentCodec(f *testing.F) {
 		tone[i] = byte(128 + 100*((i/2)%2))
 	}
 	f.Add(int64(1<<40), uint64(math.Float64bits(2.4e6)), tone, uint8(2), false)
+	// Hostile rates: the codec refuses what no radio runs at (NaN, 0) and
+	// carries an absurd-but-finite 1e12 for the session to refuse.
+	f.Add(int64(7), uint64(math.Float64bits(math.NaN())), []byte{1, 2, 3, 4}, uint8(0), true)
+	f.Add(int64(7), uint64(math.Float64bits(0)), []byte{1, 2, 3, 4}, uint8(0), false)
+	f.Add(int64(7), uint64(math.Float64bits(1e12)), []byte{1, 2, 3, 4}, uint8(0), true)
 
 	f.Fuzz(func(t *testing.T, start int64, rateBits uint64, data []byte, formatSel uint8, compress bool) {
 		// Direction 1: arbitrary bytes straight into the decoder. Errors are
@@ -42,9 +47,6 @@ func FuzzSegmentCodec(f *testing.F) {
 		// Direction 2: interpret the bytes as a CU8 capture and round-trip
 		// it through every codec configuration.
 		rate := math.Float64frombits(rateBits)
-		if math.IsNaN(rate) || math.IsInf(rate, 0) {
-			rate = 1e6
-		}
 		if len(data)%2 == 1 {
 			data = data[:len(data)-1]
 		}
@@ -54,6 +56,18 @@ func FuzzSegmentCodec(f *testing.F) {
 		}
 		format := iq.Format(formatSel % 3) // CU8, CS16, CF32
 		sc := SegmentCodec{Format: format, Compress: compress}
+		if !(rate > 0) || math.IsInf(rate, 0) {
+			// A rate no radio runs at must not survive the decoder, however
+			// well-formed the rest of the payload is.
+			payload, err := sc.Encode(Segment{Start: start, SampleRate: rate, Samples: samples})
+			if err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			if got, err := DecodeSegment(payload); err == nil {
+				t.Fatalf("decoder accepted sample rate %v", got.SampleRate)
+			}
+			rate = 1e6
+		}
 		seg := Segment{Start: start, SampleRate: rate, Samples: samples}
 		payload, err := sc.Encode(seg)
 		if err != nil {
@@ -114,11 +128,11 @@ func FuzzSegmentCodec(f *testing.F) {
 	})
 }
 
-// FuzzHelloNegotiation throws arbitrary bytes at the v2 handshake parsers:
+// FuzzHelloNegotiation throws arbitrary bytes at the handshake parsers:
 // hello and hello-ack payloads must be rejected or accepted without
-// panicking, an accepted hello must negotiate to a version both sides
-// speak, and a well-formed hello built from the fuzzed fields must survive
-// a marshal/parse/negotiate round trip.
+// panicking, a hello is accepted iff it speaks exactly Version, and a
+// well-formed hello built from the fuzzed fields must survive a
+// marshal/parse/negotiate round trip.
 func FuzzHelloNegotiation(f *testing.F) {
 	f.Add([]byte(`{"version":1,"gateway_id":"gw","sample_rate":1e6}`), 1)
 	f.Add([]byte(`{"version":2,"techs":["lora","xbee"]}`), 2)
@@ -128,8 +142,8 @@ func FuzzHelloNegotiation(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, version int) {
 		// Arbitrary bytes into both JSON parsers: errors expected, panics not.
 		if h, err := ParseHello(raw); err == nil {
-			if v, err := Negotiate(h.Version); err == nil && (v < MinVersion || v > Version) {
-				t.Fatalf("negotiated version %d outside [%d, %d]", v, MinVersion, Version)
+			if v, err := Negotiate(h.Version); err == nil && (v != Version || h.Version != Version) {
+				t.Fatalf("hello version %d negotiated to %d, want only %d accepted", h.Version, v, Version)
 			}
 		}
 		_, _ = ParseHelloAck(raw)
@@ -157,7 +171,7 @@ func FuzzHelloNegotiation(f *testing.F) {
 			t.Fatalf("hello changed: %+v -> %+v", sent, got)
 		}
 		v, err := Negotiate(got.Version)
-		if (err == nil) != (version >= MinVersion && version <= Version) {
+		if (err == nil) != (version == Version) {
 			t.Fatalf("Negotiate(%d) acceptance wrong: %v", version, err)
 		}
 		if err == nil && v != version {

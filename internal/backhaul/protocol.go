@@ -11,12 +11,11 @@
 // the wire is detected at decode time instead of silently producing garbage
 // I/Q (the resilience layer relies on this: a corrupted segment fails loudly,
 // the session dies, and the reconnecting gateway replays it — see DESIGN.md §11).
-// Bit 2 (protocol v3) marks a 16-byte trace-context extension between the
-// fixed header and the sample data: the trace ID minted when the segment
-// was detected and the span ID of the gateway span that shipped it, so the
-// cloud's spans stitch under the gateway's in one cross-process trace
-// (DESIGN.md §16). Gateways only set the bit on sessions that negotiated
-// v3; a segment without trace context encodes byte-identically to v2.
+// Bit 2 marks a 16-byte trace-context extension between the fixed header
+// and the sample data: the trace ID minted when the segment was detected
+// and the span ID of the gateway span that shipped it, so the cloud's spans
+// stitch under the gateway's in one cross-process trace (DESIGN.md §16). A
+// segment without trace context carries neither the bit nor the extension.
 // The scale field records the per-segment gain applied before quantization
 // (digital AGC): samples are normalized so the peak rail sits just below
 // full scale, exactly as an SDR gain stage would, and the receiver undoes
@@ -52,28 +51,20 @@ const (
 	MsgHelloAck   MsgType = 7 // JSON HelloAck, cloud -> gateway
 )
 
-// Version is the current (newest) protocol version. MinVersion is the
-// oldest version the cloud still serves: v2 sessions ship sequence-numbered
-// segments, pipelined, with busy rejects; v3 sessions may additionally
-// carry per-segment trace context (the flagTrace extension). v3 changes
-// no framing — it only licenses the extension — so v2 peers are
-// byte-compatibly unaffected.
-const (
-	Version    = 3
-	MinVersion = 2
-)
+// Version is the one protocol version both sides speak: sequence-numbered
+// segments, pipelined, with busy rejects, each optionally carrying trace
+// context (the flagTrace extension).
+const Version = 3
 
 // Negotiate maps a gateway's hello version to the version the session will
-// speak: the highest version both sides support. Versions below MinVersion
-// or above Version are rejected outright — a gateway from the future may
-// frame messages this cloud cannot parse, so optimistic downgrade is not
-// attempted.
+// speak. Any version but Version is rejected outright — an older gateway
+// expects replies this cloud no longer sends and a gateway from the future
+// may frame messages it cannot parse, so no downgrade is attempted.
 func Negotiate(helloVersion int) (int, error) {
-	if helloVersion < MinVersion || helloVersion > Version {
-		return 0, fmt.Errorf("backhaul: protocol version %d unsupported (serving %d..%d)",
-			helloVersion, MinVersion, Version)
+	if helloVersion != Version {
+		return 0, fmt.Errorf("backhaul: protocol version %d unsupported (serving %d)", helloVersion, Version)
 	}
-	return helloVersion, nil
+	return Version, nil
 }
 
 // MaxMessageSize bounds a single message payload (64 MiB) to keep a
@@ -147,8 +138,8 @@ type Segment struct {
 	Samples    []complex128
 	// Trace is the wire-propagated trace ID minted when the segment was
 	// detected; Parent is the span ID of the gateway span that shipped it.
-	// Both ride the flagTrace extension on v3 sessions and are zero
-	// otherwise — a zero Trace encodes byte-identically to protocol v2.
+	// Both ride the flagTrace extension; a zero Trace (untraced gateway)
+	// omits it.
 	Trace  uint64
 	Parent uint64
 }
@@ -289,7 +280,7 @@ func NewCodecMetrics(r *obs.Registry) *CodecMetrics {
 const (
 	flagFlate = 1 << 0
 	flagCRC   = 1 << 1
-	flagTrace = 1 << 2 // v3: 16-byte [trace:8][parent:8] extension follows the header
+	flagTrace = 1 << 2 // 16-byte [trace:8][parent:8] extension follows the header
 )
 
 // traceExtSize is the flagTrace extension length.
@@ -401,6 +392,9 @@ func DecodeSegment(payload []byte) (Segment, error) {
 	start := int64(binary.BigEndian.Uint64(payload[0:]))
 	rate := math.Float64frombits(binary.BigEndian.Uint64(payload[8:]))
 	scale := math.Float64frombits(binary.BigEndian.Uint64(payload[16:]))
+	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
+		return Segment{}, fmt.Errorf("backhaul: invalid segment sample rate %v", rate)
+	}
 	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
 		return Segment{}, fmt.Errorf("backhaul: invalid segment scale %v", scale)
 	}
@@ -491,7 +485,7 @@ func (c *Conn) SendHelloAck(a HelloAck) error {
 func ParseHelloAck(payload []byte) (HelloAck, error) {
 	var a HelloAck
 	err := json.Unmarshal(payload, &a)
-	if err == nil && (a.Version < MinVersion || a.Version > Version) {
+	if err == nil && a.Version != Version {
 		return a, fmt.Errorf("backhaul: hello ack carries unsupported version %d", a.Version)
 	}
 	return a, err

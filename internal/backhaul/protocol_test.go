@@ -162,6 +162,17 @@ func TestSegmentDecodeErrors(t *testing.T) {
 	if _, err := DecodeSegment([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short payload")
 	}
+	// A CRC-valid payload claiming a rate no radio runs at is refused like
+	// one with a bad scale.
+	for _, rate := range []float64{math.NaN(), 0, -1e6, math.Inf(1)} {
+		payload, err := DefaultCodec.Encode(Segment{SampleRate: rate, Samples: make([]complex128, 8)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSegment(payload); err == nil {
+			t.Fatalf("sample rate %v accepted", rate)
+		}
+	}
 }
 
 func TestSegmentPayloadProperty(t *testing.T) {
@@ -195,9 +206,9 @@ func TestNegotiate(t *testing.T) {
 	}{
 		{0, 0, false},
 		{1, 0, false}, // the retired request/reply protocol is rejected, not served
-		{2, 2, true},
-		{3, 3, true},
-		{4, 0, false},
+		{2, 0, false}, // so is the pre-trace-context version: nothing in-tree speaks it
+		{Version, Version, true},
+		{Version + 1, 0, false},
 		{99, 0, false},
 		{-1, 0, false},
 	} {
@@ -255,7 +266,7 @@ func TestBusyRoundTrip(t *testing.T) {
 func TestHelloAckRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(&buf)
-	if err := c.SendHelloAck(HelloAck{Version: 2, Window: 16, Workers: 4}); err != nil {
+	if err := c.SendHelloAck(HelloAck{Version: Version, Window: 16, Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := c.ReadMessage()
@@ -263,11 +274,13 @@ func TestHelloAckRoundTrip(t *testing.T) {
 		t.Fatalf("%v %v", typ, err)
 	}
 	ack, err := ParseHelloAck(payload)
-	if err != nil || ack.Version != 2 || ack.Window != 16 || ack.Workers != 4 {
+	if err != nil || ack.Version != Version || ack.Window != 16 || ack.Workers != 4 {
 		t.Fatalf("%+v %v", ack, err)
 	}
-	if _, err := ParseHelloAck([]byte(`{"version":77}`)); err == nil {
-		t.Fatal("out-of-range ack version accepted")
+	for _, raw := range []string{`{"version":2}`, `{"version":77}`} {
+		if _, err := ParseHelloAck([]byte(raw)); err == nil {
+			t.Fatalf("ack %s accepted", raw)
+		}
 	}
 }
 

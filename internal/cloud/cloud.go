@@ -17,7 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
+	"math"
 	"sync"
 	"time"
 
@@ -112,9 +112,10 @@ func (s *Service) UseObs(reg *obs.Registry, tr *obs.Tracer) {
 
 // SetDedupTTL age-bounds the replay dedup cache: entries older than ttl
 // are evicted lazily and counted on cloud_dedup_evictions_total. The clock
-// is injected (pass time.Now; the service never reads the wall clock
-// itself). A zero ttl or nil clock leaves the cache purely count-bound.
-func (s *Service) SetDedupTTL(ttl time.Duration, now func() time.Time) {
+// is injected (wall nanoseconds, the same source farm.Config.Clock takes;
+// the service never reads the wall clock itself). A zero ttl or nil clock
+// leaves the cache purely count-bound.
+func (s *Service) SetDedupTTL(ttl time.Duration, now func() int64) {
 	s.dedup.setTTL(ttl, now, s.m.dedupEvict)
 }
 
@@ -279,6 +280,31 @@ func ReadHello(conn *backhaul.Conn) (backhaul.Hello, error) {
 	return hello, nil
 }
 
+// maxSampleRate caps the rate a hello may claim. Decoder templates are
+// allocated in proportion to the rate, so the claim is bounded before
+// anything is built at it: 64x the paper's 1 Msps front-end is beyond any
+// SDR the gateway models.
+const maxSampleRate = 64e6
+
+// checkRate vets a peer-claimed sample rate by building every technology's
+// preamble at it once. A PHY panics on a rate it cannot run at — a
+// configuration bug everywhere else — but here the rate is outside input,
+// so the panic is reported as an error instead of reaching a farm worker.
+func (s *Service) checkRate(fs float64) (err error) {
+	if !(fs > 0 && fs <= maxSampleRate) { // written so that NaN fails too
+		return fmt.Errorf("cloud: hello sample rate %v out of range", fs)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("cloud: hello sample rate %v unsupported: %v", fs, r)
+		}
+	}()
+	for _, t := range s.Techs {
+		t.Preamble(fs)
+	}
+	return nil
+}
+
 // ServeConn handles one gateway session over a byte stream: hello (with
 // version negotiation), segments, bye. Gateways pipeline sequence-numbered
 // segments and get per-segment frames reports or busy rejects, always in
@@ -304,6 +330,9 @@ func (s *Service) ServeHello(conn *backhaul.Conn, hello backhaul.Hello, hint bac
 	version, err := backhaul.Negotiate(hello.Version)
 	if err != nil {
 		return fmt.Errorf("cloud: %w", err)
+	}
+	if err := s.checkRate(hello.SampleRate); err != nil {
+		return err
 	}
 	f := s.Farm()
 	ack := hint
@@ -348,6 +377,11 @@ func (s *Service) ServeHello(conn *backhaul.Conn, hello backhaul.Hello, hint bac
 		switch typ {
 		case backhaul.MsgSegmentSeq:
 			seq, seg, err := backhaul.DecodeSegmentSeq(payload)
+			if err == nil && math.Float64bits(seg.SampleRate) != math.Float64bits(hello.SampleRate) {
+				// The rate keys the decoder pool and was vetted for the
+				// hello's value only, so it must match to the bit.
+				err = fmt.Errorf("sample rate %v differs from the hello's %v", seg.SampleRate, hello.SampleRate)
+			}
 			if err != nil {
 				return fmt.Errorf("cloud: bad segment: %w", err)
 			}
@@ -371,61 +405,51 @@ func (s *Service) ServeHello(conn *backhaul.Conn, hello backhaul.Hello, hint bac
 	}
 }
 
-// handleSegment routes one segment: inline decode when no farm is
-// attached, otherwise farm admission, where overload is answered with
-// MsgBusy.
+// handleSegment routes one segment: answered from the replay cache,
+// decoded inline when no farm is attached, otherwise submitted to the farm,
+// where overload is answered with MsgBusy. Every answer reserves a
+// sequencer slot and leaves through reply; without a farm the slot is
+// delivered before handleSegment returns.
 func (ss *session) handleSegment(f *farm.Farm, seq uint64, seg backhaul.Segment) error {
-	// The cloud-side span joins the trace the gateway minted: a v3 segment
+	// The cloud-side span joins the trace the gateway minted: a segment
 	// carries its trace ID and the shipping span's ID in the wire trace
 	// context, so this span stitches under the gateway's as a true child.
-	// A segment without context (v2 peer, untraced gateway) is minted here
-	// with the gateway's own function over the same inputs, which is the ID
-	// an unsalted gateway (Gateway.Run) mints for it.
+	// A segment without context (untraced gateway) is minted here with the
+	// gateway's own function over the same inputs, which is the ID an
+	// unsalted gateway (Gateway.Run) mints for it.
 	traceID, parent := seg.Trace, seg.Parent
 	if traceID == 0 {
 		traceID = obs.MintTraceID(ss.site, seg.Start)
 	}
 	sp := ss.svc.tracer.StartChild("cloud-segment", traceID, parent)
 	ctx := obs.ContextWithSpan(ss.ctx, sp)
+	slot := ss.seqr.Reserve()
+	answer := func(res farm.Result) {
+		ss.seqr.Deliver(slot, func() {
+			ss.reply(seq, res)
+			sp.End()
+		})
+	}
 	if ss.dedup != nil {
 		if rep, ok := ss.dedup.get(seg.Start); ok {
 			// Replay of an already-decoded segment (same gateway, same
 			// epoch): answer from cache so it is decoded exactly once.
 			ss.svc.m.deduped.Inc()
 			sp.Stage("dedup_hit", 0, float64(len(rep.Frames)))
-			if f == nil {
-				rep.Seq = seq
-				err := ss.conn.SendFrames(rep)
-				sp.End()
-				return err
-			}
-			slot := ss.seqr.Reserve()
-			ss.seqr.Deliver(slot, func() {
-				ss.reply(seq, farm.Result{Report: rep})
-				sp.End()
-			})
+			answer(farm.Result{Report: rep})
 			return nil
 		}
 	}
-	if f == nil {
-		report, _, _ := ss.svc.decodeSegment(ctx, seg)
-		if ss.dedup != nil {
-			ss.dedup.put(seg.Start, report)
-		}
-		report.Seq = seq
-		err := ss.conn.SendFrames(report)
-		sp.End()
-		return err
-	}
-	slot := ss.seqr.Reserve()
 	deliver := func(res farm.Result) {
 		if res.Err == nil && ss.dedup != nil {
 			ss.dedup.put(seg.Start, res.Report)
 		}
-		ss.seqr.Deliver(slot, func() {
-			ss.reply(seq, res)
-			sp.End()
-		})
+		answer(res)
+	}
+	if f == nil {
+		report, _, err := ss.svc.decodeSegment(ctx, seg)
+		deliver(farm.Result{Report: report, Err: err})
+		return nil
 	}
 	switch err := f.TrySubmit(ctx, seg, deliver); err {
 	case nil:
@@ -454,6 +478,3 @@ func (ss *session) reply(seq uint64, res farm.Result) {
 	res.Report.Seq = seq
 	ss.setWriteErr(ss.conn.SendFrames(res.Report))
 }
-
-// StdLogf adapts the standard logger for Service.Logf.
-func StdLogf(format string, args ...any) { log.Printf(format, args...) }

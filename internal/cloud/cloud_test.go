@@ -3,6 +3,7 @@ package cloud
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -131,7 +132,7 @@ func TestServeConnRejectsNonHelloFirst(t *testing.T) {
 
 func TestTCPServer(t *testing.T) {
 	svc := NewService(techs())
-	srv := &Server{Service: svc}
+	srv := svc.NewServer()
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -177,27 +178,98 @@ func TestServeConnRejectsCorruptSegment(t *testing.T) {
 	}
 }
 
-// TestServeConnRejectsV1Hello: the retired request/reply protocol is refused
-// at negotiation — the session ends with an error and no ack is written.
+// TestServeConnRejectsV1Hello: any hello version but the one the cloud
+// speaks — the retired request/reply protocol, the pre-trace-context v2, a
+// version from the future — is refused at negotiation: the session ends
+// with an error and no ack is written.
 func TestServeConnRejectsV1Hello(t *testing.T) {
+	for _, version := range []int{1, 2, 99} {
+		svc := NewService(techs())
+		a, b := net.Pipe()
+		errCh := make(chan error, 1)
+		go func() {
+			err := svc.ServeConn(b)
+			b.Close() // a server closes a refused session; the client then reads EOF
+			errCh <- err
+		}()
+		conn := backhaul.NewConn(a)
+		if err := conn.SendHello(backhaul.Hello{Version: version, GatewayID: "legacy", SampleRate: fs}); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("version %d unsupported", version)
+		if err := <-errCh; err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d hello: err = %v, want a negotiation error", version, err)
+		}
+		if typ, _, err := conn.ReadMessage(); err == nil {
+			t.Fatalf("refused v%d hello was answered with message type %d", version, typ)
+		}
+		a.Close()
+	}
+}
+
+// TestServeConnRefusesHostileSampleRates: a peer-claimed sample rate the
+// decoder bank cannot run at — or could only run at by allocating in
+// proportion to the claim — ends that session with an error, whether it
+// arrives in the hello or in a CRC-valid segment of an otherwise honest
+// session. Nothing panics, and a well-formed 1 Msps session open on the same
+// service throughout still gets its frames afterwards.
+func TestServeConnRefusesHostileSampleRates(t *testing.T) {
 	svc := NewService(techs())
-	a, b := net.Pipe()
-	defer a.Close()
-	errCh := make(chan error, 1)
-	go func() {
-		err := svc.ServeConn(b)
-		b.Close() // a server closes a refused session; the client then reads EOF
-		errCh <- err
-	}()
-	conn := backhaul.NewConn(a)
-	if err := conn.SendHello(backhaul.Hello{Version: 1, GatewayID: "legacy", SampleRate: fs}); err != nil {
+	serve := func() (*backhaul.Conn, <-chan error, func()) {
+		a, b := net.Pipe()
+		errCh := make(chan error, 1)
+		go func() { errCh <- svc.ServeConn(b) }()
+		return backhaul.NewConn(a), errCh, func() { a.Close(); b.Close() }
+	}
+	bystander, bystanderErr, closeBystander := serve()
+	defer closeBystander()
+	if _, err := helloV2(bystander, "bystander"); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-errCh; err == nil || !strings.Contains(err.Error(), "version 1 unsupported") {
-		t.Fatalf("v1 hello: err = %v, want a negotiation error", err)
+
+	seg, payload := makeSegment(t, 40)
+	for _, rate := range []float64{math.NaN(), 0, -1e6, 1, 1e3, 3e5, math.Inf(1), 1e12} {
+		// In the hello. JSON cannot carry NaN or Inf, so for those the send
+		// itself fails and only the segment route below exists.
+		conn, errCh, done := serve()
+		if err := conn.SendHello(backhaul.Hello{Version: backhaul.Version, GatewayID: "hostile", SampleRate: rate}); err == nil {
+			if err := <-errCh; err == nil || !strings.Contains(err.Error(), "sample rate") {
+				t.Fatalf("hello at rate %v: err = %v, want a sample-rate refusal", rate, err)
+			}
+		}
+		done()
+
+		// In a segment, after an honest hello.
+		conn, errCh, done = serve()
+		if _, err := helloV2(conn, "hostile"); err != nil {
+			t.Fatal(err)
+		}
+		bad := seg
+		bad.SampleRate = rate
+		if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, 0, bad); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errCh; err == nil || !strings.Contains(err.Error(), "bad segment") {
+			t.Fatalf("segment at rate %v: err = %v, want a bad-segment error", rate, err)
+		}
+		done()
 	}
-	if typ, _, err := conn.ReadMessage(); err == nil {
-		t.Fatalf("refused hello was answered with message type %d", typ)
+	if n, _, _ := svc.Totals(); n != 0 {
+		t.Fatalf("hostile segments decoded into %d frames", n)
+	}
+
+	report, err := shipOne(bystander, 0, seg)
+	if err != nil || len(report.Frames) != 1 || !bytes.Equal(report.Frames[0].Payload, payload) {
+		t.Fatalf("bystander session after the attacks: report %+v err %v", report, err)
+	}
+	if err := bystander.SendBye(); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := bystander.ReadMessage(); err != nil || typ != backhaul.MsgBye {
+		t.Fatalf("bye ack %v %v", typ, err)
+	}
+	if err := <-bystanderErr; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -246,7 +318,7 @@ func TestTCPServerConcurrentGateways(t *testing.T) {
 	// Several gateways ship segments simultaneously; the service must
 	// handle the sessions concurrently and account all frames.
 	svc := NewService(techs())
-	srv := &Server{Service: svc}
+	srv := svc.NewServer()
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ type dedupKey struct {
 // entry is live iff its timestamp matches the map's.
 type dedupValue struct {
 	rep backhaul.FramesReport
-	at  int64 // c.now() at insertion, UnixNano
+	at  int64 // c.now() at insertion
 }
 
 // dedupEntry is one insertion-order record.
@@ -54,7 +54,7 @@ type dedupCache struct {
 	mu        sync.Mutex
 	size      int
 	ttl       time.Duration
-	now       func() time.Time
+	now       func() int64 // wall nanoseconds; nil disables aging
 	evictions *obs.Counter // age-based evictions only (nil-safe)
 	m         map[dedupKey]dedupValue
 	fifo      []dedupEntry // insertion order; may hold stale entries
@@ -64,7 +64,7 @@ type dedupCache struct {
 // setTTL installs the age bound and its clock. A zero ttl or nil clock
 // disables aging (the cache stays purely count-bound). Callers may swap
 // the evictions counter at the same time; nil detaches it.
-func (c *dedupCache) setTTL(ttl time.Duration, now func() time.Time, evictions *obs.Counter) {
+func (c *dedupCache) setTTL(ttl time.Duration, now func() int64, evictions *obs.Counter) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if ttl <= 0 || now == nil {
@@ -83,13 +83,13 @@ func (c *dedupCache) setEvictions(ctr *obs.Counter) {
 	c.evictions = ctr
 }
 
-// clock returns the current time in UnixNano, or 0 when aging is off.
+// clock returns the current time in nanoseconds, or 0 when aging is off.
 // Callers hold c.mu.
 func (c *dedupCache) clock() int64 {
 	if c.now == nil {
 		return 0
 	}
-	return c.now().UnixNano()
+	return c.now()
 }
 
 // expire drops every live entry older than the ttl, walking from the FIFO

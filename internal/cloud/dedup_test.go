@@ -11,7 +11,7 @@ import (
 // fakeClock is a manually-advanced time source for TTL tests.
 type fakeClock struct{ t time.Time }
 
-func (f *fakeClock) now() time.Time { return f.t }
+func (f *fakeClock) now() int64 { return f.t.UnixNano() }
 
 func TestDedupCacheAgeBound(t *testing.T) {
 	t.Parallel()

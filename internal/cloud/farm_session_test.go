@@ -69,7 +69,7 @@ func TestFarmPipelinedSession(t *testing.T) {
 	svc := NewService(techs())
 	svc.StartFarm(farm.Config{Workers: 2, QueueDepth: 8})
 	defer svc.Close()
-	srv := &Server{Service: svc}
+	srv := svc.NewServer()
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestFarmConcurrentGatewaysRace(t *testing.T) {
 	svc := NewService(techs())
 	svc.StartFarm(farm.Config{Workers: 4, QueueDepth: 32})
 	defer svc.Close()
-	srv := &Server{Service: svc}
+	srv := svc.NewServer()
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestFarmDrainOnServerClose(t *testing.T) {
 		<-gate
 		return backhaul.FramesReport{SegmentStart: seg.Start}, cancel.Stats{}, nil
 	}})
-	srv := &Server{Service: svc}
+	srv := svc.NewServer()
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -108,6 +108,67 @@ func TestDedupAnswersReplayFromCache(t *testing.T) {
 	}
 }
 
+// TestInlineDedupRepliesInOrder pins the single reply path without a farm:
+// a replayed segment (cache hit), a fresh one (inline decode) and the
+// replay again, pipelined on one session, are each answered through the
+// sequencer in segment order, and each segment is decoded exactly once.
+func TestInlineDedupRepliesInOrder(t *testing.T) {
+	svc := NewService(techs())
+	segA, payload := makeSegment(t, 31)
+	segB, _ := makeSegment(t, 32)
+	segB.Start = 2_000_000
+	session := func(segs ...backhaul.Segment) []sessionReply {
+		a, b := net.Pipe()
+		defer a.Close()
+		defer b.Close()
+		done := make(chan error, 1)
+		go func() { done <- svc.ServeConn(b) }()
+		conn := backhaul.NewConn(a)
+		helloEpoch(t, conn, "gw-inline", 9)
+		var replies []sessionReply
+		readErr := make(chan error, 1)
+		go func() {
+			var err error
+			replies, err = readV2Replies(conn)
+			readErr <- err
+		}()
+		for i, seg := range segs {
+			if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, uint64(i), seg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := conn.SendBye(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-readErr; err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		return replies
+	}
+	session(segA) // a first session decodes A into the replay cache
+	replies := session(segA, segB, segA)
+	if len(replies) != 3 {
+		t.Fatalf("got %d replies, want 3: %+v", len(replies), replies)
+	}
+	for i, want := range []backhaul.Segment{segA, segB, segA} {
+		r := replies[i]
+		if r.busy || r.seq != uint64(i) || r.report.SegmentStart != want.Start ||
+			len(r.report.Frames) != 1 || string(r.report.Frames[0].Payload) != string(payload) {
+			t.Fatalf("reply %d = %+v, want the frame of the segment at %d under seq %d", i, r, want.Start, i)
+		}
+	}
+	reg := svc.Registry()
+	if n := reg.Counter("cloud_segments_deduped_total").Value(); n != 2 {
+		t.Fatalf("deduped = %d, want 2", n)
+	}
+	if n := reg.Counter("cloud_segments_decoded_total").Value(); n != 2 {
+		t.Fatalf("decoded = %d segments, want 2 (A and B once each)", n)
+	}
+}
+
 // TestDedupDisabledWithoutEpoch: a legacy gateway (no epoch in hello) gets
 // no dedup — the cloud must decode every arrival.
 func TestDedupDisabledWithoutEpoch(t *testing.T) {
@@ -179,7 +240,8 @@ func TestDedupCacheEvictsOldestFirst(t *testing.T) {
 // count it, without touching an active listener.
 func TestServerReapsIdleSessions(t *testing.T) {
 	svc := NewService(techs())
-	srv := &Server{Service: svc, SessionTimeout: 40 * time.Millisecond}
+	srv := svc.NewServer()
+	srv.SessionTimeout = 40 * time.Millisecond
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +297,7 @@ func (l *flakyListener) Addr() net.Addr { return &net.TCPAddr{} }
 // end Serve cleanly.
 func TestServeRetriesTransientAcceptErrors(t *testing.T) {
 	svc := NewService(techs())
-	srv := &Server{Service: svc}
+	srv := svc.NewServer()
 	a, b := net.Pipe()
 	ln := &flakyListener{failures: 3, conns: []net.Conn{b}}
 	done := make(chan error, 1)

@@ -9,24 +9,18 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/resilience"
 )
 
-// Server is a TCP front for a Service (or any session handler). The zero
-// value plus a Service is ready to Listen; the timeout fields opt into the
-// robustness features.
+// Server is the TCP front of a decode plane: an accept loop plus an idle
+// reaper around a session handler. Build one with Service.NewServer or
+// fleet.Front.NewServer, which fill in Handler and Obs.
 type Server struct {
-	Service *Service
-	// Handler, when set, serves each accepted session instead of
-	// Service.ServeConn. A sharded front tier (internal/fleet) plugs in
-	// here; Service may then be nil as long as Obs is set.
+	// Handler serves each accepted session to completion. Required.
 	Handler func(rw io.ReadWriter) error
-	// Obs overrides the registry the server's own metrics land on
-	// (cloud_accept_retries_total, cloud_sessions_reaped_total,
-	// cloud_sessions_active_count). Nil uses Service.Registry().
+	// Obs receives the server's own metrics (cloud_accept_retries_total,
+	// cloud_sessions_reaped_total, cloud_sessions_active_count). Required.
 	Obs *obs.Registry
-	// Logf overrides the server's diagnostics sink. Nil uses Service.Logf
-	// (or silence when Service is nil too).
+	// Logf receives the server's diagnostics; nil silences them.
 	Logf func(format string, args ...any)
 	// Journal, when set, records a cloud_session_reap event (value: the
 	// session's total bytes moved) every time the idle sweeper closes a
@@ -34,14 +28,9 @@ type Server struct {
 	Journal *obs.Journal
 	// SessionTimeout reaps sessions that moved no bytes in either
 	// direction for at least this long: their connections are closed,
-	// which unwinds ServeConn and releases the session's farm slots.
-	// Zero disables the reaper.
+	// which unwinds the handler and releases the session's farm slots.
+	// This is the cloud's one dead-peer mechanism. Zero disables it.
 	SessionTimeout time.Duration
-	// ReadTimeout / WriteTimeout bound each read/write on accepted
-	// connections, so one stalled gateway cannot pin a session goroutine
-	// forever on a half-dead link. Zero disables the respective deadline.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
 
 	ln        net.Listener
 	wg        sync.WaitGroup
@@ -51,31 +40,11 @@ type Server struct {
 	sessions  []*trackedConn
 }
 
-// registry resolves where the server's own metrics go.
-func (s *Server) registry() *obs.Registry {
-	if s.Obs != nil {
-		return s.Obs
-	}
-	return s.Service.Registry()
-}
-
-// logf resolves the diagnostics sink; may return nil (silent).
-func (s *Server) logf() func(format string, args ...any) {
-	if s.Logf != nil {
-		return s.Logf
-	}
-	if s.Service != nil {
-		return s.Service.Logf
-	}
-	return nil
-}
-
-// handle serves one accepted session.
-func (s *Server) handle(rw io.ReadWriter) error {
-	if s.Handler != nil {
-		return s.Handler(rw)
-	}
-	return s.Service.ServeConn(rw)
+// NewServer wraps the service in a TCP server: accepted connections flow
+// through ServeConn, and the server's own metrics land next to the cloud_*
+// series. Call it after UseObs and after setting Logf.
+func (s *Service) NewServer() *Server {
+	return &Server{Handler: s.ServeConn, Obs: s.reg, Logf: s.Logf}
 }
 
 // trackedConn counts bytes moved in either direction so the reaper can
@@ -130,10 +99,8 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.ln = ln
 	}
 	s.startReaper()
-	reg := s.registry()
-	retries := reg.Counter("cloud_accept_retries_total")
-	active := reg.Gauge("cloud_sessions_active_count")
-	logf := s.logf()
+	retries := s.Obs.Counter("cloud_accept_retries_total")
+	active := s.Obs.Gauge("cloud_sessions_active_count")
 	const minDelay, maxDelay = 5 * time.Millisecond, 500 * time.Millisecond
 	delay := minDelay
 	for {
@@ -143,8 +110,8 @@ func (s *Server) Serve(ln net.Listener) error {
 				return nil
 			}
 			retries.Inc()
-			if logf != nil {
-				logf("accept failed (retrying in %v): %v", delay, err)
+			if s.Logf != nil {
+				s.Logf("accept failed (retrying in %v): %v", delay, err)
 			}
 			time.Sleep(delay)
 			if delay *= 2; delay > maxDelay {
@@ -160,9 +127,8 @@ func (s *Server) Serve(ln net.Listener) error {
 			defer s.wg.Done()
 			defer s.unregister(tc, active)
 			defer tc.Close()
-			rw := resilience.WithDeadlines(tc, s.ReadTimeout, s.WriteTimeout)
-			if err := s.handle(rw); err != nil && logf != nil {
-				logf("session error: %v", err)
+			if err := s.Handler(tc); err != nil && s.Logf != nil {
+				s.Logf("session error: %v", err)
 			}
 		}()
 	}
@@ -205,7 +171,7 @@ func (s *Server) startReaper() {
 		if tick <= 0 {
 			tick = time.Millisecond
 		}
-		reaped := s.registry().Counter("cloud_sessions_reaped_total")
+		reaped := s.Obs.Counter("cloud_sessions_reaped_total")
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -243,8 +209,8 @@ func (s *Server) sweep(reaped *obs.Counter) {
 		c.reaped = true
 		reaped.Inc()
 		s.Journal.Record("cloud_session_reap", int64(c.lastSeen))
-		if logf := s.logf(); logf != nil {
-			logf("reaping idle session after %v of silence", s.SessionTimeout)
+		if s.Logf != nil {
+			s.Logf("reaping idle session after %v of silence", s.SessionTimeout)
 		}
 		// Closing the connection fails the session's blocked read, which
 		// unwinds its goroutine; the close error (if any) is irrelevant
@@ -263,8 +229,8 @@ func (s *Server) Addr() net.Addr {
 
 // Close stops the listener and the reaper and waits for in-flight
 // sessions; every segment admitted by those sessions has been answered
-// when it returns. It does not drain the decode farm itself — call
-// Service.Close after.
+// when it returns. It does not drain the decode farms — close the Service
+// or Front after.
 func (s *Server) Close() error {
 	if s.ln == nil {
 		return nil

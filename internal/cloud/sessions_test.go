@@ -25,7 +25,7 @@ func waitGauge(t *testing.T, read func() int64, want int64) {
 // the live session count: up on accept, down when the session unwinds.
 func TestServerSessionsActiveGauge(t *testing.T) {
 	svc := NewService(techs())
-	srv := &Server{Service: svc}
+	srv := svc.NewServer()
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

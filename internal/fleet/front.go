@@ -19,14 +19,11 @@ type Config struct {
 	// cloud.Service with its own decode farm and its own replay dedup
 	// cache — shared-nothing by construction.
 	Shards int
-	// VNodes is the ring's virtual-node count per shard (default
-	// DefaultVNodes).
-	VNodes int
 	// Workers is each shard's decode-farm worker count (default 2).
 	Workers int
 	// QueueDepth is each shard's admission-queue bound (default 64). The
 	// plane's aggregate capacity — Shards × QueueDepth — is advertised to
-	// v2 gateways in the hello ack.
+	// gateways in the hello ack.
 	QueueDepth int
 	// Techs is the technology set every shard decodes. Required.
 	Techs []phy.Technology
@@ -37,25 +34,20 @@ type Config struct {
 	// Tracer receives per-segment decode spans from every shard (nil
 	// disables tracing).
 	Tracer *obs.Tracer
-	// Clock feeds each shard farm's decode-duration histogram (see
-	// farm.Config.Clock). Nil skips those readings.
+	// Clock supplies wall nanoseconds to each shard farm's decode-duration
+	// histogram (see farm.Config.Clock) and to the dedup caches' age bound
+	// (DedupTTL). Nil skips those readings and leaves the caches purely
+	// count-bound.
 	Clock func() int64
 	// Logf receives front and shard diagnostics; nil silences them.
 	Logf func(format string, args ...any)
-	// Decode overrides every shard's decode function (load tests inject
-	// synthetic work; see internal/fleetsim). Nil uses each shard
-	// service's real collision decoder.
-	Decode farm.DecodeFunc
-	// WrapDecode, when set, wraps each shard's effective decode function
-	// (the override above, or the shard's real decoder). The fleet
-	// simulator hooks in here to count decode invocations per shard and
-	// catch cross-shard duplicates.
+	// WrapDecode, when set, wraps each shard's real collision decoder. The
+	// fleet simulator hooks in here to count decode invocations per shard,
+	// catch cross-shard duplicates and substitute synthetic work.
 	WrapDecode func(shard int, next farm.DecodeFunc) farm.DecodeFunc
-	// DedupTTL age-bounds each shard's replay dedup cache; DedupNow
-	// supplies the wall clock for it (pass time.Now). Zero/nil keeps the
-	// caches purely count-bound.
+	// DedupTTL age-bounds each shard's replay dedup cache against Clock.
+	// Zero keeps the caches purely count-bound.
 	DedupTTL time.Duration
-	DedupNow func() time.Time
 	// Journal records shard lifecycle events: fleet_shard_attach as each
 	// shard comes up in New, fleet_shard_detach as Close drains it. Nil
 	// disables event recording.
@@ -70,9 +62,8 @@ type Config struct {
 type shard struct {
 	svc  *cloud.Service
 	farm *farm.Farm
-	// reg is the shard farm's private registry, retained so the fleet
-	// aggregator (Targets) and tooling (ShardRegistry) can read the raw
-	// per-shard series, not just the gauges re-exported by Stats.
+	// reg is the shard farm's private registry (so Snapshot stays
+	// per-shard), retained for the fleet aggregator (Targets).
 	reg *obs.Registry
 	// detached flips when Close drains the shard; the shard's liveness
 	// check reads it.
@@ -80,15 +71,6 @@ type shard struct {
 
 	sessions *obs.Counter // cloud_shard<i>_sessions_total
 	active   *obs.Gauge   // cloud_shard<i>_sessions_active_count
-
-	// Farm readings re-exported onto the plane registry by refresh; the
-	// farm itself runs on a private registry so its numbers stay
-	// per-shard.
-	queuedG    *obs.Gauge // cloud_shard<i>_jobs_queued_count
-	admittedG  *obs.Gauge // cloud_shard<i>_jobs_admitted_count
-	completedG *obs.Gauge // cloud_shard<i>_jobs_completed_count
-	rejectedG  *obs.Gauge // cloud_shard<i>_jobs_rejected_count
-	waitP99G   *obs.Gauge // cloud_shard<i>_queue_wait_p99_samples
 }
 
 // Front is the routing tier of the sharded decode plane. It owns no
@@ -127,7 +109,7 @@ func New(cfg Config) (*Front, error) {
 	}
 	f := &Front{
 		cfg:           cfg,
-		ring:          NewRing(cfg.Shards, cfg.VNodes),
+		ring:          NewRing(cfg.Shards, DefaultVNodes),
 		reg:           reg,
 		capacity:      cfg.Shards * cfg.QueueDepth,
 		sessionsTotal: reg.Counter("cloud_fleet_sessions_total"),
@@ -143,15 +125,8 @@ func New(cfg Config) (*Front, error) {
 				cfg.Logf("shard %d: "+format, append([]any{idx}, args...)...)
 			}
 		}
-		if cfg.DedupTTL > 0 && cfg.DedupNow != nil {
-			svc.SetDedupTTL(cfg.DedupTTL, cfg.DedupNow)
-		}
-		// The farm runs on a private registry so Snapshot stays
-		// per-shard; the shared-registry view is re-exported below.
-		dec := cfg.Decode
-		if dec == nil {
-			dec = svc.DecodeFunc()
-		}
+		svc.SetDedupTTL(cfg.DedupTTL, cfg.Clock)
+		dec := svc.DecodeFunc()
 		if cfg.WrapDecode != nil {
 			dec = cfg.WrapDecode(i, dec)
 		}
@@ -165,16 +140,11 @@ func New(cfg Config) (*Front, error) {
 		})
 		p := fmt.Sprintf("cloud_shard%d_", i)
 		sh := &shard{
-			svc:        svc,
-			farm:       fm,
-			reg:        freg,
-			sessions:   reg.Counter(p + "sessions_total"),
-			active:     reg.Gauge(p + "sessions_active_count"),
-			queuedG:    reg.Gauge(p + "jobs_queued_count"),
-			admittedG:  reg.Gauge(p + "jobs_admitted_count"),
-			completedG: reg.Gauge(p + "jobs_completed_count"),
-			rejectedG:  reg.Gauge(p + "jobs_rejected_count"),
-			waitP99G:   reg.Gauge(p + "queue_wait_p99_samples"),
+			svc:      svc,
+			farm:     fm,
+			reg:      freg,
+			sessions: reg.Counter(p + "sessions_total"),
+			active:   reg.Gauge(p + "sessions_active_count"),
 		}
 		f.shards = append(f.shards, sh)
 		cfg.Journal.Record("fleet_shard_attach", int64(i))
@@ -203,14 +173,6 @@ func (f *Front) Shards() int { return len(f.shards) }
 // Capacity returns the plane's aggregate admission capacity (the hello-ack
 // hint): shard count × per-shard queue depth.
 func (f *Front) Capacity() int { return f.capacity }
-
-// Service returns shard i's cloud service, for tests and tooling.
-func (f *Front) Service(i int) *cloud.Service { return f.shards[i].svc }
-
-// ShardRegistry returns shard i's private farm registry (the raw cloud_*
-// and farm_* series of that shard, not the cloud_shard<i>_* gauges the
-// plane registry re-exports).
-func (f *Front) ShardRegistry(i int) *obs.Registry { return f.shards[i].reg }
 
 // Targets exposes the whole plane as fleet-aggregation scrape targets:
 // the plane registry as "front" plus each shard farm's private registry
@@ -267,23 +229,16 @@ type ShardStats struct {
 	Farm     farm.Stats `json:"farm"`
 }
 
-// Stats snapshots every shard (index order) and refreshes the per-shard
-// cloud_shard<i>_* gauges on the plane registry from the farms' private
-// counters.
+// Stats snapshots every shard (index order). The same farm series are
+// served per target through Targets.
 func (f *Front) Stats() []ShardStats {
 	out := make([]ShardStats, len(f.shards))
 	for i, sh := range f.shards {
-		fs := sh.farm.Snapshot()
-		sh.queuedG.Set(int64(fs.Queued))
-		sh.admittedG.Set(int64(fs.Admitted))
-		sh.completedG.Set(int64(fs.Completed))
-		sh.rejectedG.Set(int64(fs.Rejected))
-		sh.waitP99G.Set(fs.P99QueueWait)
 		out[i] = ShardStats{
 			Shard:    i,
 			Sessions: sh.sessions.Value(),
 			Active:   sh.active.Value(),
-			Farm:     fs,
+			Farm:     sh.farm.Snapshot(),
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"testing"
@@ -9,8 +10,10 @@ import (
 	"repro/internal/backhaul"
 	"repro/internal/channel"
 	"repro/internal/cloud"
+	"repro/internal/farm"
 	"repro/internal/frontend"
 	"repro/internal/gateway"
+	"repro/internal/obs"
 	"repro/internal/phy"
 	"repro/internal/phy/xbee"
 	"repro/internal/phy/zwave"
@@ -35,9 +38,12 @@ func capture(t *testing.T, tech phy.Technology, seed uint64, payload []byte) []c
 }
 
 // runGateway drives one gateway.Run session against serve (the cloud side
-// of a net.Pipe) and returns the decoded payloads, sorted.
-func runGateway(t *testing.T, cfg gateway.Config, caps [][]complex128, serve func(rw net.Conn) error) []string {
+// of a net.Pipe) and returns the decoded payloads, sorted, plus the shipping
+// window the gateway derived from the hello ack (scaleWindow's result, as
+// journaled on gateway_session_establish).
+func runGateway(t *testing.T, cfg gateway.Config, caps [][]complex128, serve func(rw io.ReadWriter) error) ([]string, int64) {
 	t.Helper()
+	cfg.Journal = obs.NewJournal(0)
 	g, err := gateway.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -66,13 +72,22 @@ func runGateway(t *testing.T, cfg gateway.Config, caps [][]complex128, serve fun
 		}
 	}
 	sort.Strings(payloads)
-	return payloads
+	window := int64(-1)
+	for _, e := range cfg.Journal.Recent() {
+		if e.Name == "gateway_session_establish" {
+			window = e.Value
+		}
+	}
+	return payloads, window
 }
 
-// TestFrontBackwardCompat is the satellite contract: a plain v2 gateway —
-// no knowledge of the capacity hint, default window — decodes exactly the
-// same payloads through a sharded front as against the seed single-shard
-// server, for the same captures.
+// TestFrontBackwardCompat is the collapse contract: a plain gateway — no
+// knowledge of the capacity hint, default window — decodes exactly the same
+// payloads through a front of any shard count as against a bare inline
+// cloud.Service, for the same captures; and from the ack of the one-shard
+// plane that replaced the unsharded server (Shards: 1, Capacity ==
+// QueueDepth, see TestFrontHelloAckCapacity) the gateway sizes its window
+// exactly as it did from an unsharded farm-backed service's ack.
 func TestFrontBackwardCompat(t *testing.T) {
 	ts := testTechs()
 	payloads := []string{"compat frame a", "compat frame b", "compat frame c"}
@@ -82,30 +97,41 @@ func TestFrontBackwardCompat(t *testing.T) {
 		capture(t, xbee.Default(), 13, []byte(payloads[2])),
 	}
 	cfg := gateway.Config{ID: "compat-gw", Techs: ts, Frontend: frontend.Ideal(fs)}
+	const workers, queue = 2, 6 // queue below gateway.DefaultWindow, so the ack's bound decides the window
 
-	// Seed path: one cloud.Service, no farm, strict v2 session.
-	seedSvc := cloud.NewService(ts)
-	seed := runGateway(t, cfg, caps, func(rw net.Conn) error { return seedSvc.ServeConn(rw) })
-
-	// Sharded path: three shards behind the front.
-	front, err := New(Config{Shards: 3, Workers: 2, QueueDepth: 16, Techs: ts})
-	if err != nil {
-		t.Fatal(err)
+	// Reference: one cloud.Service decoding inline, no farm.
+	inline, _ := runGateway(t, cfg, caps, cloud.NewService(ts).ServeConn)
+	if len(inline) != len(payloads) {
+		t.Fatalf("inline service decoded %v, want %v", inline, payloads)
 	}
-	defer front.Close()
-	sharded := runGateway(t, cfg, caps, func(rw net.Conn) error { return front.HandleConn(rw) })
-
-	if len(seed) != len(payloads) {
-		t.Fatalf("seed server decoded %v, want %v", seed, payloads)
+	// Reference window: the unsharded farm-backed service's ack.
+	unsharded := cloud.NewService(ts)
+	unsharded.StartFarm(farm.Config{Workers: workers, QueueDepth: queue})
+	defer unsharded.Close()
+	_, wantWindow := runGateway(t, cfg, caps, unsharded.ServeConn)
+	if wantWindow != queue {
+		t.Fatalf("unsharded ack yielded window %d, want the queue depth %d", wantWindow, queue)
 	}
-	if fmt.Sprint(seed) != fmt.Sprint(sharded) {
-		t.Fatalf("sharded front decoded %v, seed server decoded %v", sharded, seed)
+
+	for _, shards := range []int{1, 4} {
+		front, err := New(Config{Shards: shards, Workers: workers, QueueDepth: queue, Techs: ts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, window := runGateway(t, cfg, caps, front.HandleConn)
+		front.Close()
+		if fmt.Sprint(got) != fmt.Sprint(inline) {
+			t.Fatalf("%d-shard front decoded %v, inline service decoded %v", shards, got, inline)
+		}
+		if window != wantWindow {
+			t.Fatalf("%d-shard ack yielded window %d, unsharded ack %d", shards, window, wantWindow)
+		}
 	}
 }
 
-// TestFrontV1Gateway: the retired request/reply protocol is refused by the
-// sharded front like by a bare service — the shard's negotiation error ends
-// the session and nothing is decoded.
+// TestFrontV1Gateway: any hello version but the current one is refused by
+// the front like by a bare service — the shard's negotiation error ends the
+// session and nothing is decoded.
 func TestFrontV1Gateway(t *testing.T) {
 	front, err := New(Config{Shards: 2, Techs: testTechs()})
 	if err != nil {
@@ -113,18 +139,20 @@ func TestFrontV1Gateway(t *testing.T) {
 	}
 	defer front.Close()
 
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	errCh := make(chan error, 1)
-	go func() { errCh <- front.HandleConn(b) }()
+	for _, version := range []int{1, 2, 99} {
+		a, b := net.Pipe()
+		errCh := make(chan error, 1)
+		go func() { errCh <- front.HandleConn(b) }()
 
-	conn := backhaul.NewConn(a)
-	if err := conn.SendHello(backhaul.Hello{Version: 1, GatewayID: "legacy", SampleRate: fs}); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errCh; err == nil {
-		t.Fatal("v1 hello served through the front")
+		conn := backhaul.NewConn(a)
+		if err := conn.SendHello(backhaul.Hello{Version: version, GatewayID: "legacy", SampleRate: fs}); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errCh; err == nil {
+			t.Fatalf("v%d hello served through the front", version)
+		}
+		a.Close()
+		b.Close()
 	}
 	for i, st := range front.Stats() {
 		if st.Farm.Admitted != 0 {
@@ -133,51 +161,50 @@ func TestFrontV1Gateway(t *testing.T) {
 	}
 }
 
-// TestFrontHelloAckCapacity checks the hello ack of a sharded plane: it
-// advertises the plane's shard count and aggregate capacity, while Window
-// stays the landing shard's own queue depth.
+// TestFrontHelloAckCapacity checks the hello ack of a plane: it advertises
+// the plane's shard count and aggregate capacity (for the default one-shard
+// plane, the shard's own queue depth), while Window stays the landing
+// shard's queue depth.
 func TestFrontHelloAckCapacity(t *testing.T) {
-	front, err := New(Config{Shards: 4, Workers: 1, QueueDepth: 8, Techs: testTechs()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer front.Close()
+	for _, shards := range []int{1, 4} {
+		front, err := New(Config{Shards: shards, Workers: 1, QueueDepth: 8, Techs: testTechs()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := net.Pipe()
+		errCh := make(chan error, 1)
+		go func() { errCh <- front.HandleConn(b) }()
 
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	errCh := make(chan error, 1)
-	go func() { errCh <- front.HandleConn(b) }()
-
-	conn := backhaul.NewConn(a)
-	if err := conn.SendHello(backhaul.Hello{Version: backhaul.Version, GatewayID: "cap", Epoch: 7, SampleRate: fs}); err != nil {
-		t.Fatal(err)
-	}
-	typ, data, err := conn.ReadMessage()
-	if err != nil || typ != backhaul.MsgHelloAck {
-		t.Fatalf("hello ack %v %v", typ, err)
-	}
-	ack, err := backhaul.ParseHelloAck(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.Shards != 4 {
-		t.Fatalf("ack shards %d, want 4", ack.Shards)
-	}
-	if ack.Capacity != 4*8 {
-		t.Fatalf("ack capacity %d, want 32", ack.Capacity)
-	}
-	if ack.Window != 8 {
-		t.Fatalf("ack window %d, want the landing shard's queue depth 8", ack.Window)
-	}
-	if err := conn.SendBye(); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := conn.ReadMessage(); err != nil || typ != backhaul.MsgBye {
-		t.Fatalf("bye ack %v %v", typ, err)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
+		conn := backhaul.NewConn(a)
+		if err := conn.SendHello(backhaul.Hello{Version: backhaul.Version, GatewayID: "cap", Epoch: 7, SampleRate: fs}); err != nil {
+			t.Fatal(err)
+		}
+		typ, data, err := conn.ReadMessage()
+		if err != nil || typ != backhaul.MsgHelloAck {
+			t.Fatalf("hello ack %v %v", typ, err)
+		}
+		ack, err := backhaul.ParseHelloAck(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ack.Shards != shards || ack.Capacity != shards*8 {
+			t.Fatalf("%d-shard ack advertises %d shards, capacity %d, want %d and %d", shards, ack.Shards, ack.Capacity, shards, shards*8)
+		}
+		if ack.Window != 8 || ack.Workers != 1 {
+			t.Fatalf("ack window %d workers %d, want the landing shard's queue depth 8 and 1 worker", ack.Window, ack.Workers)
+		}
+		if err := conn.SendBye(); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _, err := conn.ReadMessage(); err != nil || typ != backhaul.MsgBye {
+			t.Fatalf("bye ack %v %v", typ, err)
+		}
+		if err := <-errCh; err != nil {
+			t.Fatal(err)
+		}
+		a.Close()
+		b.Close()
+		front.Close()
 	}
 }
 

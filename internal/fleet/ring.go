@@ -11,7 +11,7 @@
 // reconnecting gateways mostly land back on the shard that already holds
 // their dedup state.
 //
-// The front advertises the plane's aggregate capacity in the v2 hello ack
+// The front advertises the plane's aggregate capacity in the hello ack
 // (HelloAck.Shards, HelloAck.Capacity) so auto-sizing gateways can scale
 // their shipping windows with the fleet (DESIGN.md §13).
 package fleet
@@ -20,9 +20,9 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the virtual-node count per shard when Config.VNodes is
-// zero. 512 points per shard keeps the keyspace split within a few percent
-// of even for small shard counts.
+// DefaultVNodes is the virtual-node count per shard of a Front's ring. 512
+// points per shard keeps the keyspace split within a few percent of even
+// for small shard counts.
 const DefaultVNodes = 512
 
 // Ring is a consistent-hash ring over shard indices. Immutable after

@@ -297,6 +297,8 @@ type TraceStats struct {
 // the plane's busy window.
 type decodeProbe struct {
 	clock func() int64
+	// decode, when set, replaces the shards' real decoder (Config.Decode).
+	decode farm.DecodeFunc
 
 	mu         sync.Mutex
 	seen       map[segKey]int
@@ -340,6 +342,9 @@ func keyOf(seg backhaul.Segment) segKey {
 }
 
 func (p *decodeProbe) wrap(shard int, next farm.DecodeFunc) farm.DecodeFunc {
+	if p.decode != nil {
+		next = p.decode
+	}
 	return func(ctx context.Context, seg backhaul.Segment) (backhaul.FramesReport, cancel.Stats, error) {
 		start := p.clock()
 		rep, st, err := next(ctx, seg)
@@ -382,6 +387,7 @@ func Run(cfg Config, wl *Workload) (*Report, error) {
 
 	probe := &decodeProbe{
 		clock:      cfg.Clock,
+		decode:     cfg.Decode,
 		seen:       make(map[segKey]int),
 		perShard:   make([]uint64, cfg.Shards),
 		shardFirst: make([]int64, cfg.Shards),
@@ -407,7 +413,6 @@ func Run(cfg Config, wl *Workload) (*Report, error) {
 		Workers:    cfg.Workers,
 		QueueDepth: cfg.QueueDepth,
 		Techs:      cfg.Techs,
-		Decode:     cfg.Decode,
 		WrapDecode: probe.wrap,
 		Logf:       cfg.Logf,
 		Journal:    cfg.Journal,

@@ -109,7 +109,7 @@ func scriptedCloud(rw io.ReadWriter, reply func(c *backhaul.Conn, seq uint64, se
 		}
 		switch typ {
 		case backhaul.MsgHello:
-			if err := conn.SendHelloAck(backhaul.HelloAck{Version: 2}); err != nil {
+			if err := conn.SendHelloAck(backhaul.HelloAck{Version: backhaul.Version}); err != nil {
 				return err
 			}
 		case backhaul.MsgSegmentSeq:

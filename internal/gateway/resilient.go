@@ -473,17 +473,10 @@ func (r *resilientRun) session(rw io.ReadWriter) (finished bool, err error) {
 	if err != nil {
 		return false, fmt.Errorf("gateway: bad hello ack: %w", err)
 	}
-	// The ack's version is what this session actually speaks; renegotiated
-	// every redial because a flap may land on an older cloud. Below v3 the
-	// trace extension is stripped before segments hit the wire.
-	negotiated := r.hello.Version
-	if ack.Version > 0 && ack.Version < negotiated {
-		negotiated = ack.Version
-	}
 	// Window sizing is re-derived every session: a redial may land on a
 	// plane whose shard count or admission bounds changed.
 	window := scaleWindow(g.cfg.Window, ack)
-	// Established: renegotiated and ready to ship. Consecutive-failure
+	// Established: acknowledged and ready to ship. Consecutive-failure
 	// accounting restarts here, and anything after the first session is by
 	// definition a reconnect.
 	sp.Stage("established", 0, float64(window))
@@ -633,14 +626,8 @@ func (r *resilientRun) session(rw io.ReadWriter) (finished bool, err error) {
 			// span is still live, the replay lands on it.
 			itsp.Stage("replay", 0, float64(len(c.it.Seg.Samples)))
 		}
-		seg := c.it.Seg
-		if negotiated < 3 {
-			// Pre-v3 peers reject the trace flag bit (seg is a copy; the
-			// carried item keeps its identity for later sessions).
-			seg.Trace, seg.Parent = 0, 0
-		}
 		tShip := itsp.Now()
-		n, err := conn.SendSegmentSeq(g.cfg.Codec, seq, seg)
+		n, err := conn.SendSegmentSeq(g.cfg.Codec, seq, c.it.Seg)
 		if err != nil {
 			// End an ephemeral replay span even on failure: the write may
 			// have reached the cloud before the connection died, and its

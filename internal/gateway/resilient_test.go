@@ -105,7 +105,7 @@ func TestRunResilientReplaysUnacked(t *testing.T) {
 				return err
 			}
 			epoch1 = h.Epoch
-			if err := c.SendHelloAck(backhaul.HelloAck{Version: 2, Window: 8}); err != nil {
+			if err := c.SendHelloAck(backhaul.HelloAck{Version: backhaul.Version, Window: 8}); err != nil {
 				return err
 			}
 			for i := 0; i < 3; i++ {
@@ -142,7 +142,7 @@ func TestRunResilientReplaysUnacked(t *testing.T) {
 				return err
 			}
 			epoch2 = h.Epoch
-			if err := c.SendHelloAck(backhaul.HelloAck{Version: 2, Window: 8}); err != nil {
+			if err := c.SendHelloAck(backhaul.HelloAck{Version: backhaul.Version, Window: 8}); err != nil {
 				return err
 			}
 			for {

@@ -3,6 +3,7 @@ package perf
 import (
 	"encoding/json"
 	"reflect"
+	"sync/atomic"
 	"testing"
 )
 
@@ -10,15 +11,13 @@ import (
 // read advances it by a fixed step, so all wall times are nonzero and
 // reproducible. The step sits above Compare's MinWallNs floor because a
 // stage with no internal clock reads spans exactly one step of wall time.
+// The farm_queue stage reads it from several workers at once, hence atomic.
 type fakeClock struct {
-	now  int64
+	now  atomic.Int64
 	step int64
 }
 
-func (c *fakeClock) read() int64 {
-	c.now += c.step
-	return c.now
-}
+func (c *fakeClock) read() int64 { return c.now.Add(c.step) }
 
 // cheapStages is the harness subset the package tests run: it covers the
 // collision lanes, both codec directions and the concurrent farm path
