@@ -5,13 +5,10 @@ import "repro/internal/analysis"
 // All returns the full galiot-lint rule suite in stable order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		Ctxflow,
 		ErrDrop,
 		FloatEq,
 		GoLeak,
 		HotLoopAlloc,
-		LockOrder,
-		MutexByValue,
 		Nondeterminism,
 		ObsNames,
 		UnguardedStats,

@@ -34,11 +34,6 @@ func TestErrDrop(t *testing.T) {
 	analysistest.Run(t, "testdata/src", rules.ErrDrop, "errdrop")
 }
 
-func TestMutexByValue(t *testing.T) {
-	t.Parallel()
-	analysistest.Run(t, "testdata/src", rules.MutexByValue, "mutexbyvalue")
-}
-
 func TestObsNames(t *testing.T) {
 	t.Parallel()
 	analysistest.Run(t, "testdata/src", rules.ObsNames, "obsnames/internal/gw")
@@ -47,16 +42,6 @@ func TestObsNames(t *testing.T) {
 func TestUnguardedStats(t *testing.T) {
 	t.Parallel()
 	analysistest.Run(t, "testdata/src", rules.UnguardedStats, "unguardedstats", "unguardedstats/calm")
-}
-
-func TestCtxflow(t *testing.T) {
-	t.Parallel()
-	analysistest.Run(t, "testdata/src", rules.Ctxflow, "ctxflow/internal/gateway")
-}
-
-func TestLockOrder(t *testing.T) {
-	t.Parallel()
-	analysistest.Run(t, "testdata/src", rules.LockOrder, "lockorder")
 }
 
 func TestMatchScoping(t *testing.T) {

@@ -4,112 +4,21 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"maps"
-	"sort"
-	"strings"
 
 	"repro/internal/analysis"
 )
 
-// MutexByValue flags sync primitives (Mutex, RWMutex, WaitGroup, Once,
-// Cond, Map, Pool) copied by value: value receivers and parameters, value
-// returns, and plain value copies of variables whose type contains a lock.
-// A copied lock is a distinct lock — the copy guards nothing — and a
-// copied WaitGroup loses its counter. This is the stdlib-only counterpart
-// of vet's copylocks, kept in the suite so the lint gate catches it even
-// where vet is not run.
-var MutexByValue = &analysis.Analyzer{
-	Name: "mutexbyvalue",
-	Doc:  "flags sync primitives copied by value (receivers, params, returns, assignments)",
-	Run:  runMutexByValue,
-}
-
-func runMutexByValue(pass *analysis.Pass) {
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Recv != nil {
-					checkFieldListCopies(pass, n.Recv, "receiver")
-				}
-				checkFuncTypeCopies(pass, n.Type)
-			case *ast.FuncLit:
-				checkFuncTypeCopies(pass, n.Type)
-			case *ast.AssignStmt:
-				for _, rhs := range n.Rhs {
-					checkValueCopy(pass, rhs)
-				}
-			case *ast.RangeStmt:
-				if n.Value != nil {
-					if t := pass.Info.TypeOf(n.Value); t != nil && analysis.TypeContainsSync(t) {
-						pass.Reportf(n.Value.Pos(), "range value copies a %s containing a sync primitive; iterate by index or use pointers", t)
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-func checkFuncTypeCopies(pass *analysis.Pass, ft *ast.FuncType) {
-	checkFieldListCopies(pass, ft.Params, "parameter")
-	checkFieldListCopies(pass, ft.Results, "result")
-}
-
-func checkFieldListCopies(pass *analysis.Pass, fl *ast.FieldList, what string) {
-	if fl == nil {
-		return
-	}
-	for _, field := range fl.List {
-		t := pass.Info.TypeOf(field.Type)
-		if t == nil {
-			continue
-		}
-		if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-			continue
-		}
-		if analysis.TypeContainsSync(t) {
-			pass.Reportf(field.Type.Pos(), "%s passes %s by value, copying its sync primitive; use a pointer", what, t)
-		}
-	}
-}
-
-// checkValueCopy flags x := y / x = y where y is an existing value (not a
-// fresh composite literal or call result) whose type contains a lock.
-func checkValueCopy(pass *analysis.Pass, rhs ast.Expr) {
-	switch ast.Unparen(rhs).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-	default:
-		return // composite literals and call results are fresh values
-	}
-	t := pass.Info.TypeOf(rhs)
-	if t == nil {
-		return
-	}
-	if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-		return
-	}
-	if analysis.TypeContainsSync(t) {
-		pass.Reportf(rhs.Pos(), "assignment copies a %s containing a sync primitive; use a pointer", t)
-	}
-}
-
-// UnguardedStats guards the concurrency-heavy structs two ways. A struct
-// with no sync field at all, in a package that spawns goroutines, is
-// flagged on every method mutation (the gateway.Stats counters were the
-// motivating case) — the fix is to add a mutex. A struct that carries a
-// sync.Mutex or sync.RWMutex field directly gets the stronger treatment:
-// each method body is compiled to a control-flow graph and a must-hold
-// lock dataflow proves, per mutation, that the lock is actually held on
-// every path reaching the write. Deferred Unlocks keep the fact (they run
-// at exit), explicit Unlocks kill it, and unexported helpers inherit the
-// locks every intra-package caller provably holds (the "callers hold mu"
-// idiom), so farm.pop-style helpers need no annotation. A field counts as
-// guarded once any method writes it under a lock; later writes of the same
-// field without that lock are reported instead of trusted.
+// UnguardedStats flags methods that mutate receiver fields of a struct
+// carrying no sync primitive at all, in a package that spawns goroutines
+// (the gateway.Stats counters were the motivating case) — the fix is to add
+// a mutex. It is a heuristic with deliberate limits: a struct with any sync
+// field (a Mutex, a WaitGroup, a pointer to a lock-bearing type) is trusted
+// to synchronize itself, whether or not a given write actually holds the
+// lock; that discipline is held by `go test -race ./...` and the soaks, not
+// by this rule.
 var UnguardedStats = &analysis.Analyzer{
 	Name: "unguardedstats",
-	Doc:  "proves guarded-field mutations hold their mutex (CFG dataflow); flags mutations of lock-free structs in goroutine-spawning packages",
+	Doc:  "flags field mutations in methods of lock-free structs in goroutine-spawning packages",
 	Run:  runUnguardedStats,
 }
 
@@ -123,13 +32,9 @@ func runUnguardedStats(pass *analysis.Pass) {
 			return !spawns
 		})
 	}
-
-	// Pass 1: group methods by receiver type. Structs with a direct mutex
-	// field go to the dataflow proof; structs with some other sync field
-	// (including pointers to lock-bearing types) are trusted as before;
-	// lock-free structs fall through to the legacy heuristic.
-	groups := make(map[*types.Named]*lockedType)
-	var order []*types.Named // deterministic group iteration
+	if !spawns {
+		return
+	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -144,37 +49,18 @@ func runUnguardedStats(pass *analysis.Pass) {
 			if recvObj == nil {
 				continue
 			}
-			named := namedRecvType(recvObj.Type())
 			st := namedStruct(recvObj.Type())
-			if st == nil || named == nil {
-				continue
+			if st == nil || structHasSyncField(st) {
+				continue // not a struct, or trusted: it carries its own synchronization
 			}
-			if mutexes := directMutexFields(st); len(mutexes) > 0 {
-				g := groups[named]
-				if g == nil {
-					g = &lockedType{named: named, mutexes: mutexes}
-					groups[named] = g
-					order = append(order, named)
-				}
-				fn, _ := pass.Info.Defs[fd.Name].(*types.Func)
-				g.methods = append(g.methods, &lockedMethod{fd: fd, recv: recvObj, fn: fn})
-				continue
-			}
-			if structHasSyncField(st) {
-				continue // trusted: synchronized some other way
-			}
-			if spawns {
-				legacyUnguardedWalk(pass, fd, recvObj)
-			}
+			walkUnguardedWrites(pass, fd, recvObj)
 		}
-	}
-	for _, named := range order {
-		proveLockGuards(pass, groups[named])
 	}
 }
 
-// legacyUnguardedWalk is the original heuristic for lock-free structs.
-func legacyUnguardedWalk(pass *analysis.Pass, fd *ast.FuncDecl, recvObj types.Object) {
+// walkUnguardedWrites reports every receiver-rooted assignment and
+// increment in the method body.
+func walkUnguardedWrites(pass *analysis.Pass, fd *ast.FuncDecl, recvObj types.Object) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.IncDecStmt:
@@ -189,331 +75,6 @@ func legacyUnguardedWalk(pass *analysis.Pass, fd *ast.FuncDecl, recvObj types.Ob
 		}
 		return true
 	})
-}
-
-// lockedMethod is one method of a mutex-bearing struct under proof.
-type lockedMethod struct {
-	fd    *ast.FuncDecl
-	recv  types.Object
-	fn    *types.Func
-	cfg   *analysis.CFG
-	entry analysis.Facts // locks provably held on entry (helper idiom)
-}
-
-// lockedType collects the methods of one mutex-bearing named struct.
-type lockedType struct {
-	named   *types.Named
-	mutexes map[string]bool // direct mutex field names
-	methods []*lockedMethod
-}
-
-// fieldWrite is one receiver-rooted mutation with the write locks held
-// when control reaches it.
-type fieldWrite struct {
-	m     *lockedMethod
-	lhs   ast.Expr
-	field string
-	held  []string // sorted write-lock keys
-}
-
-// proveLockGuards runs the per-type lock-guard proof: solve each method's
-// must-hold lock dataflow, iterate helper entry facts to a fixed point,
-// infer which fields are lock-guarded, and report guarded-field writes on
-// paths where no guarding lock is provably held.
-func proveLockGuards(pass *analysis.Pass, lt *lockedType) {
-	full := analysis.Facts{}
-	//lint:ignore nondeterminism building the full fact set; insertion order is irrelevant
-	for f := range lt.mutexes {
-		full["w:recv."+f] = true
-		full["r:recv."+f] = true
-	}
-	for _, m := range lt.methods {
-		m.cfg = analysis.NewCFG(m.fd.Body)
-		if m.fd.Name.IsExported() {
-			m.entry = analysis.Facts{} // callable from anywhere
-		} else {
-			m.entry = full.Clone() // optimistic; the fixpoint only shrinks it
-		}
-	}
-
-	// Count every call of each unexported method anywhere in the package —
-	// including inside function literals and plain functions, which the
-	// per-method replay below cannot translate. If the replay accounts for
-	// fewer callsites than exist, some caller's locks are unknown and the
-	// helper's entry facts drop to nothing.
-	totalCalls := make(map[*types.Func]int)
-	ours := make(map[*types.Func]*lockedMethod)
-	for _, m := range lt.methods {
-		if m.fn != nil && !m.fd.Name.IsExported() {
-			ours[m.fn] = m
-		}
-	}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if fn := calleeFunc(pass, call); fn != nil {
-				if _, tracked := ours[fn]; tracked {
-					totalCalls[fn]++
-				}
-			}
-			return true
-		})
-	}
-
-	for changed := true; changed; {
-		changed = false
-		contrib := make(map[*types.Func][]analysis.Facts)
-		seen := make(map[*types.Func]int)
-		for _, m := range lt.methods {
-			transfer := lockTransfer(pass, m.recv)
-			fl := &analysis.Flow{CFG: m.cfg, Mode: analysis.Must, Entry: factKeys(m.entry), Transfer: transfer}
-			in := fl.Solve()
-			replayBlocks(m.cfg, in, transfer, func(n ast.Node, facts analysis.Facts) {
-				analysis.InspectShallow(n, func(x ast.Node) bool {
-					call, ok := x.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					callee := calleeFunc(pass, call)
-					target, tracked := ours[callee]
-					if !tracked || !isRecvCall(pass, call, m.recv) {
-						return true
-					}
-					contrib[target.fn] = append(contrib[target.fn], restrictToLockFacts(facts))
-					seen[target.fn]++
-					return true
-				})
-			})
-		}
-		for _, m := range lt.methods {
-			if m.fd.Name.IsExported() || m.fn == nil {
-				continue
-			}
-			sites := contrib[m.fn]
-			var entry analysis.Facts
-			if totalCalls[m.fn] == 0 || seen[m.fn] < totalCalls[m.fn] {
-				entry = analysis.Facts{} // uncalled, or called from untrackable contexts
-			} else {
-				entry = intersectFacts(sites)
-			}
-			if !factsEqual(entry, m.entry) {
-				m.entry = entry
-				changed = true
-			}
-		}
-	}
-
-	// Final pass: collect every receiver-rooted write with the locks held
-	// there, infer the guarded fields, and report the unproven writes.
-	var writes []fieldWrite
-	for _, m := range lt.methods {
-		transfer := lockTransfer(pass, m.recv)
-		fl := &analysis.Flow{CFG: m.cfg, Mode: analysis.Must, Entry: factKeys(m.entry), Transfer: transfer}
-		in := fl.Solve()
-		replayBlocks(m.cfg, in, transfer, func(n ast.Node, facts analysis.Facts) {
-			record := func(lhs ast.Expr) {
-				field, ok := recvFieldWrite(pass, lhs, m.recv)
-				if !ok || lt.mutexes[field] {
-					return
-				}
-				writes = append(writes, fieldWrite{m: m, lhs: lhs, field: field, held: heldWriteLocks(facts)})
-			}
-			switch n := n.(type) {
-			case *ast.IncDecStmt:
-				record(n.X)
-			case *ast.AssignStmt:
-				if n.Tok != token.DEFINE {
-					for _, lhs := range n.Lhs {
-						record(lhs)
-					}
-				}
-			}
-		})
-	}
-
-	guards := make(map[string]map[string]bool) // field -> guarding lock keys
-	for _, w := range writes {
-		for _, k := range w.held {
-			if guards[w.field] == nil {
-				guards[w.field] = make(map[string]bool)
-			}
-			guards[w.field][k] = true
-		}
-	}
-	for _, w := range writes {
-		g := guards[w.field]
-		if len(g) == 0 {
-			continue // never written under a lock anywhere: not a guarded field
-		}
-		held := false
-		for _, k := range w.held {
-			if g[k] {
-				held = true
-				break
-			}
-		}
-		if held {
-			continue
-		}
-		lock := guardDisplay(g, w.m)
-		pass.Reportf(w.lhs.Pos(), "%s written without holding %s; the lock guards this field at its other write sites", exprString(w.lhs), lock)
-	}
-}
-
-// replayBlocks re-executes the solved dataflow over each reachable block,
-// calling visit with the facts in force just before every node.
-func replayBlocks(cfg *analysis.CFG, in []analysis.Facts, transfer func(ast.Node, analysis.Facts), visit func(ast.Node, analysis.Facts)) {
-	for _, b := range cfg.Blocks {
-		facts := in[b.Index].Clone()
-		if facts == nil {
-			continue // unreachable
-		}
-		for _, n := range b.Nodes {
-			visit(n, facts)
-			transfer(n, facts)
-		}
-	}
-}
-
-// isRecvCall reports whether call is recv.m(...) — a method call whose
-// base expression is exactly the enclosing method's receiver, making the
-// caller's recv.* lock facts valid for the callee.
-func isRecvCall(pass *analysis.Pass, call *ast.CallExpr, recv types.Object) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	base := ast.Unparen(sel.X)
-	if star, ok := base.(*ast.StarExpr); ok {
-		base = ast.Unparen(star.X)
-	}
-	id, ok := base.(*ast.Ident)
-	return ok && pass.Info.Uses[id] == recv
-}
-
-// recvFieldWrite resolves lhs to the top-level receiver field it mutates
-// (r.stats.n++ mutates "stats"); ok is false for non-receiver targets.
-func recvFieldWrite(pass *analysis.Pass, lhs ast.Expr, recv types.Object) (string, bool) {
-	expr := ast.Unparen(lhs)
-	field := ""
-	for {
-		switch e := expr.(type) {
-		case *ast.SelectorExpr:
-			field = e.Sel.Name
-			expr = ast.Unparen(e.X)
-		case *ast.IndexExpr:
-			expr = ast.Unparen(e.X)
-		case *ast.StarExpr:
-			expr = ast.Unparen(e.X)
-		case *ast.Ident:
-			if field != "" && pass.Info.Uses[e] == recv {
-				return field, true
-			}
-			return "", false
-		default:
-			return "", false
-		}
-	}
-}
-
-// factKeys flattens a fact set into the sorted key list Flow.Entry wants.
-func factKeys(f analysis.Facts) []string {
-	var keys []string
-	//lint:ignore nondeterminism the collected keys are sorted before use
-	for k := range f {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// intersectFacts intersects callsite fact sets; no sites means no facts.
-func intersectFacts(sites []analysis.Facts) analysis.Facts {
-	if len(sites) == 0 {
-		return analysis.Facts{}
-	}
-	acc := sites[0].Clone()
-	for _, s := range sites[1:] {
-		//lint:ignore nondeterminism set intersection is commutative, visit order cannot change the result
-		for k := range acc {
-			if !s[k] {
-				delete(acc, k)
-			}
-		}
-	}
-	return acc
-}
-
-func factsEqual(a, b analysis.Facts) bool {
-	return maps.Equal(a, b)
-}
-
-// guardDisplay renders a field's guarding lock set for a diagnostic, using
-// the reporting method's receiver name: {recv.mu} becomes "s.mu".
-func guardDisplay(g map[string]bool, m *lockedMethod) string {
-	var keys []string
-	//lint:ignore nondeterminism the collected keys are sorted before use
-	for k := range g {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	recvName := "recv"
-	if names := m.fd.Recv.List[0].Names; len(names) > 0 {
-		recvName = names[0].Name
-	}
-	for i, k := range keys {
-		switch {
-		case k == "recv":
-			keys[i] = recvName
-		case strings.HasPrefix(k, "recv."):
-			keys[i] = recvName + "." + strings.TrimPrefix(k, "recv.")
-		case strings.HasPrefix(k, "g:"):
-			keys[i] = strings.TrimPrefix(k, "g:")
-		case strings.HasPrefix(k, "l:"):
-			s := strings.TrimPrefix(k, "l:")
-			if at := strings.Index(s, "@"); at >= 0 {
-				rest := ""
-				if dot := strings.Index(s, "."); dot > at {
-					rest = s[dot:]
-				}
-				s = s[:at] + rest
-			}
-			keys[i] = s
-		}
-	}
-	return strings.Join(keys, " or ")
-}
-
-// namedRecvType unwraps a (possibly pointer) receiver type to its named
-// type.
-func namedRecvType(t types.Type) *types.Named {
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
-}
-
-// directMutexFields lists the struct's own sync.Mutex / sync.RWMutex
-// fields (including *Mutex pointers) by name. Embedded mutexes promote
-// their methods onto the struct; the keyer cannot name those lock sites,
-// so embedding is not treated as a direct lock.
-func directMutexFields(st *types.Struct) map[string]bool {
-	var fields map[string]bool
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if f.Embedded() || !isMutexType(f.Type()) {
-			continue
-		}
-		if fields == nil {
-			fields = make(map[string]bool)
-		}
-		fields[f.Name()] = true
-	}
-	return fields
 }
 
 // namedStruct unwraps a (possibly pointer) receiver type to its struct

@@ -35,7 +35,6 @@ type Service struct {
 	Logf func(format string, args ...any)
 
 	mu   sync.Mutex
-	pool *farm.DecoderPool
 	farm *farm.Farm
 
 	dedup dedupCache
@@ -88,9 +87,6 @@ func newCloudMetrics(reg *obs.Registry, techs []phy.Technology) cloudMetrics {
 // NewService returns a decoder service over the given technologies.
 func NewService(techs []phy.Technology) *Service {
 	s := &Service{Techs: techs}
-	s.pool = &farm.DecoderPool{New: func(fs float64) *cancel.Decoder {
-		return cancel.NewDecoder(s.Techs, fs)
-	}}
 	s.reg = obs.NewRegistry()
 	s.m = newCloudMetrics(s.reg, techs)
 	s.dedup.setEvictions(s.m.dedupEvict)
@@ -142,7 +138,7 @@ func (s *Service) StartFarm(cfg farm.Config) *farm.Farm {
 	return f
 }
 
-// DecodeFunc returns the service's own farm decode function (pooled
+// DecodeFunc returns the service's own farm decode function (collision
 // decoder plus registry accounting), so callers assembling a farm.Config
 // themselves — the sharded front tier, load harnesses — can wrap the real
 // decoder instead of replacing it.
@@ -164,23 +160,21 @@ func (s *Service) Close() {
 }
 
 // DecodeSegment runs the collision decoder on one shipped segment and
-// returns a report with absolute offsets. The decoder bank is drawn from a
-// pool keyed by sample rate, not rebuilt per segment.
+// returns a report with absolute offsets.
 func (s *Service) DecodeSegment(seg backhaul.Segment) backhaul.FramesReport {
 	report, _, _ := s.decodeSegment(context.Background(), seg)
 	return report
 }
 
-// decodeSegment is the farm DecodeFunc: pooled decoder, registry
+// decodeSegment is the farm DecodeFunc: collision decoder, registry
 // accounting, per-segment diagnostics. A trace span riding on ctx (placed
 // there by handleSegment) collects the decode and SIC stages.
 func (s *Service) decodeSegment(ctx context.Context, seg backhaul.Segment) (backhaul.FramesReport, cancel.Stats, error) {
 	sp := obs.SpanFromContext(ctx)
-	dec := s.pool.Get(seg.SampleRate)
+	dec := cancel.NewDecoder(s.Techs, seg.SampleRate)
 	tDecode := sp.Now()
 	frames, stats := dec.DecodeTraced(seg.Samples, sp)
 	sp.Stage("decode", sp.Now()-tDecode, float64(len(frames)))
-	s.pool.Put(dec)
 	report := backhaul.FramesReport{SegmentStart: seg.Start}
 	for _, f := range frames {
 		report.Frames = append(report.Frames, backhaul.FrameReport{
@@ -378,8 +372,8 @@ func (s *Service) ServeHello(conn *backhaul.Conn, hello backhaul.Hello, hint bac
 		case backhaul.MsgSegmentSeq:
 			seq, seg, err := backhaul.DecodeSegmentSeq(payload)
 			if err == nil && math.Float64bits(seg.SampleRate) != math.Float64bits(hello.SampleRate) {
-				// The rate keys the decoder pool and was vetted for the
-				// hello's value only, so it must match to the bit.
+				// The decoder is built at this rate, and only the hello's
+				// value was vetted, so it must match to the bit.
 				err = fmt.Errorf("sample rate %v differs from the hello's %v", seg.SampleRate, hello.SampleRate)
 			}
 			if err != nil {
@@ -468,8 +462,10 @@ func (ss *session) handleSegment(f *farm.Farm, seq uint64, seg backhaul.Segment)
 	}
 }
 
-// reply writes one segment's answer. Runs inside the sequencer, so replies
-// leave in segment order and never interleave.
+// reply writes one segment's answer. Runs as a sequencer callback, so
+// replies leave in segment order and never interleave, and a write stalled
+// on a peer that is not reading holds up neither the session's reader nor
+// the farm workers delivering later slots.
 func (ss *session) reply(seq uint64, res farm.Result) {
 	if res.Err != nil {
 		ss.setWriteErr(ss.conn.SendBusy(seq))

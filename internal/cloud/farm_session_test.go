@@ -167,6 +167,10 @@ func TestFarmBusyReject(t *testing.T) {
 	if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, 2, tiny); err != nil {
 		t.Fatal(err)
 	}
+	// The write above returns once the session has read segment 2, which is
+	// before it reaches TrySubmit: hold the gate until the reject is
+	// counted, or the freed worker could admit it.
+	waitGauge(t, func() int64 { _, _, fst := svc.Totals(); return int64(fst.Rejected) }, 1)
 	close(gate)
 	if err := conn.SendBye(); err != nil {
 		t.Fatal(err)

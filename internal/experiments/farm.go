@@ -90,9 +90,6 @@ func FarmRunner(opt Options) (Table, error) {
 	// provably busy the interleaving is fixed, so admitted/rejected counts
 	// and the sample-clock waits are deterministic.
 	const overloadQueue = 1
-	pool := &farm.DecoderPool{New: func(fs float64) *cancel.Decoder {
-		return cancel.NewDecoder(techs, fs)
-	}}
 	gate := make(chan struct{})
 	dispatched := make(chan struct{}, 1)
 	var first sync.Once
@@ -105,9 +102,7 @@ func FarmRunner(opt Options) (Table, error) {
 			dispatched <- struct{}{}
 			<-gate
 		}
-		dec := pool.Get(seg.SampleRate)
-		decoded, stats := dec.Decode(seg.Samples)
-		pool.Put(dec)
+		decoded, stats := cancel.NewDecoder(techs, seg.SampleRate).Decode(seg.Samples)
 		return backhaul.FramesReport{SegmentStart: seg.Start, Frames: make([]backhaul.FrameReport, len(decoded))}, stats, nil
 	}
 	f := farm.New(farm.Config{Workers: 1, QueueDepth: overloadQueue, Decode: decode})

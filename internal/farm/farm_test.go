@@ -5,11 +5,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/backhaul"
 	"repro/internal/cancel"
-	"repro/internal/phy"
-	"repro/internal/phy/xbee"
 )
 
 // echoDecode is a stub decode that reports the segment's start back, so
@@ -247,28 +246,66 @@ func TestSequencerWaitBlocksUntilDelivered(t *testing.T) {
 	<-released
 }
 
-func TestDecoderPoolReuses(t *testing.T) {
-	builds := 0
-	p := &DecoderPool{New: func(fs float64) *cancel.Decoder {
-		builds++
-		return cancel.NewDecoder([]phy.Technology{xbee.Default()}, fs)
-	}}
-	a := p.Get(1e6)
-	if a == nil || builds != 1 {
-		t.Fatalf("first get built %d decoders", builds)
+func TestSequencerReserveDoesNotWaitOnCallback(t *testing.T) {
+	var s Sequencer
+	s.Reserve()
+	s.Reserve()
+	release := make(chan struct{})
+	started := make(chan struct{})
+	var running atomic.Int32
+	var overlapped atomic.Bool
+	var mu sync.Mutex
+	var order []uint64
+	callback := func(slot uint64, block bool) func() {
+		return func() {
+			if running.Add(1) > 1 {
+				overlapped.Store(true)
+			}
+			if block {
+				close(started)
+				<-release
+			}
+			mu.Lock()
+			order = append(order, slot)
+			mu.Unlock()
+			running.Add(-1)
+		}
 	}
-	p.Put(a)
-	b := p.Get(1e6)
-	if b != a {
-		t.Fatal("pooled decoder not reused")
+	go s.Deliver(0, callback(0, true))
+	<-started // slot 0's callback is now stuck, as a reply write on a full pipe is
+
+	// Neither a reader reserving the next slot nor a worker delivering a
+	// later one may wait behind the stuck callback.
+	returned := make(chan struct{})
+	go func() {
+		s.Reserve()
+		s.Deliver(1, callback(1, false))
+		s.Deliver(2, func() {})
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Reserve/Deliver blocked behind a running callback")
 	}
-	// A different sample rate must not share the pool: its templates and
-	// kill filters are built for another rate.
-	c := p.Get(250e3)
-	if c == a || c.FS != 250e3 || builds != 2 {
-		t.Fatalf("cross-rate pooling: builds=%d fs=%v", builds, c.FS)
+	waited := make(chan struct{})
+	go func() {
+		s.Wait()
+		close(waited)
+	}()
+	select {
+	case <-waited:
+		t.Fatal("Wait returned while slot 0's callback was still running")
+	case <-time.After(20 * time.Millisecond):
 	}
-	// Putting an unknown decoder back is a no-op, not a panic.
-	p.Put(nil)
-	p.Put(&cancel.Decoder{FS: 42})
+	close(release)
+	<-waited
+	mu.Lock()
+	defer mu.Unlock()
+	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
+		t.Fatalf("callbacks ran in order %v, want [0 1]", order)
+	}
+	if overlapped.Load() {
+		t.Fatal("two callbacks ran concurrently")
+	}
 }

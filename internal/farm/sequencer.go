@@ -9,14 +9,16 @@ import "sync"
 // connection so decode replies leave in the order the segments arrived even
 // though the farm completes them out of order.
 //
-// Callbacks run with the sequencer's lock held: they are serialized with
-// each other (safe to write to a shared connection) but must not call
-// Reserve, Deliver or Wait, and should only hand the result off.
+// Callbacks run outside the sequencer's lock, on whichever Deliver call
+// found no drain in progress: they are serialized with each other (safe to
+// write to a shared connection) and may block — on a socket, say — without
+// making Reserve or Deliver wait. A callback must not call Wait.
 type Sequencer struct {
 	mu       sync.Mutex
 	idle     sync.Cond // signaled whenever next advances
-	next     uint64
+	next     uint64    // advanced only after the slot's callback has run
 	reserved uint64
+	draining bool // a Deliver call is running callbacks; others only park
 	pending  map[uint64]func()
 }
 
@@ -30,27 +32,36 @@ func (s *Sequencer) Reserve() uint64 {
 	return slot
 }
 
-// Deliver hands in slot's completion. If every earlier slot has already
-// run, fn runs now (along with any directly following pending slots);
-// otherwise it is parked until its turn. Each slot must be delivered
-// exactly once.
+// Deliver hands in slot's completion and parks it. If no other Deliver is
+// draining, this call runs every callback whose turn has come — fn itself
+// when all earlier slots have run, plus any directly following parked
+// slots — unlocking around each; otherwise the draining call picks fn up
+// when its turn comes. Each slot must be delivered exactly once.
 func (s *Sequencer) Deliver(slot uint64, fn func()) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.pending == nil {
 		s.pending = make(map[uint64]func())
 	}
 	s.pending[slot] = fn
+	if s.draining {
+		s.mu.Unlock()
+		return
+	}
+	s.draining = true
 	for {
 		next, ok := s.pending[s.next]
 		if !ok {
-			return
+			break
 		}
 		delete(s.pending, s.next)
-		s.next++
+		s.mu.Unlock()
 		next()
+		s.mu.Lock()
+		s.next++
 		s.idle.Broadcast() // Broadcast never touches idle.L; Wait sets it
 	}
+	s.draining = false
+	s.mu.Unlock()
 }
 
 // Wait blocks until every reserved slot has been delivered and run. It is
