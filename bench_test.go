@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/galiot"
 	"repro/internal/backhaul"
@@ -23,7 +22,6 @@ import (
 	"repro/internal/detect"
 	"repro/internal/experiments"
 	"repro/internal/farm"
-	"repro/internal/perf"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -175,52 +173,6 @@ func BenchmarkAblationKillFilters(b *testing.B) {
 	})
 }
 
-// BenchmarkGatewayProcess measures the gateway pipeline on a quarter-second
-// capture (detection + segment extraction), the per-capture cost the
-// Raspberry-Pi-class edge node pays.
-func BenchmarkGatewayProcess(b *testing.B) {
-	techs := galiot.Technologies()
-	gw, err := galiot.NewGateway(galiot.GatewayConfig{Techs: techs})
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen := rng.New(7)
-	scen, err := sim.GenTraffic(sim.TrafficConfig{
-		Techs:      techs,
-		SampleRate: galiot.SampleRate,
-		Duration:   1 << 18,
-		MeanGap:    0.1,
-		SNRMin:     8,
-		SNRMax:     15,
-	}, gen)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = gw.Process(scen.Capture)
-	}
-}
-
-// BenchmarkCloudDecodeCollision measures Algorithm 1 on one 2-way
-// collision segment — the per-segment cost at the cloud.
-func BenchmarkCloudDecodeCollision(b *testing.B) {
-	techs := galiot.Technologies()
-	gen := rng.New(8)
-	scen, err := sim.GenCollision([]sim.CollisionSpec{
-		{Tech: techs[0], SNRdB: 12, PayloadLen: 8},
-		{Tech: techs[1], SNRdB: 12, PayloadLen: 8, OffsetFrac: 0.05},
-	}, galiot.SampleRate, 4000, gen)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dec := galiot.NewCollisionDecoder(techs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = dec.Decode(scen.Capture)
-	}
-}
-
 // BenchmarkBattery regenerates the Sec. 1 battery-drain experiment
 // (retransmission energy with and without collision decoding).
 func BenchmarkBattery(b *testing.B) {
@@ -300,35 +252,6 @@ func BenchmarkFarmThroughput(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "segments/s")
 			svc.Close()
-		})
-	}
-}
-
-// BenchmarkPerfStages bridges the galiot-bench harness into `go test
-// -bench`: each hot pipeline stage runs through internal/perf's seeded
-// workloads and reports the harness's own ns/sample and allocs/op, so
-// benchstat and BENCH.json describe the same measurements. b.N is ignored
-// on purpose — the harness uses fixed iteration counts so its workload
-// identity (and hence its regression baselines) never depends on host
-// speed.
-func BenchmarkPerfStages(b *testing.B) {
-	for _, stage := range perf.StageNames() {
-		b.Run(stage, func(b *testing.B) {
-			rep, err := perf.Run(perf.Options{
-				Seed:   1,
-				Quick:  true,
-				Clock:  func() int64 { return time.Now().UnixNano() },
-				Stages: []string{stage},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			s := rep.Stages[0]
-			b.ReportMetric(s.NsPerSample, "ns/sample")
-			b.ReportMetric(s.SamplesPerSec/1e6, "Msamples/s")
-			if s.AllocsPerOp >= 0 {
-				b.ReportMetric(s.AllocsPerOp, "allocs/op")
-			}
 		})
 	}
 }

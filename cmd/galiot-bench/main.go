@@ -1,15 +1,14 @@
-// Command galiot-bench runs the GalioT performance harness: deterministic
-// seeded workloads through every pipeline stage, a structured BENCH.json
-// report, and (with -baseline) a noise-aware regression verdict with a
-// non-zero exit when a hot-path stage regressed. See DESIGN.md §12.
+// Command galiot-bench runs the GalioT per-sample micro-stage gate:
+// deterministic seeded workloads through every single-goroutine pipeline
+// stage, a structured BENCH.json report, and (with -baseline) a
+// noise-aware verdict with a non-zero exit when any stage regressed, did
+// different work than its baseline, or vanished. See DESIGN.md §12.
 //
 // Usage:
 //
-//	galiot-bench -quick -out BENCH.json                    # measure
-//	galiot-bench -quick -baseline BENCH_BASELINE.json      # measure + gate
-//	galiot-bench -compare-only -out BENCH.json -baseline B # re-gate, no run
-//	galiot-bench -trend BENCH1.json BENCH2.json BENCH3.json # cross-run trend
-//	galiot-bench -list                                     # stage names
+//	galiot-bench -quick -out BENCH.json               # measure
+//	galiot-bench -quick -baseline BENCH_BASELINE.json # measure + gate
+//	galiot-bench -list                                # stage names
 package main
 
 import (
@@ -17,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -26,41 +24,16 @@ import (
 
 func main() {
 	var (
-		quick       = flag.Bool("quick", false, "CI-sized workloads and iteration counts (~seconds, not minutes)")
-		seed        = flag.Uint64("seed", 1, "root seed for every workload generator")
-		out         = flag.String("out", "", "write the report JSON here ('-' or empty = stdout)")
-		baseline    = flag.String("baseline", "", "compare against this baseline report; exit 1 on hot-path regressions")
-		threshold   = flag.Float64("threshold", 0, "relative regression threshold (0 = default 0.35; CI uses 2.0 across hardware)")
-		profileDir  = flag.String("profile-dir", "", "write per-stage CPU and heap profiles into this directory")
-		stages      = flag.String("stages", "", "comma-separated stage filter (default: all)")
-		list        = flag.Bool("list", false, "print stage names and exit")
-		compareOnly = flag.Bool("compare-only", false, "skip measuring; load -out as the current report and compare against -baseline")
-		trend       = flag.Bool("trend", false, "skip measuring; render a cross-run trend table from the report files given as arguments, oldest first")
+		quick      = flag.Bool("quick", false, "CI-sized workloads and iteration counts (~seconds, not minutes)")
+		seed       = flag.Uint64("seed", 1, "root seed for every workload generator")
+		out        = flag.String("out", "", "write the report JSON here ('-' or empty = stdout)")
+		baseline   = flag.String("baseline", "", "compare against this baseline report; exit 1 when a stage regressed, is incomparable or is missing")
+		threshold  = flag.Float64("threshold", 0, "relative regression threshold (0 = default 0.35; CI uses 2.0 across hardware)")
+		profileDir = flag.String("profile-dir", "", "write per-stage CPU and heap profiles into this directory")
+		stages     = flag.String("stages", "", "comma-separated stage filter (default: all; with -baseline, only these are expected)")
+		list       = flag.Bool("list", false, "print stage names and exit")
 	)
 	flag.Parse()
-
-	if *trend {
-		paths := flag.Args()
-		if len(paths) < 2 {
-			fatalf("-trend needs at least two report files, oldest first")
-		}
-		labels := make([]string, len(paths))
-		reports := make([]*perf.Report, len(paths))
-		for i, p := range paths {
-			r, err := loadReport(p)
-			if err != nil {
-				fatalf("load report: %v", err)
-			}
-			labels[i] = filepath.Base(p)
-			reports[i] = r
-		}
-		tr, err := perf.TrendOf(labels, reports)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Print(tr.Render())
-		return
-	}
 
 	if *list {
 		for _, n := range perf.StageNames() {
@@ -69,38 +42,23 @@ func main() {
 		return
 	}
 
-	var rep *perf.Report
-	if *compareOnly {
-		if *out == "" || *out == "-" {
-			fatalf("-compare-only needs -out pointing at an existing report file")
+	opts := perf.Options{
+		Seed:       *seed,
+		Quick:      *quick,
+		Clock:      func() int64 { return time.Now().UnixNano() },
+		ProfileDir: *profileDir,
+	}
+	for _, s := range strings.Split(*stages, ",") {
+		if s = strings.TrimSpace(s); s != "" {
+			opts.Stages = append(opts.Stages, s)
 		}
-		var err error
-		rep, err = loadReport(*out)
-		if err != nil {
-			fatalf("load current report: %v", err)
-		}
-	} else {
-		opts := perf.Options{
-			Seed:       *seed,
-			Quick:      *quick,
-			Clock:      func() int64 { return time.Now().UnixNano() },
-			ProfileDir: *profileDir,
-		}
-		if *stages != "" {
-			for _, s := range strings.Split(*stages, ",") {
-				if s = strings.TrimSpace(s); s != "" {
-					opts.Stages = append(opts.Stages, s)
-				}
-			}
-		}
-		var err error
-		rep, err = perf.Run(opts)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := writeReport(*out, rep); err != nil {
-			fatalf("write report: %v", err)
-		}
+	}
+	rep, err := perf.Run(opts)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if err := writeReport(*out, rep); err != nil {
+		fatalf("write report: %v", err)
 	}
 
 	if *baseline == "" {
@@ -110,16 +68,16 @@ func main() {
 	if err != nil {
 		fatalf("load baseline: %v", err)
 	}
-	cmp, err := perf.Compare(base, rep, perf.CompareOptions{RelThreshold: *threshold})
+	cmp, err := perf.Compare(base, rep, *threshold, opts.Stages)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	fmt.Fprint(os.Stderr, cmp.Render())
-	if regs := cmp.Regressions(); len(regs) > 0 {
-		fmt.Fprintf(os.Stderr, "FAIL: %d hot-path regression(s)\n", len(regs))
+	if fails := cmp.Failures(); len(fails) > 0 {
+		fmt.Fprintf(os.Stderr, "FAIL: %s\n", strings.Join(fails, ", "))
 		os.Exit(1)
 	}
-	fmt.Fprintln(os.Stderr, "OK: no hot-path regressions")
+	fmt.Fprintln(os.Stderr, "OK: every stage within threshold of its baseline")
 }
 
 func loadReport(path string) (*perf.Report, error) {

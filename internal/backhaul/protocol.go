@@ -252,28 +252,6 @@ type SegmentCodec struct {
 	Format   iq.Format // sample format on the wire (CU8 matches the RTL-SDR ADC)
 	Compress bool      // apply DEFLATE on top
 	Checksum bool      // append an IEEE CRC-32 trailer so wire corruption is detected
-	// Metrics, when non-nil, counts every Encode (see CodecMetrics). A
-	// pointer so codec values copied around a session share the counters.
-	Metrics *CodecMetrics
-}
-
-// CodecMetrics counts segment serialization work: segments and samples in,
-// wire payload bytes out. Bytes over samples is the backhaul's effective
-// bits-per-sample — the compression story the paper's uplink budget turns
-// on, now observable instead of eyeballed.
-type CodecMetrics struct {
-	Segments *obs.Counter // backhaul_segments_encoded_total
-	Samples  *obs.Counter // backhaul_encoded_input_samples
-	Bytes    *obs.Counter // backhaul_encoded_payload_bytes
-}
-
-// NewCodecMetrics wires codec metrics onto a registry.
-func NewCodecMetrics(r *obs.Registry) *CodecMetrics {
-	return &CodecMetrics{
-		Segments: r.Counter("backhaul_segments_encoded_total"),
-		Samples:  r.Counter("backhaul_encoded_input_samples"),
-		Bytes:    r.Counter("backhaul_encoded_payload_bytes"),
-	}
 }
 
 // Segment payload flag bits (payload byte 25).
@@ -360,11 +338,6 @@ func (sc SegmentCodec) Encode(seg Segment) ([]byte, error) {
 	if sc.Checksum {
 		sum := crc32.ChecksumIEEE(out[:26+ext+len(raw)])
 		binary.BigEndian.PutUint32(out[26+ext+len(raw):], sum)
-	}
-	if m := sc.Metrics; m != nil {
-		m.Segments.Inc()
-		m.Samples.Add(uint64(len(seg.Samples)))
-		m.Bytes.Add(uint64(len(out)))
 	}
 	return out, nil
 }

@@ -51,36 +51,6 @@ func PackLSB(bits []byte) []byte {
 	return out
 }
 
-// Xor returns a ^ b element-wise; the result has the length of the shorter
-// argument.
-func Xor(a, b []byte) []byte {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		out[i] = a[i] ^ b[i]
-	}
-	return out
-}
-
-// HammingDistance returns the number of positions at which a and b differ;
-// positions beyond the shorter slice count as differences.
-func HammingDistance(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	d := len(a) + len(b) - 2*n
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			d++
-		}
-	}
-	return d
-}
-
 // GrayEncode maps a binary value to its Gray code.
 func GrayEncode(v uint32) uint32 { return v ^ (v >> 1) }
 

@@ -47,22 +47,6 @@ func TestPackPartialByte(t *testing.T) {
 	}
 }
 
-func TestXorAndHammingDistance(t *testing.T) {
-	t.Parallel()
-	a := []byte{1, 0, 1, 1}
-	b := []byte{1, 1, 1, 0}
-	x := Xor(a, b)
-	if !bytes.Equal(x, []byte{0, 1, 0, 1}) {
-		t.Fatalf("xor = %v", x)
-	}
-	if d := HammingDistance(a, b); d != 2 {
-		t.Fatalf("distance = %d", d)
-	}
-	if d := HammingDistance([]byte{1, 1}, []byte{1}); d != 1 {
-		t.Fatalf("unequal length distance = %d", d)
-	}
-}
-
 func TestGrayRoundTrip(t *testing.T) {
 	t.Parallel()
 	if err := quick.Check(func(v uint32) bool {

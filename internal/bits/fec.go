@@ -108,39 +108,3 @@ func HammingDecodeNibble(code []byte, cr int) (nibble byte, corrected, bad bool)
 		return 0, false, true
 	}
 }
-
-// HammingEncode encodes whole bytes nibble-by-nibble (high nibble first)
-// with the given cr, returning a flat bit slice.
-func HammingEncode(data []byte, cr int) []byte {
-	out := make([]byte, 0, len(data)*(8+2*cr)/1)
-	for _, b := range data {
-		out = append(out, HammingEncodeNibble(b>>4, cr)...)
-		out = append(out, HammingEncodeNibble(b&0x0F, cr)...)
-	}
-	return out
-}
-
-// HammingDecode inverts HammingEncode, returning the recovered bytes along
-// with the number of corrected nibbles and the number of nibbles flagged as
-// uncorrectable.
-func HammingDecode(code []byte, cr int) (data []byte, corrections, failures int) {
-	block := 4 + cr
-	nNibbles := len(code) / block
-	data = make([]byte, 0, nNibbles/2)
-	var cur byte
-	for i := 0; i < nNibbles; i++ {
-		nib, corr, bad := HammingDecodeNibble(code[i*block:(i+1)*block], cr)
-		if corr {
-			corrections++
-		}
-		if bad {
-			failures++
-		}
-		if i%2 == 0 {
-			cur = nib << 4
-		} else {
-			data = append(data, cur|nib)
-		}
-	}
-	return data, corrections, failures
-}

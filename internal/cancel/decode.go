@@ -1,7 +1,8 @@
 package cancel
 
 import (
-	"fmt"
+	"bytes"
+	"slices"
 	"sort"
 
 	"repro/internal/dsp"
@@ -259,22 +260,14 @@ func (d *Decoder) DecodeTraced(rx []complex128, sp *obs.Span) ([]*phy.Frame, Sta
 	if maxRounds <= 0 {
 		maxRounds = 32
 	}
+	// Same tech and payload anywhere in one capture is treated as a
+	// residual re-decode: independent retransmissions with identical
+	// payloads inside a single shipped segment are far rarer than
+	// imperfect cancellation.
 	isDuplicate := func(f *phy.Frame) bool {
-		for _, prev := range decoded {
-			if prev.Tech != f.Tech || !bytesEqual(prev.Payload, f.Payload) {
-				continue
-			}
-			span := f.Bits // cheap lower bound; frame spans are far larger
-			if diff := prev.Offset - f.Offset; diff > -span && diff < span || prev.Offset == f.Offset {
-				return true
-			}
-			// Same tech and payload anywhere in one capture is treated as
-			// a residual re-decode: independent retransmissions with
-			// identical payloads inside a single shipped segment are far
-			// rarer than imperfect cancellation.
-			return true
-		}
-		return false
+		return slices.ContainsFunc(decoded, func(prev *phy.Frame) bool {
+			return prev.Tech == f.Tech && bytes.Equal(prev.Payload, f.Payload)
+		})
 	}
 	var others []Candidate // kill-filter scratch, reused across retries
 	for round := 0; round < maxRounds; round++ {
@@ -350,32 +343,4 @@ func (d *Decoder) DecodeTraced(rx []complex128, sp *obs.Span) ([]*phy.Frame, Sta
 		}
 	}
 	return decoded, stats
-}
-
-// DescribeAlgorithm returns a short human-readable description of the
-// configured strategy, for experiment logs.
-func (d *Decoder) DescribeAlgorithm() string {
-	if d.UseKillFilters {
-		return fmt.Sprintf("CloudDecode (SIC + kill filters) over %d technologies", len(d.Techs))
-	}
-	return fmt.Sprintf("SIC baseline over %d technologies", len(d.Techs))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

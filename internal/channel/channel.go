@@ -62,9 +62,3 @@ func AWGN(n int, noise *rng.Rand) []complex128 {
 	}
 	return out
 }
-
-// Attenuate scales a signal to a target SNR in dB versus unit noise power,
-// returning a new slice. The input is assumed unit power.
-func Attenuate(sig []complex128, snrDB float64) []complex128 {
-	return dsp.Scale(dsp.Clone(sig), ampFor(snrDB))
-}

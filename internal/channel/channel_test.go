@@ -82,16 +82,3 @@ func TestAWGNPower(t *testing.T) {
 		t.Fatalf("awgn power %v", p)
 	}
 }
-
-func TestAttenuate(t *testing.T) {
-	t.Parallel()
-	x := unitBurst(1000)
-	y := Attenuate(x, -20)
-	if p := dsp.DB(dsp.Power(y)); math.Abs(p+20) > 0.01 {
-		t.Fatalf("attenuated power %v dB", p)
-	}
-	// input untouched
-	if real(x[0]) != 1 {
-		t.Fatal("Attenuate mutated input")
-	}
-}

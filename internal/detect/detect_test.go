@@ -287,13 +287,3 @@ func TestExtractSegmentsClipsBounds(t *testing.T) {
 		t.Fatalf("clip failed: %+v", segs)
 	}
 }
-
-func TestShippedFraction(t *testing.T) {
-	segs := []Segment{{Samples: make([]complex128, 100)}, {Samples: make([]complex128, 150)}}
-	if f := ShippedFraction(segs, 1000); math.Abs(f-0.25) > 1e-12 {
-		t.Fatalf("fraction %v", f)
-	}
-	if ShippedFraction(nil, 0) != 0 {
-		t.Fatal("zero capture")
-	}
-}

@@ -54,16 +54,3 @@ func ExtractSegments(rx []complex128, detections []Detection, maxPacket int) []S
 	}
 	return out
 }
-
-// ShippedFraction returns the fraction of capture samples the segments
-// cover — the backhaul saving versus streaming raw I/Q is 1 minus this.
-func ShippedFraction(segments []Segment, captureLen int) float64 {
-	if captureLen == 0 {
-		return 0
-	}
-	total := 0
-	for _, s := range segments {
-		total += len(s.Samples)
-	}
-	return float64(total) / float64(captureLen)
-}

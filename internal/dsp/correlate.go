@@ -150,26 +150,6 @@ func NormalizedCorrelateReal(x, ref []float64) []float64 {
 	return out
 }
 
-// AutoCorrelate returns the autocorrelation of x at lags [0, maxLag].
-func AutoCorrelate(x []complex128, maxLag int) []complex128 {
-	if maxLag >= len(x) {
-		maxLag = len(x) - 1
-	}
-	if maxLag < 0 {
-		return nil
-	}
-	out := make([]complex128, maxLag+1)
-	for lag := 0; lag <= maxLag; lag++ {
-		var acc complex128
-		for i := 0; i+lag < len(x); i++ {
-			v := x[i+lag]
-			acc += v * complex(real(x[i]), -imag(x[i]))
-		}
-		out[lag] = acc
-	}
-	return out
-}
-
 // Peak describes a local maximum in a detection metric.
 type Peak struct {
 	Index int     // sample index of the maximum

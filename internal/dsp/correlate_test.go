@@ -118,19 +118,6 @@ func TestNormalizedCorrelateUnderNoise(t *testing.T) {
 	}
 }
 
-func TestAutoCorrelateZeroLagIsEnergy(t *testing.T) {
-	t.Parallel()
-	r := rng.New(6)
-	x := randomVec(r, 100)
-	ac := AutoCorrelate(x, 10)
-	if math.Abs(real(ac[0])-Energy(x)) > 1e-9 || math.Abs(imag(ac[0])) > 1e-9 {
-		t.Fatalf("lag 0 = %v, want energy %v", ac[0], Energy(x))
-	}
-	if len(ac) != 11 {
-		t.Fatalf("lag count %d", len(ac))
-	}
-}
-
 func TestFindPeaksSuppression(t *testing.T) {
 	t.Parallel()
 	metric := []float64{0, 1, 0, 0, 0.5, 0, 0, 0, 2, 0}

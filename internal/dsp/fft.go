@@ -180,34 +180,3 @@ func bluestein(x []complex128) {
 		x[k] = a[k] * w[k]
 	}
 }
-
-// FFTShift rotates the spectrum so the zero-frequency bin is centered,
-// returning a new slice. For even n, bin n/2 becomes the first element.
-func FFTShift(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	h := (n + 1) / 2
-	copy(out, x[h:])
-	copy(out[n-h:], x[:h])
-	return out
-}
-
-// BinToFreq converts an FFT bin index (0..n-1) to a signed frequency in Hz
-// given the sample rate. Bins above n/2 map to negative frequencies.
-func BinToFreq(bin, n int, sampleRate float64) float64 {
-	if bin > n/2 {
-		bin -= n
-	}
-	return float64(bin) * sampleRate / float64(n)
-}
-
-// FreqToBin converts a signed frequency in Hz to the nearest FFT bin index
-// in [0, n).
-func FreqToBin(freq float64, n int, sampleRate float64) int {
-	bin := int(math.Round(freq * float64(n) / sampleRate))
-	bin %= n
-	if bin < 0 {
-		bin += n
-	}
-	return bin
-}

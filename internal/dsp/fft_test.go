@@ -151,38 +151,6 @@ func TestFFTToneBin(t *testing.T) {
 	}
 }
 
-func TestFFTShift(t *testing.T) {
-	t.Parallel()
-	x := []complex128{0, 1, 2, 3}
-	got := FFTShift(x)
-	want := []complex128{2, 3, 0, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FFTShift got %v want %v", got, want)
-		}
-	}
-	odd := []complex128{0, 1, 2, 3, 4}
-	gotOdd := FFTShift(odd)
-	wantOdd := []complex128{3, 4, 0, 1, 2}
-	for i := range wantOdd {
-		if gotOdd[i] != wantOdd[i] {
-			t.Fatalf("odd FFTShift got %v want %v", gotOdd, wantOdd)
-		}
-	}
-}
-
-func TestBinFreqConversions(t *testing.T) {
-	t.Parallel()
-	const n, fs = 1024, 1e6
-	for _, f := range []float64{0, 1000, -1000, 250000, -250000, 499000} {
-		bin := FreqToBin(f, n, fs)
-		back := BinToFreq(bin, n, fs)
-		if math.Abs(back-f) > fs/n/2+1e-9 {
-			t.Fatalf("freq %v -> bin %d -> %v", f, bin, back)
-		}
-	}
-}
-
 func TestNextPow2(t *testing.T) {
 	t.Parallel()
 	cases := map[int]int{1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1000: 1024, 1024: 1024, 1025: 2048}

@@ -20,12 +20,6 @@ func Power(x []complex128) float64 {
 	return Energy(x) / float64(len(x))
 }
 
-// PowerDB returns the average power of x in decibels relative to unit power.
-// It returns -inf for a zero or empty vector.
-func PowerDB(x []complex128) float64 {
-	return 10 * math.Log10(Power(x))
-}
-
 // DB converts a linear power ratio to decibels.
 func DB(ratio float64) float64 { return 10 * math.Log10(ratio) }
 
@@ -96,20 +90,6 @@ func Sub(dst, src []complex128, offset int) []complex128 {
 	return dst
 }
 
-// Mul returns the element-wise product of a and b in a new slice. The
-// result has the length of the shorter input.
-func Mul(a, b []complex128) []complex128 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	out := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		out[i] = a[i] * b[i]
-	}
-	return out
-}
-
 // Conj returns the complex conjugate of x in a new slice.
 func Conj(x []complex128) []complex128 {
 	out := make([]complex128, len(x))
@@ -158,23 +138,6 @@ func Tone(n int, freq, phase, sampleRate float64) []complex128 {
 		out[i] = 1
 	}
 	return Mix(out, freq, phase, sampleRate)
-}
-
-// Delay returns x prepended with n zero samples (n >= 0).
-func Delay(x []complex128, n int) []complex128 {
-	if n < 0 {
-		panic("dsp: negative delay")
-	}
-	out := make([]complex128, n+len(x))
-	copy(out[n:], x)
-	return out
-}
-
-// PadTo returns x zero-padded (or truncated) to exactly n samples.
-func PadTo(x []complex128, n int) []complex128 {
-	out := make([]complex128, n)
-	copy(out, x)
-	return out
 }
 
 // MaxAbs returns the index and magnitude of the sample with the largest
@@ -233,6 +196,3 @@ func FreqDiscriminator(x []complex128, sampleRate float64) []float64 {
 	}
 	return out
 }
-
-// RMS returns the root-mean-square magnitude of x.
-func RMS(x []complex128) float64 { return math.Sqrt(Power(x)) }

@@ -127,23 +127,6 @@ func TestToneFrequency(t *testing.T) {
 	}
 }
 
-func TestDelayAndPad(t *testing.T) {
-	t.Parallel()
-	x := []complex128{1, 2}
-	d := Delay(x, 3)
-	if len(d) != 5 || d[0] != 0 || d[3] != 1 || d[4] != 2 {
-		t.Fatalf("delay got %v", d)
-	}
-	p := PadTo(x, 4)
-	if len(p) != 4 || p[1] != 2 || p[3] != 0 {
-		t.Fatalf("pad got %v", p)
-	}
-	tr := PadTo(x, 1)
-	if len(tr) != 1 || tr[0] != 1 {
-		t.Fatalf("truncate got %v", tr)
-	}
-}
-
 func TestFreqDiscriminator(t *testing.T) {
 	t.Parallel()
 	const fs = 1e6
@@ -181,16 +164,12 @@ func TestConjInvolution(t *testing.T) {
 	}
 }
 
-func TestScaleComplexAndMul(t *testing.T) {
+func TestScaleComplex(t *testing.T) {
 	t.Parallel()
 	x := []complex128{1, complex(0, 1)}
 	ScaleComplex(x, complex(0, 2))
 	if x[0] != complex(0, 2) || x[1] != complex(-2, 0) {
 		t.Fatalf("ScaleComplex got %v", x)
-	}
-	m := Mul([]complex128{2, 3, 4}, []complex128{5, 6})
-	if len(m) != 2 || m[0] != 10 || m[1] != 18 {
-		t.Fatalf("Mul got %v", m)
 	}
 }
 

@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Window designs the named window of length n with coefficients in [0, 1].
 type Window int
@@ -188,21 +185,4 @@ func EstimateSNR(rx, template []complex128) float64 {
 		return math.Inf(1)
 	}
 	return sigE / noiseE
-}
-
-// NoiseFloor estimates the noise power of a metric vector as the median of
-// |x|², a robust estimator that ignores sparse signal spikes.
-func NoiseFloor(x []complex128) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	mags := AbsSq(x)
-	return median(mags)
-}
-
-func median(v []float64) float64 {
-	c := make([]float64, len(v))
-	copy(c, v)
-	sort.Float64s(c)
-	return c[len(c)/2]
 }

@@ -54,7 +54,7 @@ func TestPeriodogramTone(t *testing.T) {
 			best, bv = i, v
 		}
 	}
-	f := BinToFreq(best, n, fs)
+	f := float64(best) * fs / n
 	if math.Abs(f-125e3) > 2*fs/n {
 		t.Fatalf("periodogram peak at %v Hz", f)
 	}
@@ -147,26 +147,6 @@ func TestEstimateSNR(t *testing.T) {
 	clean := Clone(tmpl)
 	if !math.IsInf(EstimateSNR(clean, tmpl), 1) {
 		t.Fatal("noiseless SNR should be +Inf")
-	}
-}
-
-func TestNoiseFloorRobustToSpikes(t *testing.T) {
-	t.Parallel()
-	r := rng.New(4)
-	x := make([]complex128, 4096)
-	for i := range x {
-		x[i] = r.Complex()
-	}
-	base := NoiseFloor(x)
-	// add a huge sparse spike; median must barely move
-	x[100] = 1000
-	spiked := NoiseFloor(x)
-	if spiked > base*1.5 {
-		t.Fatalf("noise floor jumped from %v to %v on one spike", base, spiked)
-	}
-	// |CN(0,1)|² is Exp(1); its median is ln 2 ≈ 0.693
-	if math.Abs(base-math.Ln2) > 0.08 {
-		t.Fatalf("noise floor %v, want ~%v", base, math.Ln2)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 // — once with the plain-SIC cloud, once with GalioT's kill filters — and
 // reports energy per delivered bit.
 func Battery(opt Options) (Table, error) {
-	fs := opt.fs()
 	techs := prototypeTechs()
 	rounds := opt.trials(2, 6)
 	base := rng.New(opt.Seed ^ 0xBA77)

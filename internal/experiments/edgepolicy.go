@@ -16,7 +16,6 @@ import (
 // the cloud — and scored on SLA compliance and how much work the cloud
 // (and thus the backhaul) had to carry.
 func EdgePolicy(opt Options) (Table, error) {
-	fs := opt.fs()
 	techs := prototypeTechs()
 	gen := rng.New(opt.Seed ^ 0xED6E)
 	scen, err := sim.GenTraffic(sim.TrafficConfig{
@@ -128,11 +127,4 @@ func EdgePolicy(opt Options) (Table, error) {
 		})
 	}
 	return t, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

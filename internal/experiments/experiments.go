@@ -17,17 +17,13 @@ import (
 
 // Options controls an experiment run.
 type Options struct {
-	Seed  uint64  // base RNG seed; every run with the same seed is identical
-	Quick bool    // reduce trial counts for smoke tests
-	FS    float64 // sample rate (default 1e6, the paper's RTL-SDR setting)
+	Seed  uint64 // base RNG seed; every run with the same seed is identical
+	Quick bool   // reduce trial counts for smoke tests
 }
 
-func (o Options) fs() float64 {
-	if o.FS <= 0 {
-		return 1e6
-	}
-	return o.FS
-}
+// fs is the sample rate every experiment runs at: the paper's RTL-SDR
+// setting.
+const fs = 1e6
 
 func (o Options) trials(quick, full int) int {
 	if o.Quick {
@@ -103,7 +99,6 @@ var registry = map[string]Runner{
 	"cost":                Cost,
 	"edge-policy":         EdgePolicy,
 	"backhaul":            Backhaul,
-	"farm":                FarmRunner,
 	"battery":             Battery,
 	"ablation-frontend":   AblationFrontend,
 	"ablation-preamble":   AblationPreamble,

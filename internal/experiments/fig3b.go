@@ -46,7 +46,6 @@ type Fig3bSeries struct {
 // baseline, the universal-preamble detector and the per-technology matched
 // bank ("optimal").
 func RunFig3b(opt Options) (Fig3bSeries, error) {
-	fs := opt.fs()
 	techs := prototypeTechs()
 	maxPacket := sim.MaxPacketSamples(techs, fs)
 	uni, err := detect.NewUniversal(techs, fs, 0.055)

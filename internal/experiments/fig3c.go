@@ -82,7 +82,6 @@ func collisionEpisodes(techs []phy.Technology, regimeMin, regimeMax float64, gen
 // by GalioT's CloudDecode (SIC + kill filters), reporting recovered-payload
 // throughput.
 func RunFig3c(opt Options) (Fig3cSeries, error) {
-	fs := opt.fs()
 	techs := prototypeTechs()
 	rounds := opt.trials(1, 4)
 	series := Fig3cSeries{}

@@ -14,7 +14,6 @@ import (
 // and starves coherent integration — the chunked detector trades a little
 // clean-channel sensitivity for robustness to exactly this impairment.
 func AblationFrontend(opt Options) (Table, error) {
-	fs := opt.fs()
 	techs := prototypeTechs()
 	maxPacket := sim.MaxPacketSamples(techs, fs)
 	trials := opt.trials(2, 5)

@@ -67,7 +67,6 @@ func Cost(Options) (Table, error) {
 // raw I/Q streaming cost versus detection-gated shipping versus the
 // compressed wire format, for one second of duty-cycled traffic.
 func Backhaul(opt Options) (Table, error) {
-	fs := opt.fs()
 	techs := prototypeTechs()
 	gen := rng.New(opt.Seed ^ 0xBA)
 	scen, err := sim.GenTraffic(sim.TrafficConfig{
@@ -123,7 +122,6 @@ func Backhaul(opt Options) (Table, error) {
 // bank grows linearly (the paper's complexity argument), at a measured
 // detection-accuracy gap.
 func AblationPreamble(opt Options) (Table, error) {
-	fs := opt.fs()
 	all := prototypeTechs()
 	// grow the set: 3 prototypes plus a BLE-like fourth GFSK PHY that
 	// coalesces with xbee (same modulation parameters, shorter preamble)
@@ -160,7 +158,6 @@ func AblationPreamble(opt Options) (Table, error) {
 // workload, showing the contribution of every filter class (DESIGN
 // ablation 3).
 func AblationKill(opt Options) (Table, error) {
-	fs := opt.fs()
 	techs := prototypeTechs()
 	rounds := opt.trials(2, 6)
 	base := rng.New(opt.Seed ^ 0xAB)

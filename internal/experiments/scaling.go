@@ -20,7 +20,6 @@ import (
 // between the two decoders widens, since SIC's first-decode failure
 // becomes ever more likely as the airspace thickens.
 func Scaling(opt Options) (Table, error) {
-	fs := opt.fs()
 	techs := []phy.Technology{}
 	techs = append(techs, prototypeTechs()...)
 	techs = append(techs, oqpsk.Default(), dbpsk.Default())

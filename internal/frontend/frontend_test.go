@@ -62,8 +62,8 @@ func TestIQImbalanceCreatesImage(t *testing.T) {
 	out := r.Capture(in)
 	spec := dsp.Abs(dsp.FFT(out))
 	n := len(spec)
-	posBin := dsp.FreqToBin(100e3, n, 1e6)
-	negBin := dsp.FreqToBin(-100e3, n, 1e6)
+	posBin := int(math.Round(100e3 * float64(n) / 1e6))
+	negBin := n - posBin
 	if spec[negBin] < spec[posBin]/100 {
 		t.Fatalf("image too weak: pos %v neg %v", spec[posBin], spec[negBin])
 	}

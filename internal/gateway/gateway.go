@@ -30,14 +30,12 @@ type Config struct {
 	ID         string           // gateway identifier for the hello handshake
 	Techs      []phy.Technology // technologies to detect and decode
 	Frontend   *frontend.Receiver
-	Detector   detect.Detector // nil: universal-preamble detector at threshold 0.08
-	EdgeDecode bool            // try single-technology decode locally first
-	Codec      backhaul.SegmentCodec
+	EdgeDecode bool // try single-technology decode locally first
 	// Window bounds the unacknowledged segments a session pipelines
 	// (default DefaultWindow). The cloud's hello ack may shrink it.
 	Window int
-	// Obs receives the gateway's metrics (gateway_*, detect_* and
-	// backhaul_* series). Nil creates a private registry; Stats reads from
+	// Obs receives the gateway's metrics (gateway_*, detect_* and, with a
+	// WAL, wal_* series). Nil creates a private registry; Stats reads from
 	// it either way.
 	Obs *obs.Registry
 	// Tracer enables per-segment trace spans (detect, edge decode, window
@@ -127,8 +125,12 @@ type Gateway struct {
 	traceSalt uint64
 }
 
-// New builds a gateway. The default detector is the universal-preamble
-// correlator over cfg.Techs.
+// detectThreshold is the universal-preamble correlation threshold every
+// gateway runs at (ROADMAP item 4 replaces it with a noise-normalised one).
+const detectThreshold = 0.08
+
+// New builds a gateway: the universal-preamble detector over cfg.Techs,
+// shipping segments with backhaul.DefaultCodec.
 func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Techs) == 0 {
 		return nil, errors.New("gateway: no technologies configured")
@@ -139,17 +141,10 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.ID == "" {
 		cfg.ID = "galiot-gw"
 	}
-	if cfg.Codec.Format == 0 && !cfg.Codec.Compress {
-		cfg.Codec = backhaul.DefaultCodec
-	}
 	fs := cfg.Frontend.SampleRate()
-	det := cfg.Detector
-	if det == nil {
-		var err error
-		det, err = detect.NewUniversal(cfg.Techs, fs, 0.08)
-		if err != nil {
-			return nil, fmt.Errorf("gateway: %w", err)
-		}
+	det, err := detect.NewUniversal(cfg.Techs, fs, detectThreshold)
+	if err != nil {
+		return nil, fmt.Errorf("gateway: %w", err)
 	}
 	maxPacket := 0
 	for _, t := range cfg.Techs {

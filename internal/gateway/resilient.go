@@ -304,14 +304,9 @@ func (g *Gateway) RunResilient(rc Resilient, captures <-chan []complex128, repor
 	r.spool = resilience.NewSpool(rc.SpoolCapacity)
 	r.source = r.spool.C()
 	if rc.WALDir != "" {
-		// The WAL re-encodes segments it journals; detach the codec metrics
-		// so those encodes do not double-count the backhaul encode totals.
-		codec := g.cfg.Codec
-		codec.Metrics = nil
 		wlog, recovered, err := wal.Open(wal.Options{
 			Dir:     rc.WALDir,
 			Sync:    rc.WALSync,
-			Codec:   codec,
 			Metrics: wal.NewMetrics(g.reg),
 			Journal: g.cfg.Journal,
 		})
@@ -627,7 +622,7 @@ func (r *resilientRun) session(rw io.ReadWriter) (finished bool, err error) {
 			itsp.Stage("replay", 0, float64(len(c.it.Seg.Samples)))
 		}
 		tShip := itsp.Now()
-		n, err := conn.SendSegmentSeq(g.cfg.Codec, seq, c.it.Seg)
+		n, err := conn.SendSegmentSeq(backhaul.DefaultCodec, seq, c.it.Seg)
 		if err != nil {
 			// End an ephemeral replay span even on failure: the write may
 			// have reached the cloud before the connection died, and its

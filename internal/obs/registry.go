@@ -221,14 +221,6 @@ func (h *Histogram) ObserveExemplar(v int64, trace uint64) {
 	}
 }
 
-// TakeExemplar returns the current exemplar (nil if none was ever set).
-func (h *Histogram) TakeExemplar() *Exemplar {
-	if h == nil {
-		return nil
-	}
-	return h.ex.Load()
-}
-
 // SketchBucket is one occupied bucket of a histogram's log-linear
 // quantile sketch (see SketchIndex for the bucket scheme).
 type SketchBucket struct {
@@ -383,38 +375,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		i = j
 	}
 	return s
-}
-
-// Percentile returns the p-th percentile (0..100) over the current window,
-// for callers that need quantiles beyond the snapshot's p50/p99.
-func (h *Histogram) Percentile(p int) int64 {
-	if h == nil {
-		return 0
-	}
-	count := h.count.Load()
-	n := int(count)
-	if count > uint64(h.window) {
-		n = h.window
-	}
-	if n == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	sorted := make([]int64, n)
-	for i := 0; i < n; i++ {
-		sorted[i] = h.ring[i].Load()
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := n * p / 100
-	if idx >= n {
-		idx = n - 1
-	}
-	return sorted[idx]
 }
 
 // Registry is a concurrent-safe namespace of metrics. Getters create on

@@ -85,9 +85,6 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	if s := h.Snapshot(); s.Count != 0 || s.P50 != 0 {
 		t.Fatal("nil histogram snapshot")
 	}
-	if h.Percentile(50) != 0 {
-		t.Fatal("nil histogram percentile")
-	}
 }
 
 func TestRegistryGetOrCreate(t *testing.T) {
@@ -126,12 +123,6 @@ func TestHistogramQuantilesMatchFarmEstimator(t *testing.T) {
 	}
 	if s.P50 != 500 || s.P99 != 600 {
 		t.Fatalf("quantiles p50=%d p99=%d, want 500/600", s.P50, s.P99)
-	}
-	if got := h.Percentile(0); got != 0 {
-		t.Fatalf("p0 = %d, want 0", got)
-	}
-	if got := h.Percentile(100); got != 600 {
-		t.Fatalf("p100 = %d, want 600", got)
 	}
 }
 

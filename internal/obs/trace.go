@@ -265,21 +265,6 @@ func (t *Tracer) StartChild(kind string, id, parent uint64) *Span {
 	return sp
 }
 
-// Child opens a span of the given kind on the same trace with this span
-// as its parent. Returns nil for a nil span or an already-ended span.
-func (sp *Span) Child(kind string) *Span {
-	if sp == nil {
-		return nil
-	}
-	sp.mu.Lock()
-	tr, id, parent := sp.tr, sp.id, sp.span
-	sp.mu.Unlock()
-	if tr == nil {
-		return nil
-	}
-	return tr.StartChild(kind, id, parent)
-}
-
 // nextSpanID mints a process-unique, non-zero span ID: splitmix64 over
 // the site hash and a per-tracer sequence.
 func (t *Tracer) nextSpanID() uint64 {

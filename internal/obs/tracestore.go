@@ -23,9 +23,6 @@ type TraceStoreConfig struct {
 	// SampleEvery promotes 1 in N new traces to keeper (<= 0 means
 	// DefaultTraceSampleEvery; 1 keeps everything).
 	SampleEvery int
-	// SlowNanos marks any trace whose wall duration reaches this bound a
-	// keeper (0 disables the slow classifier — useful under step clocks).
-	SlowNanos int64
 	// Obs registers trace_* metrics when non-nil.
 	Obs *Registry
 	// Journal records eviction/sampling events when non-nil.
@@ -35,11 +32,9 @@ type TraceStoreConfig struct {
 // traceEntry is one assembled trace: every ingested span that carried
 // its trace ID, plus the retention classification accumulated so far.
 type traceEntry struct {
-	id       uint64
-	spans    []SpanSnapshot
-	minStart int64
-	maxEnd   int64
-	keep     bool
+	id    uint64
+	spans []SpanSnapshot
+	keep  bool
 }
 
 // TraceStep is one attributed stage on a trace's critical path.
@@ -76,7 +71,7 @@ type traceStoreMetrics struct {
 // TraceStore assembles finished spans from any number of tracers —
 // typically one per process role, all sinking here — into trace trees
 // keyed by the wire-propagated trace ID, with tail-based retention:
-// traces that replayed, erred or ran slow are always kept; ordinary
+// traces that replayed or erred are always kept; ordinary
 // traces are head-sampled and evicted first under capacity pressure.
 //
 // All methods are safe for concurrent use and nil-safe, so a disabled
@@ -85,7 +80,6 @@ type TraceStore struct {
 	mu      sync.Mutex
 	cap     int
 	every   int
-	slow    int64
 	traces  map[uint64]*traceEntry
 	order   []uint64 // insertion order, oldest first
 	seen    uint64
@@ -105,7 +99,6 @@ func NewTraceStore(cfg TraceStoreConfig) *TraceStore {
 	s := &TraceStore{
 		cap:     cfg.Capacity,
 		every:   cfg.SampleEvery,
-		slow:    cfg.SlowNanos,
 		traces:  make(map[uint64]*traceEntry),
 		journal: cfg.Journal,
 	}
@@ -131,7 +124,7 @@ func (s *TraceStore) Ingest(sn SpanSnapshot) {
 	s.m.ingested.Inc()
 	e, ok := s.traces[sn.TraceID]
 	if !ok {
-		e = &traceEntry{id: sn.TraceID, minStart: sn.Start, maxEnd: sn.End}
+		e = &traceEntry{id: sn.TraceID}
 		s.traces[sn.TraceID] = e
 		s.order = append(s.order, sn.TraceID)
 		s.seen++
@@ -144,13 +137,7 @@ func (s *TraceStore) Ingest(sn SpanSnapshot) {
 		}
 	}
 	e.spans = append(e.spans, sn)
-	if sn.Start < e.minStart {
-		e.minStart = sn.Start
-	}
-	if sn.End > e.maxEnd {
-		e.maxEnd = sn.End
-	}
-	if !e.keep && s.classify(e, &sn) {
+	if !e.keep && keeper(&sn) {
 		e.keep = true
 	}
 	for len(s.order) > s.cap {
@@ -160,10 +147,10 @@ func (s *TraceStore) Ingest(sn SpanSnapshot) {
 	s.mu.Unlock()
 }
 
-// classify reports whether the newly ingested span promotes its trace to
-// keeper: replayed or WAL-recovered, error-ish (dropped stages, a busy
-// reject or a spool drop), or slow.
-func (s *TraceStore) classify(e *traceEntry, sn *SpanSnapshot) bool {
+// keeper reports whether the newly ingested span promotes its trace to
+// keeper: replayed or WAL-recovered, or error-ish (dropped stages, a busy
+// reject or a spool drop).
+func keeper(sn *SpanSnapshot) bool {
 	if sn.DroppedStages > 0 {
 		return true
 	}
@@ -173,7 +160,7 @@ func (s *TraceStore) classify(e *traceEntry, sn *SpanSnapshot) bool {
 			return true
 		}
 	}
-	return s.slow > 0 && e.maxEnd-e.minStart >= s.slow
+	return false
 }
 
 // evictLocked removes the oldest evictable trace: the oldest non-keeper,

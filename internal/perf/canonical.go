@@ -7,7 +7,6 @@ import "repro/internal/cancel"
 // with the same seed, with every timing-derived measurement removed.
 type CanonicalStage struct {
 	Name           string         `json:"name"`
-	Hot            bool           `json:"hot"`
 	Iters          int            `json:"iters"`
 	SamplesPerIter int            `json:"samples_per_iter"`
 	FramesTotal    int            `json:"frames_total"`
@@ -22,18 +21,13 @@ type CanonicalSub struct {
 	Count uint64 `json:"count"`
 }
 
-// CanonicalReport is the deterministic projection of a Report. Env is
-// dropped (host-specific), Runtime is dropped (allocation totals shift
-// with GC scheduling), and of the registry only counters and gauges
-// survive — histogram quantiles summarize durations or queue waits, both
-// of which depend on the machine.
+// CanonicalReport is the deterministic projection of a Report: Env is
+// dropped (host-specific) and each stage keeps only its skeleton.
 type CanonicalReport struct {
-	SchemaVersion int               `json:"schema_version"`
-	Seed          uint64            `json:"seed"`
-	Quick         bool              `json:"quick"`
-	Stages        []CanonicalStage  `json:"stages"`
-	Counters      map[string]uint64 `json:"counters"`
-	Gauges        map[string]int64  `json:"gauges"`
+	SchemaVersion int              `json:"schema_version"`
+	Seed          uint64           `json:"seed"`
+	Quick         bool             `json:"quick"`
+	Stages        []CanonicalStage `json:"stages"`
 }
 
 // Canonical projects a report onto its deterministic skeleton. Two runs of
@@ -44,13 +38,10 @@ func Canonical(r *Report) CanonicalReport {
 		SchemaVersion: r.SchemaVersion,
 		Seed:          r.Seed,
 		Quick:         r.Quick,
-		Counters:      r.Registry.Counters,
-		Gauges:        r.Registry.Gauges,
 	}
 	for _, st := range r.Stages {
 		cs := CanonicalStage{
 			Name:           st.Name,
-			Hot:            st.Hot,
 			Iters:          st.Iters,
 			SamplesPerIter: st.SamplesPerIter,
 			FramesTotal:    st.FramesTotal,

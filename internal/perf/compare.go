@@ -2,6 +2,7 @@ package perf
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -27,7 +28,6 @@ const (
 type Delta struct {
 	Stage  string  `json:"stage"`
 	Metric string  `json:"metric"`
-	Hot    bool    `json:"hot"`
 	Base   float64 `json:"base"`
 	Cur    float64 `json:"cur"`
 	// Ratio is Cur/Base (1.0 = unchanged). 0 when incomparable/skipped.
@@ -40,58 +40,53 @@ type Delta struct {
 // baseline.
 type Comparison struct {
 	Deltas []Delta `json:"deltas"`
-	// NewStages/RemovedStages record coverage drift (non-gating, but
-	// rendered so a silently dropped stage is visible).
-	NewStages     []string `json:"new_stages,omitempty"`
-	RemovedStages []string `json:"removed_stages,omitempty"`
+	// NewStages ran without a baseline entry: a printed note, not a
+	// failure (the next baseline refresh picks them up).
+	NewStages []string `json:"new_stages,omitempty"`
+	// MissingStages have a baseline entry but did not run although the
+	// run's stage filter admitted them — a deleted or renamed stage. They
+	// fail the gate: an orphaned baseline is a stage nobody watches.
+	MissingStages []string `json:"missing_stages,omitempty"`
 	// EnvMismatch notes baseline and current came from different
 	// GOOS/GOARCH/CPU-count environments; ratios still computed, trust
 	// accordingly.
 	EnvMismatch string `json:"env_mismatch,omitempty"`
 }
 
-// CompareOptions tunes the noise model.
-type CompareOptions struct {
-	// RelThreshold is the relative change that counts as movement: a
-	// metric regresses when cur > base*(1+RelThreshold). Default 0.35 —
-	// wide on purpose; micro-benchmark noise between unrelated commits on
-	// shared CI runners routinely reaches ±20%. Raise further (CI uses 2.0)
-	// when baseline and current run on different hardware.
-	RelThreshold float64
-	// MinWallNs is the minimum stage wall time (in both runs) for
-	// time-derived ratios to be trusted; below it the stage's timing
-	// deltas are Skipped. Default 1e6 (1ms).
-	MinWallNs int64
-	// AllocSlack is the absolute allocs/op increase tolerated before the
+// The noise model. The relative threshold is the caller's (hardware
+// differs between baseline and run); the two floors are properties of the
+// harness, not of a deployment.
+const (
+	// defaultThreshold is the relative change that counts as movement: a
+	// metric regresses when cur > base*(1+threshold). Wide on purpose —
+	// micro-benchmark noise between unrelated commits on shared CI runners
+	// routinely reaches ±20%. CI uses 2.0 because its baseline comes from
+	// different hardware.
+	defaultThreshold = 0.35
+	// minWallNs is the minimum stage wall time (in both runs) for
+	// time-derived ratios to be trusted; below it the stage's timing delta
+	// is Skipped.
+	minWallNs = 1e6
+	// allocSlack is the absolute allocs/op increase tolerated before the
 	// allocs metric can regress (guards integer-ish metrics where +1 alloc
-	// on a 2-alloc baseline is a 50% "regression"). Default 2.
-	AllocSlack float64
-}
-
-// withDefaults fills zero fields in, returning the completed copy (value
-// semantics keep CompareOptions free of lock concerns).
-func withDefaults(o CompareOptions) CompareOptions {
-	if o.RelThreshold <= 0 {
-		o.RelThreshold = 0.35
-	}
-	if o.MinWallNs <= 0 {
-		o.MinWallNs = 1e6
-	}
-	if o.AllocSlack <= 0 {
-		o.AllocSlack = 2
-	}
-	return o
-}
+	// on a 2-alloc baseline is a 50% "regression").
+	allocSlack = 2
+)
 
 // Compare evaluates cur against base stage by stage. Gating metrics are
 // ns_per_sample (the paper's per-sample budget) and allocs_per_op; both are
 // "lower is better". Throughput moves inversely and is reported via the
-// same ns_per_sample delta rather than double-counted.
-func Compare(base, cur *Report, opts CompareOptions) (*Comparison, error) {
+// same ns_per_sample delta rather than double-counted. threshold ≤ 0 means
+// defaultThreshold. stages is the filter cur was run with (Options.Stages):
+// empty means every baseline stage is expected in cur, otherwise only the
+// named ones are.
+func Compare(base, cur *Report, threshold float64, stages []string) (*Comparison, error) {
 	if base.SchemaVersion != cur.SchemaVersion {
 		return nil, fmt.Errorf("perf: schema mismatch: baseline v%d vs current v%d", base.SchemaVersion, cur.SchemaVersion)
 	}
-	opts = withDefaults(opts)
+	if threshold <= 0 {
+		threshold = defaultThreshold
+	}
 
 	cmp := &Comparison{}
 	if base.Env != cur.Env {
@@ -113,28 +108,27 @@ func Compare(base, cur *Report, opts CompareOptions) (*Comparison, error) {
 			cmp.NewStages = append(cmp.NewStages, c.Name)
 			continue
 		}
-		cmp.Deltas = append(cmp.Deltas, compareStage(b, c, opts)...)
+		cmp.Deltas = append(cmp.Deltas, compareStage(b, c, threshold)...)
 	}
 	for name := range baseBy {
-		if !seen[name] {
-			cmp.RemovedStages = append(cmp.RemovedStages, name)
+		if !seen[name] && (len(stages) == 0 || slices.Contains(stages, name)) {
+			cmp.MissingStages = append(cmp.MissingStages, name)
 		}
 	}
 	sort.Strings(cmp.NewStages)
-	sort.Strings(cmp.RemovedStages)
+	sort.Strings(cmp.MissingStages)
 	return cmp, nil
 }
 
-// compareStage emits this stage's deltas: ns_per_sample always, and
-// allocs_per_op when both runs measured it.
-func compareStage(b, c *StageResult, opts CompareOptions) []Delta {
-	var out []Delta
-
-	// Identity gate: comparing different workloads is meaningless, and
-	// (being seed- or flag-induced) it is operator error, not regression.
+// compareStage emits this stage's deltas: ns_per_sample and allocs_per_op,
+// or one Incomparable delta when the two runs did different work.
+func compareStage(b, c *StageResult, threshold float64) []Delta {
+	// Identity gate: a ratio over different workloads is meaningless, and
+	// the stage goes unwatched until the baseline is regenerated — so it
+	// fails rather than passing silently.
 	if b.Iters != c.Iters || b.SamplesPerIter != c.SamplesPerIter {
 		return []Delta{{
-			Stage: c.Name, Metric: "ns_per_sample", Hot: c.Hot,
+			Stage: c.Name, Metric: "ns_per_sample",
 			Base: b.NsPerSample, Cur: c.NsPerSample,
 			Verdict: Incomparable,
 			Note: fmt.Sprintf("workload identity differs: iters %d→%d, samples/iter %d→%d",
@@ -143,47 +137,43 @@ func compareStage(b, c *StageResult, opts CompareOptions) []Delta {
 	}
 
 	d := Delta{
-		Stage: c.Name, Metric: "ns_per_sample", Hot: c.Hot,
+		Stage: c.Name, Metric: "ns_per_sample",
 		Base: b.NsPerSample, Cur: c.NsPerSample,
 	}
 	switch {
-	case b.WallNs < opts.MinWallNs || c.WallNs < opts.MinWallNs:
+	case b.WallNs < minWallNs || c.WallNs < minWallNs:
 		d.Verdict = Skipped
-		d.Note = fmt.Sprintf("wall < %dms floor", opts.MinWallNs/1e6)
+		d.Note = fmt.Sprintf("wall < %dms floor", int64(minWallNs/1e6))
 	case b.NsPerSample <= 0:
 		d.Verdict = Skipped
 		d.Note = "no baseline signal"
 	default:
 		d.Ratio = c.NsPerSample / b.NsPerSample
-		d.Verdict = classify(d.Ratio, opts.RelThreshold)
+		d.Verdict = classify(d.Ratio, threshold)
 	}
-	out = append(out, d)
 
-	if b.AllocsPerOp >= 0 && c.AllocsPerOp >= 0 {
-		a := Delta{
-			Stage: c.Name, Metric: "allocs_per_op", Hot: c.Hot,
-			Base: b.AllocsPerOp, Cur: c.AllocsPerOp,
-		}
-		switch {
-		case c.AllocsPerOp <= b.AllocsPerOp+opts.AllocSlack:
-			if b.AllocsPerOp > 0 {
-				a.Ratio = c.AllocsPerOp / b.AllocsPerOp
-			}
-			if b.AllocsPerOp-c.AllocsPerOp > opts.AllocSlack {
-				a.Verdict = Improved
-			} else {
-				a.Verdict = Unchanged
-			}
-		case b.AllocsPerOp <= 0:
-			a.Verdict = Regressed
-			a.Note = "allocs appeared on an alloc-free baseline"
-		default:
-			a.Ratio = c.AllocsPerOp / b.AllocsPerOp
-			a.Verdict = classify(a.Ratio, opts.RelThreshold)
-		}
-		out = append(out, a)
+	a := Delta{
+		Stage: c.Name, Metric: "allocs_per_op",
+		Base: b.AllocsPerOp, Cur: c.AllocsPerOp,
 	}
-	return out
+	switch {
+	case c.AllocsPerOp <= b.AllocsPerOp+allocSlack:
+		if b.AllocsPerOp > 0 {
+			a.Ratio = c.AllocsPerOp / b.AllocsPerOp
+		}
+		if b.AllocsPerOp-c.AllocsPerOp > allocSlack {
+			a.Verdict = Improved
+		} else {
+			a.Verdict = Unchanged
+		}
+	case b.AllocsPerOp <= 0:
+		a.Verdict = Regressed
+		a.Note = "allocs appeared on an alloc-free baseline"
+	default:
+		a.Ratio = c.AllocsPerOp / b.AllocsPerOp
+		a.Verdict = classify(a.Ratio, threshold)
+	}
+	return []Delta{d, a}
 }
 
 // classify maps a lower-is-better ratio to a verdict.
@@ -198,15 +188,21 @@ func classify(ratio, rel float64) Verdict {
 	}
 }
 
-// Regressions returns the deltas that should gate: hot-stage metrics with
-// a Regressed verdict. Cold stages (farm_queue) report but never gate —
-// their numbers include scheduler behavior the code under test doesn't own.
-func (c *Comparison) Regressions() []Delta {
-	var out []Delta
+// Failures names everything that fails the gate, one entry each: a
+// Regressed metric, an Incomparable stage, and a baseline stage missing
+// from the run. Every stage gates; an empty result is a pass.
+func (c *Comparison) Failures() []string {
+	var out []string
 	for _, d := range c.Deltas {
-		if d.Hot && d.Verdict == Regressed {
-			out = append(out, d)
+		switch d.Verdict {
+		case Regressed:
+			out = append(out, fmt.Sprintf("%s/%s regressed", d.Stage, d.Metric))
+		case Incomparable:
+			out = append(out, d.Stage+" incomparable")
 		}
+	}
+	for _, n := range c.MissingStages {
+		out = append(out, n+" missing")
 	}
 	return out
 }
@@ -232,7 +228,7 @@ func (c *Comparison) Render() string {
 	for _, n := range c.NewStages {
 		fmt.Fprintf(&sb, "new stage (no baseline): %s\n", n)
 	}
-	for _, n := range c.RemovedStages {
+	for _, n := range c.MissingStages {
 		fmt.Fprintf(&sb, "stage missing from current run: %s\n", n)
 	}
 	return sb.String()

@@ -1,25 +1,25 @@
-// Package perf is the performance-observability harness of the GalioT
-// pipeline: it replays seeded, deterministic workloads through the real
+// Package perf is the per-sample micro-stage gate of the GalioT pipeline:
+// it replays seeded, deterministic workloads through the single-goroutine
 // pipeline stages (detect stream, edge decode, backhaul codec, SIC, each
-// kill filter, the decode farm) and emits one structured Report per run —
-// per-stage wall time, ns/sample, throughput, allocations per op, runtime
-// GC/heap readings and a full metric-registry snapshot. cmd/galiot-bench
-// is the command front; Compare (compare.go) turns two Reports into a
-// regression verdict; DESIGN.md §12 documents the schema and policy.
+// kill filter) and emits one structured Report per run — per-stage wall
+// time, ns/sample, throughput and allocations per op. cmd/galiot-bench is
+// the command front; Compare (compare.go) turns two Reports into a
+// regression verdict in which every stage gates; DESIGN.md §12 documents
+// the schema and policy. End-to-end questions (concurrency, the wire, the
+// farm) belong to benchmark/, not here.
 //
 // Determinism contract: for a fixed Options.Seed, everything in a Report
 // except the timing-derived measurements (wall ns, ns/op, throughput,
-// allocation counts, runtime readings, histogram quantiles) is identical
-// run to run — workloads come from repro/internal/rng, iteration counts
-// are fixed per stage rather than adaptive, and no wall-clock value enters
-// metric identity. Canonical (canonical.go) extracts exactly that
-// deterministic skeleton; TestRunDeterministic holds the package to it.
+// allocation counts) is identical run to run — workloads come from
+// repro/internal/rng, iteration counts are fixed per stage rather than
+// adaptive, and no wall-clock value enters workload identity. Canonical
+// (canonical.go) extracts exactly that deterministic skeleton;
+// TestRunDeterministic holds the package to it.
 package perf
 
 import (
 	"fmt"
 	"runtime"
-	"runtime/metrics"
 	"sort"
 
 	"repro/internal/cancel"
@@ -41,16 +41,6 @@ type Env struct {
 	GoVersion  string `json:"go_version"`
 }
 
-// RuntimeStats is a post-run snapshot of the Go runtime, read from
-// runtime/metrics. These are whole-run observations (shared across
-// stages), useful for trending GC pressure, not for per-stage gating.
-type RuntimeStats struct {
-	GCCycles       uint64 `json:"gc_cycles"`
-	HeapObjectsB   uint64 `json:"heap_objects_bytes"`
-	TotalAllocB    uint64 `json:"total_alloc_bytes"`
-	TotalAllocObjs uint64 `json:"total_alloc_objects"`
-}
-
 // SubStage aggregates one traced inner stage (SIC rounds, kill-filter
 // invocations) across a stage's iterations: how many times it ran and the
 // wall nanoseconds it consumed in total.
@@ -61,14 +51,11 @@ type SubStage struct {
 }
 
 // StageResult is one pipeline stage's measurements. Identity fields
-// (Name, Hot, Iters, SamplesPerIter, FramesTotal, DecodeStats, SubStage
+// (Name, Iters, SamplesPerIter, FramesTotal, DecodeStats, SubStage
 // names+counts) are deterministic under a fixed seed; the rest are
 // measurements of this particular run.
 type StageResult struct {
 	Name string `json:"name"`
-	// Hot marks stages on the per-sample streaming path; only hot stages
-	// gate CI (see Compare).
-	Hot bool `json:"hot"`
 	// Iters is the fixed iteration count the stage ran (never adaptive —
 	// adaptive counts would make workload identity depend on host speed).
 	Iters int `json:"iters"`
@@ -86,8 +73,7 @@ type StageResult struct {
 	FramesPerSec  float64 `json:"frames_per_sec"`
 
 	// AllocsPerOp/BytesPerOp come from a testing.AllocsPerRun-style probe
-	// (alloc.go). -1 means not measured (concurrent stages skip the probe:
-	// worker goroutines make per-op attribution meaningless).
+	// (alloc.go).
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 
@@ -108,11 +94,6 @@ type Report struct {
 	Quick         bool          `json:"quick"`
 	Env           Env           `json:"env"`
 	Stages        []StageResult `json:"stages"`
-	Runtime       RuntimeStats  `json:"runtime"`
-	// Registry is the full metric snapshot after the run: stage counters,
-	// queue-wait quantiles, codec byte counts — everything the pipeline's
-	// own instrumentation observed while being benchmarked.
-	Registry obs.Snapshot `json:"registry"`
 }
 
 // Options configures Run.
@@ -131,9 +112,6 @@ type Options struct {
 	// ProfileDir, when non-empty, receives per-stage CPU and heap profiles
 	// (<stage>.cpu.pb.gz, <stage>.heap.pb.gz).
 	ProfileDir string
-	// Registry receives the pipeline's instrumentation during the run; nil
-	// creates a private one. Either way it is snapshotted into the Report.
-	Registry *obs.Registry
 }
 
 // StageNames lists every stage Run knows, in execution order.
@@ -150,10 +128,6 @@ func StageNames() []string {
 func Run(opts Options) (*Report, error) {
 	if opts.Clock == nil {
 		return nil, fmt.Errorf("perf: Options.Clock is required")
-	}
-	reg := opts.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
 	}
 	want := make(map[string]bool, len(opts.Stages))
 	for _, n := range opts.Stages {
@@ -173,7 +147,7 @@ func Run(opts Options) (*Report, error) {
 		},
 	}
 
-	bench := &workbench{opts: opts, reg: reg}
+	bench := &workbench{opts: opts}
 	for _, def := range stageDefs() {
 		if len(want) > 0 && !want[def.name] {
 			continue
@@ -184,8 +158,6 @@ func Run(opts Options) (*Report, error) {
 		}
 		rep.Stages = append(rep.Stages, res)
 	}
-	rep.Runtime = readRuntimeStats()
-	rep.Registry = reg.Snapshot()
 	return rep, nil
 }
 
@@ -195,9 +167,6 @@ func runStage(b *workbench, def stageDef) (StageResult, error) {
 	r, err := def.build(b)
 	if err != nil {
 		return StageResult{}, err
-	}
-	if r.close != nil {
-		defer r.close()
 	}
 	iters := def.fullIters
 	if b.opts.Quick {
@@ -209,10 +178,7 @@ func runStage(b *workbench, def stageDef) (StageResult, error) {
 	// measures first-call costs.
 	r.run()
 
-	allocs, bytes := -1.0, -1.0
-	if !def.skipAlloc {
-		allocs, bytes = allocsPerRun(allocProbeRuns, func() { r.run() })
-	}
+	allocs, bytes := allocsPerRun(allocProbeRuns, func() { r.run() })
 
 	// Sub-stage traces and decode stats restart here so they cover exactly
 	// the timed iterations, not warmup or probe runs.
@@ -242,7 +208,6 @@ func runStage(b *workbench, def stageDef) (StageResult, error) {
 
 	res := StageResult{
 		Name:           def.name,
-		Hot:            def.hot,
 		Iters:          iters,
 		SamplesPerIter: r.samplesPerIter,
 		FramesTotal:    frames,
@@ -292,27 +257,4 @@ func aggregateSubStages(tr *obs.Tracer) []SubStage {
 		out[i] = *agg[n]
 	}
 	return out
-}
-
-// readRuntimeStats samples the runtime/metrics gauges the report trends.
-func readRuntimeStats() RuntimeStats {
-	samples := []metrics.Sample{
-		{Name: "/gc/cycles/total:gc-cycles"},
-		{Name: "/memory/classes/heap/objects:bytes"},
-		{Name: "/gc/heap/allocs:bytes"},
-		{Name: "/gc/heap/allocs:objects"},
-	}
-	metrics.Read(samples)
-	u64 := func(i int) uint64 {
-		if samples[i].Value.Kind() == metrics.KindUint64 {
-			return samples[i].Value.Uint64()
-		}
-		return 0
-	}
-	return RuntimeStats{
-		GCCycles:       u64(0),
-		HeapObjectsB:   u64(1),
-		TotalAllocB:    u64(2),
-		TotalAllocObjs: u64(3),
-	}
 }

@@ -2,28 +2,27 @@ package perf
 
 import (
 	"encoding/json"
+	"os"
 	"reflect"
-	"sync/atomic"
+	"strings"
 	"testing"
 )
 
 // fakeClock is a deterministic monotonic clock for harness tests: every
 // read advances it by a fixed step, so all wall times are nonzero and
-// reproducible. The step sits above Compare's MinWallNs floor because a
+// reproducible. The step sits above Compare's minWallNs floor because a
 // stage with no internal clock reads spans exactly one step of wall time.
-// The farm_queue stage reads it from several workers at once, hence atomic.
 type fakeClock struct {
-	now  atomic.Int64
-	step int64
+	now, step int64
 }
 
-func (c *fakeClock) read() int64 { return c.now.Add(c.step) }
+func (c *fakeClock) read() int64 { c.now += c.step; return c.now }
 
 // cheapStages is the harness subset the package tests run: it covers the
-// collision lanes, both codec directions and the concurrent farm path
-// while leaving out detect_stream and cloud_decode, whose workloads push
-// a single `go test -race` run into minutes.
-var cheapStages = []string{"edge_decode", "backhaul_encode", "backhaul_decode", "kill_codes", "farm_queue"}
+// collision lanes and both codec directions while leaving out
+// detect_stream and cloud_decode, whose workloads push a single
+// `go test -race` run into minutes.
+var cheapStages = []string{"edge_decode", "backhaul_encode", "backhaul_decode", "kill_codes"}
 
 func runQuick(t *testing.T, seed uint64) *Report {
 	t.Helper()
@@ -66,7 +65,7 @@ func TestRunDeterministic(t *testing.T) {
 func TestRunSeedChangesWorkload(t *testing.T) {
 	a := Canonical(runQuick(t, 7))
 	b := Canonical(runQuick(t, 8))
-	if reflect.DeepEqual(a.Counters, b.Counters) && reflect.DeepEqual(a.Stages, b.Stages) {
+	if reflect.DeepEqual(a.Stages, b.Stages) {
 		t.Error("seeds 7 and 8 produced identical canonical reports; seed is not wired through")
 	}
 }
@@ -86,9 +85,37 @@ func TestRunCoversStages(t *testing.T) {
 		if s.SamplesPerIter <= 0 {
 			t.Errorf("%s: SamplesPerIter = %d", s.Name, s.SamplesPerIter)
 		}
+		if s.AllocsPerOp < 0 || s.BytesPerOp < 0 {
+			t.Errorf("%s: alloc probe did not run: allocs=%f bytes=%f", s.Name, s.AllocsPerOp, s.BytesPerOp)
+		}
 	}
-	if len(rep.Registry.Counters) == 0 {
-		t.Error("registry snapshot has no counters; instrumentation not wired")
+}
+
+// TestBaselineCoversStages pins the committed baseline to the stage list:
+// same names, same order, every stage alloc-probed. A stage added, dropped
+// or renamed without the matching baseline edit fails here before it fails
+// the CI gate.
+func TestBaselineCoversStages(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_BASELINE.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base Report
+	if err := json.Unmarshal(data, &base); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, s := range base.Stages {
+		names = append(names, s.Name)
+		if s.AllocsPerOp < 0 {
+			t.Errorf("baseline %s: allocs_per_op = %f, want >= 0", s.Name, s.AllocsPerOp)
+		}
+	}
+	if want := StageNames(); !reflect.DeepEqual(names, want) {
+		t.Errorf("baseline stages = %v\nharness stages  = %v", names, want)
+	}
+	if len(names) != 9 {
+		t.Errorf("baseline lists %d stages, want 9", len(names))
 	}
 }
 
@@ -129,43 +156,32 @@ func slowdown(r *Report, factor float64) *Report {
 }
 
 // TestCompareFlagsSyntheticSlowdown is the acceptance fixture: a 2× wall
-// slowdown of every hot stage must gate, and Regressions() must carry it.
+// slowdown must gate on every stage, and Failures() must carry each.
 func TestCompareFlagsSyntheticSlowdown(t *testing.T) {
 	base := runQuick(t, 1)
 	cur := slowdown(base, 2)
 
-	cmp, err := Compare(base, cur, CompareOptions{})
+	cmp, err := Compare(base, cur, 0, cheapStages)
 	if err != nil {
 		t.Fatal(err)
 	}
-	regs := cmp.Regressions()
-	if len(regs) == 0 {
-		t.Fatalf("2x slowdown produced no gating regressions:\n%s", cmp.Render())
+	var want []string
+	for _, n := range cheapStages {
+		want = append(want, n+"/ns_per_sample regressed")
 	}
-	for _, d := range regs {
-		if !d.Hot {
-			t.Errorf("cold stage %s in Regressions()", d.Stage)
-		}
-		if d.Verdict != Regressed {
-			t.Errorf("%s/%s verdict = %s", d.Stage, d.Metric, d.Verdict)
-		}
-	}
-	// farm_queue is cold: a regression there must never gate.
-	for _, d := range regs {
-		if d.Stage == "farm_queue" {
-			t.Error("cold farm_queue stage is gating")
-		}
+	if got := cmp.Failures(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Failures() = %v, want %v\n%s", got, want, cmp.Render())
 	}
 }
 
 func TestCompareSelfIsClean(t *testing.T) {
 	rep := runQuick(t, 1)
-	cmp, err := Compare(rep, rep, CompareOptions{})
+	cmp, err := Compare(rep, rep, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if regs := cmp.Regressions(); len(regs) > 0 {
-		t.Fatalf("self-comparison regressed:\n%s", cmp.Render())
+	if fails := cmp.Failures(); len(fails) > 0 {
+		t.Fatalf("self-comparison failed the gate: %v\n%s", fails, cmp.Render())
 	}
 	for _, d := range cmp.Deltas {
 		if d.Verdict == Regressed || d.Verdict == Improved {
@@ -179,7 +195,7 @@ func TestCompareVerdicts(t *testing.T) {
 		return &Report{
 			SchemaVersion: SchemaVersion,
 			Stages: []StageResult{{
-				Name: "edge_decode", Hot: true, Iters: 6, SamplesPerIter: 1000,
+				Name: "edge_decode", Iters: 6, SamplesPerIter: 1000,
 				WallNs: wall, NsPerSample: nsPerSample, AllocsPerOp: allocs,
 			}},
 		}
@@ -200,7 +216,7 @@ func TestCompareVerdicts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cmp, err := Compare(base, tc.cur, CompareOptions{})
+			cmp, err := Compare(base, tc.cur, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,10 +236,10 @@ func TestCompareVerdicts(t *testing.T) {
 func TestCompareSkipsBelowWallFloor(t *testing.T) {
 	mk := func(wall int64, ns float64) *Report {
 		return &Report{SchemaVersion: SchemaVersion, Stages: []StageResult{{
-			Name: "x", Hot: true, Iters: 1, SamplesPerIter: 10, WallNs: wall, NsPerSample: ns, AllocsPerOp: -1,
+			Name: "x", Iters: 1, SamplesPerIter: 10, WallNs: wall, NsPerSample: ns,
 		}}}
 	}
-	cmp, err := Compare(mk(1000, 1), mk(1000, 50), CompareOptions{})
+	cmp, err := Compare(mk(1000, 1), mk(1000, 50), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,28 +248,67 @@ func TestCompareSkipsBelowWallFloor(t *testing.T) {
 	}
 }
 
+// TestCompareFailsOnMissingOrIncomparableStage closes the gate's hole: a
+// baseline stage the run no longer produces, or produces over different
+// work, is a stage nobody is watching — it fails unless the run's stage
+// filter left it out on purpose.
+func TestCompareFailsOnMissingOrIncomparableStage(t *testing.T) {
+	mk := func(iters int, names ...string) *Report {
+		r := &Report{SchemaVersion: SchemaVersion}
+		for _, n := range names {
+			r.Stages = append(r.Stages, StageResult{Name: n, Iters: iters, SamplesPerIter: 10, WallNs: 10e6, NsPerSample: 100})
+		}
+		return r
+	}
+	cases := []struct {
+		name      string
+		base, cur *Report
+		stages    []string
+		want      []string
+	}{
+		{"unfiltered run lost a stage", mk(4, "a", "b"), mk(4, "b"), nil, []string{"a missing"}},
+		{"filter left the stage out", mk(4, "a", "b"), mk(4, "b"), []string{"b"}, nil},
+		{"filter named the lost stage", mk(4, "a", "b"), mk(4, "b"), []string{"a", "b"}, []string{"a missing"}},
+		{"iters drift", mk(4, "a", "b"), mk(8, "a", "b"), nil, []string{"a incomparable", "b incomparable"}},
+		{"new stage is only a note", mk(4, "b"), mk(4, "b", "c"), nil, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cmp, err := Compare(tc.base, tc.cur, 0, tc.stages)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cmp.Failures(); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("Failures() = %v, want %v\n%s", got, tc.want, cmp.Render())
+			}
+		})
+	}
+}
+
+// TestCompareIncomparableIdentity: the other identity field — a workload
+// whose size changed gets no ratio, and gates.
 func TestCompareIncomparableIdentity(t *testing.T) {
-	mk := func(iters int) *Report {
+	mk := func(samples int) *Report {
 		return &Report{SchemaVersion: SchemaVersion, Stages: []StageResult{{
-			Name: "x", Hot: true, Iters: iters, SamplesPerIter: 10, WallNs: 10e6, NsPerSample: 100, AllocsPerOp: -1,
+			Name: "x", Iters: 4, SamplesPerIter: samples, WallNs: 10e6, NsPerSample: 100,
 		}}}
 	}
-	cmp, err := Compare(mk(4), mk(8), CompareOptions{})
+	cmp, err := Compare(mk(10), mk(20), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := cmp.Deltas[0].Verdict; v != Incomparable {
-		t.Fatalf("identity mismatch verdict = %s, want incomparable", v)
+	if len(cmp.Deltas) != 1 || cmp.Deltas[0].Verdict != Incomparable || cmp.Deltas[0].Ratio != 0 {
+		t.Fatalf("identity mismatch deltas = %+v, want one incomparable without a ratio", cmp.Deltas)
 	}
-	if len(cmp.Regressions()) != 0 {
-		t.Error("incomparable stages must not gate")
+	if len(cmp.Failures()) != 1 {
+		t.Errorf("Failures() = %v, want the incomparable stage", cmp.Failures())
 	}
 }
 
 func TestCompareSchemaMismatch(t *testing.T) {
 	a := &Report{SchemaVersion: SchemaVersion}
 	b := &Report{SchemaVersion: SchemaVersion + 1}
-	if _, err := Compare(a, b, CompareOptions{}); err == nil {
+	if _, err := Compare(a, b, 0, nil); err == nil {
 		t.Fatal("schema version mismatch should error")
 	}
 }
@@ -262,19 +317,19 @@ func TestCompareCoverageDrift(t *testing.T) {
 	mk := func(names ...string) *Report {
 		r := &Report{SchemaVersion: SchemaVersion}
 		for _, n := range names {
-			r.Stages = append(r.Stages, StageResult{Name: n, Hot: true, Iters: 1, SamplesPerIter: 1, WallNs: 10e6, NsPerSample: 1, AllocsPerOp: -1})
+			r.Stages = append(r.Stages, StageResult{Name: n, Iters: 1, SamplesPerIter: 1, WallNs: 10e6, NsPerSample: 1})
 		}
 		return r
 	}
-	cmp, err := Compare(mk("a", "b"), mk("b", "c"), CompareOptions{})
+	cmp, err := Compare(mk("a", "b"), mk("b", "c"), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cmp.NewStages, []string{"c"}) {
 		t.Errorf("NewStages = %v, want [c]", cmp.NewStages)
 	}
-	if !reflect.DeepEqual(cmp.RemovedStages, []string{"a"}) {
-		t.Errorf("RemovedStages = %v, want [a]", cmp.RemovedStages)
+	if !reflect.DeepEqual(cmp.MissingStages, []string{"a"}) {
+		t.Errorf("MissingStages = %v, want [a]", cmp.MissingStages)
 	}
 }
 
@@ -288,33 +343,23 @@ func TestCanonicalDropsTiming(t *testing.T) {
 		Seed:          3,
 		Quick:         true,
 		Stages: []StageResult{{
-			Name: "x", Hot: true, Iters: 2, SamplesPerIter: 10, FramesTotal: 5,
+			Name: "x", Iters: 2, SamplesPerIter: 10, FramesTotal: 5,
 			WallNs: 123, NsPerOp: 4, NsPerSample: 5, SamplesPerSec: 6, FramesPerSec: 7,
 			AllocsPerOp: 8, BytesPerOp: 9,
 			SubStages: []SubStage{{Name: "sub", Count: 3, WallNs: 99}},
 		}},
-		Runtime: RuntimeStats{GCCycles: 1},
 	}
 	c := Canonical(r)
 	j, err := json.Marshal(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, banned := range []string{"wall_ns", "ns_per_op", "ns_per_sample", "per_sec", "allocs_per_op", "bytes_per_op", "gc_cycles", "histograms"} {
-		if contains := string(j); containsStr(contains, banned) {
+	for _, banned := range []string{"wall_ns", "ns_per_op", "ns_per_sample", "per_sec", "allocs_per_op", "bytes_per_op"} {
+		if strings.Contains(string(j), banned) {
 			t.Errorf("canonical JSON still carries %q: %s", banned, j)
 		}
 	}
 	if c.Stages[0].SubStages[0].Count != 3 {
 		t.Error("canonical dropped sub-stage identity")
 	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

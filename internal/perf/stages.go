@@ -1,18 +1,11 @@
 package perf
 
 import (
-	"context"
 	"fmt"
-	"net"
-	"sync"
 
 	"repro/internal/backhaul"
 	"repro/internal/cancel"
-	"repro/internal/cloud"
 	"repro/internal/detect"
-	"repro/internal/farm"
-	"repro/internal/frontend"
-	"repro/internal/gateway"
 	"repro/internal/obs"
 	"repro/internal/phy"
 	"repro/internal/phy/lora"
@@ -34,14 +27,11 @@ const (
 	laneColl2
 	laneColl3
 	laneCollDSSS
-	laneFarm
-	laneE2E
 )
 
 // workbench carries what every stage build shares.
 type workbench struct {
 	opts Options
-	reg  *obs.Registry
 }
 
 // gen derives the deterministic generator for one lane of the seed.
@@ -72,22 +62,18 @@ type runner struct {
 	trace *traceBox
 	// stats, when set, accumulates decode statistics across iterations.
 	stats *cancel.Stats
-	// close releases stage resources (farm workers) after measurement.
-	close func()
 }
 
-// stageDef declares one stage of the harness.
+// stageDef declares one stage of the harness. Every stage runs on the
+// calling goroutine, so the allocation probe attributes every malloc to
+// the stage and every stage gates (compare.go).
 type stageDef struct {
 	name string
-	hot  bool
 	// Fixed iteration counts — never adaptive, so workload identity is
 	// byte-stable across hosts and runs.
 	quickIters int
 	fullIters  int
-	// skipAlloc disables the allocation probe (concurrent stages: worker
-	// goroutines make per-op attribution meaningless).
-	skipAlloc bool
-	build     func(b *workbench) (*runner, error)
+	build      func(b *workbench) (*runner, error)
 }
 
 // trafficLen is the detect workload size in samples — one frontend
@@ -104,26 +90,24 @@ func trafficLen(quick bool) int {
 }
 
 // stageDefs returns every stage in execution order. Stage names are part
-// of the BENCH.json contract (DESIGN.md §12); renaming one orphans its
-// baseline series.
+// of the BENCH.json contract (DESIGN.md §12); renaming or dropping one
+// orphans its baseline entry, which fails the gate until the baseline is
+// edited to match (TestBaselineCoversStages).
 func stageDefs() []stageDef {
 	return []stageDef{
-		{name: "detect_stream", hot: true, quickIters: 4, fullIters: 16, build: buildDetectStream},
-		{name: "edge_decode", hot: true, quickIters: 6, fullIters: 24, build: buildEdgeDecode},
-		{name: "backhaul_encode", hot: true, quickIters: 64, fullIters: 256, build: buildBackhaulEncode},
-		{name: "backhaul_decode", hot: true, quickIters: 64, fullIters: 256, build: buildBackhaulDecode},
-		{name: "sic_decode", hot: true, quickIters: 4, fullIters: 16, build: buildSICDecode},
-		{name: "cloud_decode", hot: true, quickIters: 4, fullIters: 16, build: buildCloudDecode},
-		{name: "kill_freq", hot: true, quickIters: 16, fullIters: 64, build: buildKillFreq},
-		{name: "kill_css", hot: true, quickIters: 8, fullIters: 32, build: buildKillCSS},
-		{name: "kill_codes", hot: true, quickIters: 8, fullIters: 32, build: buildKillCodes},
-		{name: "farm_queue", hot: false, quickIters: 8, fullIters: 32, skipAlloc: true, build: buildFarmQueue},
-		{name: "e2e_gateway_cloud", hot: false, quickIters: 2, fullIters: 8, skipAlloc: true, build: buildE2EGatewayCloud},
+		{name: "detect_stream", quickIters: 4, fullIters: 16, build: buildDetectStream},
+		{name: "edge_decode", quickIters: 6, fullIters: 24, build: buildEdgeDecode},
+		{name: "backhaul_encode", quickIters: 64, fullIters: 256, build: buildBackhaulEncode},
+		{name: "backhaul_decode", quickIters: 64, fullIters: 256, build: buildBackhaulDecode},
+		{name: "sic_decode", quickIters: 4, fullIters: 16, build: buildSICDecode},
+		{name: "cloud_decode", quickIters: 4, fullIters: 16, build: buildCloudDecode},
+		{name: "kill_freq", quickIters: 16, fullIters: 64, build: buildKillFreq},
+		{name: "kill_css", quickIters: 8, fullIters: 32, build: buildKillCSS},
+		{name: "kill_codes", quickIters: 8, fullIters: 32, build: buildKillCodes},
 	}
 }
 
-// coll2 renders the standard 2-way collision workload (mirrors
-// BenchmarkCloudDecodeCollision).
+// coll2 renders the standard 2-way collision workload.
 func (b *workbench) coll2() (sim.Scenario, error) {
 	techs := b.techs()
 	return sim.GenCollision([]sim.CollisionSpec{
@@ -173,7 +157,9 @@ func buildDetectStream(b *workbench) (*runner, error) {
 		}
 	}
 	stream := detect.NewStream(det, maxPacket)
-	stream.SetMetrics(detect.NewStreamMetricsTimed(b.reg, b.opts.Clock))
+	// A private registry: Push is timed with its metrics attached, as the
+	// gateway runs it; frames_total already pins what they would count.
+	stream.SetMetrics(detect.NewStreamMetricsTimed(obs.NewRegistry(), b.opts.Clock))
 	capture := scen.Capture
 	return &runner{
 		samplesPerIter: len(capture),
@@ -206,20 +192,17 @@ func buildEdgeDecode(b *workbench) (*runner, error) {
 }
 
 // buildBackhaulEncode measures segment serialization (AGC + quantize +
-// DEFLATE + CRC), with codec metrics on the registry so the report also
-// carries the achieved wire bytes per sample.
+// DEFLATE + CRC) with the codec the gateway ships.
 func buildBackhaulEncode(b *workbench) (*runner, error) {
 	scen, err := b.coll2()
 	if err != nil {
 		return nil, err
 	}
-	codec := backhaul.DefaultCodec
-	codec.Metrics = backhaul.NewCodecMetrics(b.reg)
 	seg := backhaul.Segment{Start: 0, SampleRate: benchSampleRate, Samples: scen.Capture}
 	return &runner{
 		samplesPerIter: len(scen.Capture),
 		run: func() int {
-			if _, err := codec.Encode(seg); err != nil {
+			if _, err := backhaul.DefaultCodec.Encode(seg); err != nil {
 				panic(fmt.Sprintf("perf: backhaul encode: %v", err))
 			}
 			return 0
@@ -352,121 +335,6 @@ func buildKillCodes(b *workbench) (*runner, error) {
 		run: func() int {
 			cancel.KillCodes(scen.Capture, coded, benchSampleRate, 0.05)
 			return 0
-		},
-	}, nil
-}
-
-// buildE2EGatewayCloud measures the whole pipeline end to end the way
-// examples/gateway-cloud runs it: one seeded capture per iteration through
-// a real gateway session — detection, segment encode, the backhaul wire
-// (an in-memory pipe), inline cloud decode, and the frames report coming
-// back. The ns/op of this stage is the e2e decode latency of a capture.
-// Concurrent by construction (session reader/writer goroutines and the
-// cloud side), so it is not a hot (gating) stage and skips the alloc probe.
-func buildE2EGatewayCloud(b *workbench) (*runner, error) {
-	techs := []phy.Technology{xbee.Default(), zwave.Default()}
-	scen, err := sim.GenTraffic(sim.TrafficConfig{
-		Techs:      techs,
-		SampleRate: benchSampleRate,
-		Duration:   1 << 16,
-		MeanGap:    0.005,
-		SNRMin:     12,
-		SNRMax:     18,
-		PayloadMin: 6,
-		PayloadMax: 14,
-	}, b.gen(laneE2E))
-	if err != nil {
-		return nil, err
-	}
-	g, err := gateway.New(gateway.Config{
-		ID:       "perf-e2e",
-		Techs:    techs,
-		Frontend: frontend.Ideal(benchSampleRate),
-	})
-	if err != nil {
-		return nil, err
-	}
-	svc := cloud.NewService(techs)
-	capture := scen.Capture
-	return &runner{
-		samplesPerIter: len(capture),
-		run: func() int {
-			gw, cl := net.Pipe()
-			var srvWG sync.WaitGroup
-			srvWG.Add(1)
-			go func() {
-				defer srvWG.Done()
-				// A clean bye returns nil; anything else is a harness bug.
-				if err := svc.ServeConn(cl); err != nil {
-					panic(fmt.Sprintf("perf: e2e cloud session: %v", err))
-				}
-			}()
-			captures := make(chan []complex128, 1)
-			captures <- capture
-			close(captures)
-			frames := 0
-			if err := g.Run(gw, captures, func(r backhaul.FramesReport) {
-				frames += len(r.Frames)
-			}); err != nil {
-				panic(fmt.Sprintf("perf: e2e gateway session: %v", err))
-			}
-			_ = gw.Close()
-			_ = cl.Close()
-			srvWG.Wait()
-			return frames
-		},
-	}, nil
-}
-
-// farmBatch is the segments submitted per farm_queue iteration.
-const farmBatch = 8
-
-// buildFarmQueue measures the decode farm's scheduling overhead: a batch
-// of segments through admission, queue, worker dispatch and completion,
-// with a trivial decode so the queue machinery dominates. Concurrent by
-// design, so it is not a hot (gating) stage and skips the alloc probe.
-func buildFarmQueue(b *workbench) (*runner, error) {
-	base := b.gen(laneFarm)
-	techs := b.techs()
-	segs := make([]backhaul.Segment, 0, farmBatch)
-	var start int64
-	for i := 0; i < farmBatch; i++ {
-		scen, err := sim.GenCollision([]sim.CollisionSpec{
-			{Tech: techs[i%len(techs)], SNRdB: 12, PayloadLen: 8},
-			{Tech: techs[(i+1)%len(techs)], SNRdB: 12, PayloadLen: 8, OffsetFrac: 0.1},
-		}, benchSampleRate, 3000, base.Split(uint64(i)))
-		if err != nil {
-			return nil, err
-		}
-		segs = append(segs, backhaul.Segment{Start: start, SampleRate: benchSampleRate, Samples: scen.Capture})
-		start += int64(len(scen.Capture))
-	}
-	samples := 0
-	for _, s := range segs {
-		samples += len(s.Samples)
-	}
-	f := farm.New(farm.Config{
-		Workers:    4,
-		QueueDepth: farmBatch,
-		Obs:        b.reg,
-		Clock:      b.opts.Clock,
-		Decode: func(ctx context.Context, seg backhaul.Segment) (backhaul.FramesReport, cancel.Stats, error) {
-			return backhaul.FramesReport{SegmentStart: seg.Start}, cancel.Stats{}, nil
-		},
-	})
-	return &runner{
-		samplesPerIter: samples,
-		close:          f.Close,
-		run: func() int {
-			var wg sync.WaitGroup
-			for _, seg := range segs {
-				wg.Add(1)
-				if err := f.Submit(context.Background(), seg, func(farm.Result) { wg.Done() }); err != nil {
-					panic(fmt.Sprintf("perf: farm submit: %v", err))
-				}
-			}
-			wg.Wait()
-			return farmBatch
 		},
 	}, nil
 }

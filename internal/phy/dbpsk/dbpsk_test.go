@@ -53,12 +53,15 @@ func TestSpectrumIsNarrowband(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := dsp.AbsSq(dsp.FFT(dsp.PadTo(sig, dsp.NextPow2(len(sig)))))
+	spec := dsp.AbsSq(dsp.FFT(sig))
 	n := len(spec)
 	inBand, total := 0.0, 0.0
 	for i, p := range spec {
 		total += p
-		f := dsp.BinToFreq(i, n, fs)
+		f := float64(i) * fs / float64(n)
+		if i > n/2 {
+			f -= fs
+		}
 		if math.Abs(f-(-300e3)) <= 4000 {
 			inBand += p
 		}

@@ -589,11 +589,4 @@ func (r *Radio) MaxPacketSamples(fs float64) int {
 	return int(math.Ceil(preSyms*float64(n))) + dataSyms*n
 }
 
-// Upchirp exposes the base upchirp waveform (symbol 0) for use by the
-// KILL-CSS filter and by tests.
-func (r *Radio) Upchirp(fs float64) []complex128 { return r.chirp(true, 0, fs) }
-
-// Downchirp exposes the base downchirp waveform.
-func (r *Radio) Downchirp(fs float64) []complex128 { return r.chirp(false, 0, fs) }
-
 var _ phy.ChirpTechnology = (*Radio)(nil)

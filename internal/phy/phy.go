@@ -175,24 +175,6 @@ func All() []Technology {
 	return out
 }
 
-// Catalog returns Info for well-known IoT technologies: the registered
-// (implemented) ones plus the additional entries from the paper's Table 1
-// that are cataloged but not prototyped, mirroring the paper.
-func Catalog() []Info {
-	seen := map[string]bool{}
-	var out []Info
-	for _, t := range All() {
-		out = append(out, t.Info())
-		seen[t.Name()] = true
-	}
-	for _, info := range table1Extras {
-		if !seen[info.Name] {
-			out = append(out, info)
-		}
-	}
-	return out
-}
-
 // Extras returns the Table-1 rows the paper lists but that are not
 // prototyped in this repository, for callers that assemble a catalog from
 // an explicit technology list instead of the global registry.

@@ -232,10 +232,4 @@ func (r *Radio) Demodulate(rx []complex128, fs float64) (*phy.Frame, error) {
 	return frame, nil
 }
 
-// Airtime reports the frame duration in seconds for a payload length.
-func (r *Radio) Airtime(payloadLen int, fs float64) float64 {
-	nBits := len(r.headerAirBits()) + 8*(1+payloadLen+2)
-	return float64(r.modem.NumSamples(nBits, fs)) / fs
-}
-
 var _ phy.ToneTechnology = (*Radio)(nil)

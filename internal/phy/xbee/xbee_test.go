@@ -179,15 +179,6 @@ func TestMaxPacketSamplesCoversModulated(t *testing.T) {
 	}
 }
 
-func TestAirtime(t *testing.T) {
-	r := Default()
-	// 4+2 header bytes + 1 len + 8 payload + 2 crc = 17 bytes = 136 bits at
-	// 20 kb/s = 6.8 ms
-	if at := r.Airtime(8, fs); math.Abs(at-0.0068) > 1e-4 {
-		t.Fatalf("airtime %v", at)
-	}
-}
-
 func TestPreambleUnitPower(t *testing.T) {
 	p := Default().Preamble(fs)
 	if math.Abs(dsp.Power(p)-1) > 1e-9 {

@@ -1,9 +1,7 @@
 package resilience
 
 import (
-	"errors"
 	"io"
-	"net"
 	"time"
 )
 
@@ -62,10 +60,4 @@ func (c *deadlineRW) Write(p []byte) (int, error) {
 		}
 	}
 	return c.rw.Write(p)
-}
-
-// IsTimeout reports whether err is an I/O timeout (a tripped deadline).
-func IsTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }

@@ -1,7 +1,9 @@
 package resilience
 
 import (
+	"errors"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -159,11 +161,11 @@ func TestWithDeadlinesTimeout(t *testing.T) {
 	}
 	buf := make([]byte, 1)
 	_, err := rw.Read(buf) // nobody writes: must trip the read deadline
-	if err == nil || !IsTimeout(err) {
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("Read err = %v, want timeout", err)
 	}
 	_, err = rw.Write(make([]byte, 1<<16)) // nobody reads: must trip the write deadline
-	if err == nil || !IsTimeout(err) {
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("Write err = %v, want timeout", err)
 	}
 }

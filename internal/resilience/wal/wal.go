@@ -124,8 +124,7 @@ type Options struct {
 	// SyncEvery is the batched cadence (default DefaultSyncEvery).
 	SyncEvery int
 	// Codec encodes segments into data records. The zero value means
-	// backhaul.DefaultCodec. Attach no CodecMetrics here unless WAL
-	// encodes should count toward the backhaul encode totals.
+	// backhaul.DefaultCodec, what the gateway also ships on the wire.
 	Codec backhaul.SegmentCodec
 	// FS is the filesystem seam (default the real OS). Tests inject
 	// faults.NewFS here.

@@ -133,14 +133,3 @@ func (r *Rand) ExpFloat64() float64 {
 		}
 	}
 }
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}

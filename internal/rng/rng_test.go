@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -120,26 +119,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 	if mean := sum / n; math.Abs(mean-1) > 0.02 {
 		t.Fatalf("exponential mean %v, want ~1", mean)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	if err := quick.Check(func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%32) + 1
-		p := New(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -142,11 +142,6 @@ func (t *Tracker) Events() []Event {
 	return out
 }
 
-// Flagged returns every observation that deviated beyond the threshold.
-func (t *Tracker) Flagged() []Observation {
-	return append([]Observation{}, t.flagged...)
-}
-
 // Coverage reports how many distinct technologies contributed flagged
 // observations — the "collective" aspect: an event seen across several
 // heterogeneous devices is far less likely to be a single device's fading

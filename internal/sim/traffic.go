@@ -38,8 +38,6 @@ type TrafficConfig struct {
 	SNRMax     float64
 	PayloadMin int // payload length drawn uniformly from [PayloadMin, PayloadMax]
 	PayloadMax int
-	CFOMax     float64 // per-packet CFO drawn uniformly from [-CFOMax, +CFOMax]
-	NoNoise    bool    // render without AWGN (unit tests)
 }
 
 // Validate fills defaults and checks the configuration.
@@ -98,15 +96,10 @@ func GenTraffic(cfg TrafficConfig, gen *rng.Rand) (Scenario, error) {
 				break
 			}
 			snr := cfg.SNRMin + tgen.Float64()*(cfg.SNRMax-cfg.SNRMin)
-			cfo := 0.0
-			if cfg.CFOMax > 0 {
-				cfo = (2*tgen.Float64() - 1) * cfg.CFOMax
-			}
 			emissions = append(emissions, channel.Emission{
 				Samples: sig,
 				Offset:  pos,
 				SNRdB:   snr,
-				CFO:     cfo,
 				Phase:   2 * 3.141592653589793 * tgen.Float64(),
 			})
 			packets = append(packets, Packet{
@@ -119,11 +112,7 @@ func GenTraffic(cfg TrafficConfig, gen *rng.Rand) (Scenario, error) {
 			pos += len(sig) + int(tgen.ExpFloat64()*cfg.MeanGap*fs)
 		}
 	}
-	var noise *rng.Rand
-	if !cfg.NoNoise {
-		noise = gen.Split(0xDEAD)
-	}
-	capture := channel.Mix(cfg.Duration, emissions, noise, fs)
+	capture := channel.Mix(cfg.Duration, emissions, gen.Split(0xDEAD), fs)
 	return Scenario{Capture: capture, SampleRate: fs, Packets: packets}, nil
 }
 
