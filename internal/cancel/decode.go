@@ -112,6 +112,40 @@ func tryDecode(t phy.Technology, rx []complex128, fs float64) (*phy.Frame, bool)
 	return frame, true
 }
 
+// collisionScore is the preamble correlation above which a second
+// technology in a segment marks it a suspected collision: the edge does not
+// trust a single-pass decode of such a segment and ships it instead.
+const collisionScore = 0.15
+
+// EdgeDecode is the paper's Sec. 4 "Edge vs. the Cloud" policy on one
+// segment: decode at the edge assuming no collision, and leave everything
+// that assumption cannot be trusted on to the cloud. The segment is
+// classified once; if any technology other than the strongest candidate
+// scores above collisionScore it is a suspected collision and is not
+// demodulated at all. Otherwise the strongest candidate is demodulated once
+// and only a CRC-clean frame is returned. A nil frame means ship.
+//
+// lastResort is the form for a segment that will never reach the cloud (the
+// gateway's spool-overflow drop path): the strongest candidate is
+// demodulated even when a collision is suspected, since one frame out of a
+// collision beats none.
+func (d *Decoder) EdgeDecode(rx []complex128, lastResort bool) *phy.Frame {
+	cands := d.Classify(rx)
+	if len(cands) == 0 {
+		return nil
+	}
+	best := cands[0]
+	if !lastResort {
+		for _, c := range cands[1:] {
+			if c.Score > collisionScore && c.Tech.Name() != best.Tech.Name() {
+				return nil
+			}
+		}
+	}
+	frame, _ := tryDecode(best.Tech, rx, d.FS)
+	return frame
+}
+
 // subtractFrame reconstructs a decoded frame's waveform and subtracts it
 // from rx in place, refining the alignment over ±search samples and
 // re-estimating the complex gain at the best alignment. It returns the

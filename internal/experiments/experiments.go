@@ -97,7 +97,6 @@ var registry = map[string]Runner{
 	"headline-throughput": HeadlineThroughput,
 	"scaling":             Scaling,
 	"cost":                Cost,
-	"edge-policy":         EdgePolicy,
 	"backhaul":            Backhaul,
 	"battery":             Battery,
 	"ablation-frontend":   AblationFrontend,

@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/backhaul"
+	"repro/internal/channel"
+	"repro/internal/phy/xbee"
+	"repro/internal/rng"
 )
 
 var quick = Options{Seed: 1, Quick: true}
@@ -147,10 +152,21 @@ func TestAblationKillHasPerFilterRows(t *testing.T) {
 	}
 }
 
+// TestEdgePolicyAndScaling: the edge-vs-cloud question is answered by the
+// live gateway policy inside the backhaul experiment (there is no separate
+// placement model), so its row and counts must be there.
 func TestEdgePolicyAndScaling(t *testing.T) {
-	ep, err := EdgePolicy(quick)
-	if err != nil || len(ep.Rows) != 3 {
-		t.Fatalf("edge policy: %v rows %d", err, len(ep.Rows))
+	bh, err := Backhaul(quick)
+	if err != nil || len(bh.Rows) != 4 {
+		t.Fatalf("backhaul: %v rows %d", err, len(bh.Rows))
+	}
+	if !strings.HasPrefix(bh.Rows[3][0], "edge-resolve") || !strings.Contains(strings.Join(bh.Notes, "\n"), "resolved at the edge") {
+		t.Fatalf("backhaul table lacks the edge policy: %+v", bh)
+	}
+	for _, id := range IDs() {
+		if id == "edge-policy" {
+			t.Fatal("edge-policy is still registered")
+		}
 	}
 	if testing.Short() {
 		return
@@ -158,5 +174,52 @@ func TestEdgePolicyAndScaling(t *testing.T) {
 	sc, err := Scaling(quick)
 	if err != nil || len(sc.Rows) != 4 {
 		t.Fatalf("scaling: %v rows %d", err, len(sc.Rows))
+	}
+}
+
+// TestBackhaulWireAccounting: the experiment's wire bytes are what
+// Conn.SendSegmentSeq reports, which is what actually lands on the stream:
+// 5 B message header + 8 B sequence number + the encoded segment.
+func TestBackhaulWireAccounting(t *testing.T) {
+	sig, err := xbee.Default().Modulate([]byte("one shipped segment"), fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture := channel.Mix(len(sig)+60000, []channel.Emission{{Samples: sig, Offset: 30000, SNRdB: 12}}, rng.New(7), fs)
+	var stream bytes.Buffer
+	got, err := shipOver(capture, false, &stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.segments != 1 || got.resolved != 0 {
+		t.Fatalf("shipment %+v", got)
+	}
+	if got.wireBytes != stream.Len() {
+		t.Fatalf("accounted %d wire bytes, %d written", got.wireBytes, stream.Len())
+	}
+	typ, payload, err := backhaul.NewConn(&stream).ReadMessage()
+	if err != nil || typ != backhaul.MsgSegmentSeq {
+		t.Fatalf("read back: type %d, %v", typ, err)
+	}
+	_, seg, err := backhaul.DecodeSegmentSeq(payload)
+	if err != nil || len(seg.Samples) != got.samples {
+		t.Fatalf("decoded %d samples (%v), accounted %d", len(seg.Samples), err, got.samples)
+	}
+	encoded, err := backhaul.DefaultCodec.Encode(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 5 + 8 + len(encoded); got.wireBytes != want || len(payload) != 8+len(encoded) {
+		t.Fatalf("wire bytes %d, want header 5 + seq 8 + segment %d", got.wireBytes, len(encoded))
+	}
+	// The same capture with the edge policy on: the lone packet resolves
+	// and nothing touches the wire.
+	stream.Reset()
+	edge, err := shipOver(capture, true, &stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edge != (shipment{resolved: 1}) || stream.Len() != 0 {
+		t.Fatalf("edge shipment %+v, %d bytes written", edge, stream.Len())
 	}
 }

@@ -127,6 +127,8 @@ type Gateway struct {
 
 // detectThreshold is the universal-preamble correlation threshold every
 // gateway runs at (ROADMAP item 4 replaces it with a noise-normalised one).
+// The edge path's other fixed number, the 0.15 second-technology score that
+// makes a segment a suspected collision, is cancel's collisionScore.
 const detectThreshold = 0.08
 
 // New builds a gateway: the universal-preamble detector over cfg.Techs,
@@ -152,9 +154,6 @@ func New(cfg Config) (*Gateway, error) {
 			maxPacket = n
 		}
 	}
-	// Edge decoding assumes no collision: single pass, no kill filters.
-	edge := cancel.NewSIC(cfg.Techs, fs)
-	edge.MaxRounds = 1
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -164,7 +163,7 @@ func New(cfg Config) (*Gateway, error) {
 	return &Gateway{
 		cfg:    cfg,
 		stream: stream,
-		edge:   edge,
+		edge:   cancel.NewDecoder(cfg.Techs, fs), // only ever asked for EdgeDecode
 		reg:    reg,
 		m:      newMetrics(reg, cfg.Techs),
 		tracer: cfg.Tracer,
@@ -248,21 +247,20 @@ func (g *Gateway) handle(segments []detect.StreamSegment, detectDur int64) Resul
 		sp.Stage("detect", detectDur, float64(len(seg.Samples)))
 		if g.cfg.EdgeDecode {
 			tEdge := sp.Now()
-			frames, _ := g.edge.DecodeTraced(seg.Samples, sp)
-			sp.Stage("edge_decode", sp.Now()-tEdge, float64(len(frames)))
-			if len(frames) == 1 && frames[0].CRCOK && !g.likelyCollision(seg.Samples, frames[0]) {
-				for _, f := range frames {
-					f.Offset += int(seg.Start)
-					if c, ok := g.m.techFrames[f.Tech]; ok {
-						c.Inc()
-					}
+			frame := g.edge.EdgeDecode(seg.Samples, false)
+			if frame != nil {
+				sp.Stage("edge_decode", sp.Now()-tEdge, 1)
+				frame.Offset += int(seg.Start)
+				if c, ok := g.m.techFrames[frame.Tech]; ok {
+					c.Inc()
 				}
-				res.EdgeFrames = append(res.EdgeFrames, frames...)
-				g.m.edgeFrames.Add(uint64(len(frames)))
+				res.EdgeFrames = append(res.EdgeFrames, frame)
+				g.m.edgeFrames.Inc()
 				g.m.resolved.Inc()
 				sp.End()
 				continue
 			}
+			sp.Stage("edge_decode", sp.Now()-tEdge, 0)
 		}
 		res.Shipped = append(res.Shipped, backhaul.Segment{
 			Start:      seg.Start,
@@ -297,24 +295,6 @@ func scaleWindow(window int, ack backhaul.HelloAck) int {
 		window = ack.Window
 	}
 	return window
-}
-
-// likelyCollision reports whether a segment still contains significant
-// structure after the edge decode, meaning more transmissions may be
-// hiding; such segments go to the cloud despite the local success.
-func (g *Gateway) likelyCollision(samples []complex128, decoded *phy.Frame) bool {
-	// The decoded frame's own preamble is expected to correlate; any other
-	// technology above threshold indicates a cross-technology collision the
-	// edge (single-pass, no kill filters) should not trust itself with.
-	for _, cand := range g.edge.Classify(samples) {
-		if cand.Tech.Name() == decoded.Tech {
-			continue
-		}
-		if cand.Score > 0.15 {
-			return true
-		}
-	}
-	return false
 }
 
 // Run drives one session over a caller-owned backhaul stream: hello (with

@@ -194,3 +194,84 @@ func TestEndToEndGatewayCloud(t *testing.T) {
 		t.Fatal("wire bytes not counted")
 	}
 }
+
+// workCounts is what a countingTech set has been asked to do.
+type workCounts struct{ preamble, demodulate, modulate int }
+
+// countingTech counts the per-technology work the edge policy can cause:
+// one Preamble call per technology is one Classify pass (the detector asks
+// for preambles only while it is built).
+type countingTech struct {
+	phy.Technology
+	n *workCounts
+}
+
+func (c countingTech) Preamble(sampleRate float64) []complex128 {
+	c.n.preamble++
+	return c.Technology.Preamble(sampleRate)
+}
+
+func (c countingTech) Demodulate(rx []complex128, sampleRate float64) (*phy.Frame, error) {
+	c.n.demodulate++
+	return c.Technology.Demodulate(rx, sampleRate)
+}
+
+func (c countingTech) Modulate(payload []byte, sampleRate float64) ([]complex128, error) {
+	c.n.modulate++
+	return c.Technology.Modulate(payload, sampleRate)
+}
+
+// TestEdgePolicyWork pins what the edge-vs-cloud decision costs, as counts:
+// every segment is classified once; a lone packet is demodulated once; a
+// suspected collision is not demodulated at all; nothing is ever
+// re-modulated (the edge cancels nothing).
+func TestEdgePolicyWork(t *testing.T) {
+	x, _ := xbee.Default().Modulate([]byte("lone xbee"), fs)
+	l, _ := lora.Default().Modulate([]byte("lora here"), fs)
+	for _, tc := range []struct {
+		name      string
+		n         int
+		emissions []channel.Emission
+		resolved  int
+		want      workCounts // per segment
+	}{
+		{
+			name:      "lone packet",
+			n:         len(x) + 60000,
+			emissions: []channel.Emission{{Samples: x, Offset: 30000, SNRdB: 15}},
+			resolved:  1,
+			want:      workCounts{preamble: 3, demodulate: 1},
+		},
+		{
+			name: "suspected collision",
+			n:    len(l) + 60000,
+			emissions: []channel.Emission{
+				{Samples: l, Offset: 20000, SNRdB: 10},
+				{Samples: x, Offset: 24000, SNRdB: 10},
+			},
+			want: workCounts{preamble: 3},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var n workCounts
+			counted := techs()
+			for i, tech := range counted {
+				counted[i] = countingTech{tech, &n}
+			}
+			g, err := New(Config{Techs: counted, Frontend: frontend.Ideal(fs), EdgeDecode: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n = workCounts{} // building the detector asked for every preamble
+			g.Process(channel.Mix(tc.n, tc.emissions, rng.New(5), fs))
+			g.Flush()
+			st := g.Stats()
+			if st.Detections != 1 || st.SegmentsResolved != tc.resolved || st.SegmentsShipped != 1-tc.resolved {
+				t.Fatalf("stats %+v", st)
+			}
+			if n != tc.want {
+				t.Fatalf("work %+v, want %+v", n, tc.want)
+			}
+		})
+	}
+}

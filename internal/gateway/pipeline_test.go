@@ -355,13 +355,18 @@ func TestLikelyCollisionIgnoresDecodedTech(t *testing.T) {
 	payload := []byte("clean xbee frame")
 	sig, _ := xbee.Default().Modulate(payload, fs)
 	samples := channel.Mix(len(sig)+20000, []channel.Emission{{Samples: sig, Offset: 8000, SNRdB: 15}}, gen, fs)
-	frames, _ := g.edge.Decode(samples)
-	if len(frames) != 1 || !bytes.Equal(frames[0].Payload, payload) {
-		t.Fatalf("edge decode %+v", frames)
-	}
 	// The segment contains exactly the decoded packet: its own preamble
-	// score must not be mistaken for a second colliding transmission.
-	if g.likelyCollision(samples, frames[0]) {
+	// scores far above the collision score and must not be mistaken for a
+	// second colliding transmission.
+	cands := g.edge.Classify(samples)
+	if len(cands) == 0 || cands[0].Tech.Name() != "xbee" || cands[0].Score <= 0.15 {
+		t.Fatalf("candidates %+v", cands)
+	}
+	frame := g.edge.EdgeDecode(samples, false)
+	if frame == nil {
 		t.Fatal("clean single-tech segment classified as collision")
+	}
+	if frame.Tech != "xbee" || !bytes.Equal(frame.Payload, payload) {
+		t.Fatalf("edge decode %+v", frame)
 	}
 }

@@ -143,9 +143,11 @@ type resilientRun struct {
 }
 
 // degradeItem is the drop path: a segment the backhaul will never carry gets
-// one edge-only decode pass, any CRC-clean frames are reported locally, and
-// the drop is charged to the per-technology counters (by the technology of
-// the first recovered frame, or the unknown bucket when nothing decodes).
+// the edge policy in its last-resort form (cancel.Decoder.EdgeDecode: the
+// strongest candidate is demodulated even when a collision is suspected), a
+// CRC-clean frame is reported locally, and the drop is charged to the
+// per-technology counters (by the technology of the recovered frame, or the
+// unknown bucket when nothing decodes).
 // The first drop of an episode journals its enter edge. The edge-only decode
 // is the item's final disposition, so its WAL record (if any) is acked.
 // Only the capture feeder and the post-exhaustion drain call this, never
@@ -155,16 +157,10 @@ func (r *resilientRun) degradeItem(it resilience.Item) {
 		r.g.cfg.Journal.Record("gateway_degraded_enter", int64(len(r.source)))
 	}
 	tEdge := it.Span.Now()
-	frames, _ := r.g.edge.DecodeTraced(it.Seg.Samples, it.Span)
 	rep := backhaul.FramesReport{SegmentStart: it.Seg.Start}
 	tech := ""
-	for _, f := range frames {
-		if !f.CRCOK {
-			continue
-		}
-		if tech == "" {
-			tech = f.Tech
-		}
+	if f := r.g.edge.EdgeDecode(it.Seg.Samples, true); f != nil {
+		tech = f.Tech
 		rep.Frames = append(rep.Frames, backhaul.FrameReport{
 			Tech:    f.Tech,
 			Payload: f.Payload,

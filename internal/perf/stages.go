@@ -169,24 +169,23 @@ func buildDetectStream(b *workbench) (*runner, error) {
 	}, nil
 }
 
-// buildEdgeDecode measures the gateway's edge decoder (single-pass SIC, no
-// kill filters) on a 2-way collision — the cost the edge pays before
-// deciding to ship.
+// buildEdgeDecode measures the gateway's edge policy (cancel.Decoder.EdgeDecode)
+// on a 2-way collision: one classification, a second technology above the
+// collision score, no demodulation — the cost the edge pays before deciding
+// to ship.
 func buildEdgeDecode(b *workbench) (*runner, error) {
 	scen, err := b.coll2()
 	if err != nil {
 		return nil, err
 	}
-	dec := cancel.NewSIC(b.techs(), benchSampleRate)
-	dec.MaxRounds = 1
-	stats := &cancel.Stats{}
+	dec := cancel.NewDecoder(b.techs(), benchSampleRate)
 	return &runner{
 		samplesPerIter: len(scen.Capture),
-		stats:          stats,
 		run: func() int {
-			frames, st := dec.Decode(scen.Capture)
-			stats.Add(st)
-			return len(frames)
+			if dec.EdgeDecode(scen.Capture, false) != nil {
+				return 1
+			}
+			return 0
 		},
 	}, nil
 }
