@@ -75,14 +75,17 @@ func NewSIC(techs []phy.Technology, fs float64) *Decoder {
 
 // Classify correlates each technology's preamble against the capture and
 // returns the candidates above MinScore, strongest estimated power first.
+// The capture is transformed once for the whole preamble bank.
 func (d *Decoder) Classify(rx []complex128) []Candidate {
+	pres := make([][]complex128, len(d.Techs))
+	for i, t := range d.Techs {
+		pres[i] = t.Preamble(d.FS)
+	}
 	var out []Candidate
-	for _, t := range d.Techs {
-		pre := t.Preamble(d.FS)
-		if len(pre) == 0 || len(rx) < len(pre) {
-			continue
-		}
-		metric := dsp.NormalizedCorrelate(rx, pre)
+	// A preamble that is empty or longer than rx has a nil metric, whose
+	// MaxPeak index is -1.
+	for i, metric := range dsp.NormalizedCorrelateAll(rx, pres...) {
+		t, pre := d.Techs[i], pres[i]
 		pk := dsp.MaxPeak(metric)
 		if pk.Index < 0 || pk.Value < d.MinScore {
 			continue

@@ -15,8 +15,9 @@
 package cancel
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dsp"
 	"repro/internal/phy"
@@ -35,7 +36,8 @@ func KillFrequency(rx []complex128, tones []float64, width, fs float64) []comple
 	if n == 0 || len(tones) == 0 || width <= 0 {
 		return dsp.Clone(rx)
 	}
-	spec := dsp.FFT(rx)
+	out := dsp.Clone(rx)
+	dsp.FFTInPlace(out)
 	binHz := fs / float64(n)
 	half := width / 2
 	for _, tone := range tones {
@@ -43,10 +45,11 @@ func KillFrequency(rx []complex128, tones []float64, width, fs float64) []comple
 		hi := int(math.Ceil((tone + half) / binHz))
 		for b := lo; b <= hi; b++ {
 			idx := ((b % n) + n) % n
-			spec[idx] = 0
+			out[idx] = 0
 		}
 	}
-	return dsp.IFFT(spec)
+	dsp.IFFTInPlace(out)
+	return out
 }
 
 // FSKKillWidth returns the notch width used to kill an FSK technology with
@@ -89,7 +92,23 @@ func NewCSSKiller(tech phy.ChirpTechnology) *CSSKiller {
 	return &CSSKiller{tech: tech, MaxNotchPerBlock: 8, DominanceDB: 12}
 }
 
-// Apply runs the filter, returning a new slice.
+// hotBin is a dechirped FFT bin that KILL-CSS considers CSS energy.
+type hotBin struct {
+	idx int
+	mag float64
+}
+
+// strongestFirst sorts hot by descending magnitude without allocating. It
+// is the same pattern-defeating quicksort as sort.Slice with the same
+// comparisons, so bins of equal magnitude — and with them which bins a
+// capped notch clears — end up in the same order.
+func strongestFirst(hot []hotBin) {
+	slices.SortFunc(hot, func(a, b hotBin) int { return cmp.Compare(b.mag, a.mag) })
+}
+
+// Apply runs the filter, returning a new slice. Its allocations are fixed
+// per call (the output, both base chirps and one set of per-block scratch),
+// whatever the capture length.
 func (k *CSSKiller) Apply(rx []complex128, fs float64) []complex128 {
 	bw := k.tech.ChirpBandwidth()
 	chips := 1 << uint(k.tech.SpreadingFactor())
@@ -106,32 +125,36 @@ func (k *CSSKiller) Apply(rx []complex128, fs float64) []complex128 {
 
 	out := dsp.Clone(rx)
 	threshold := dsp.FromDB(k.DominanceDB)
+	spec := make([]complex128, n)
+	mags := make([]float64, n)
+	sorted := make([]float64, n)
+	hot := make([]hotBin, 0, n)
 	for start := 0; start+n <= len(out); start += n {
 		block := out[start : start+n]
 		// dechirp
 		for i := range block {
 			block[i] *= down[i]
 		}
-		spec := dsp.FFT(block)
-		mags := dsp.AbsSq(spec)
-		med := medianFloat(mags)
+		copy(spec, block)
+		dsp.FFTInPlace(spec)
+		for i, v := range spec {
+			mags[i] = real(v)*real(v) + imag(v)*imag(v)
+		}
+		copy(sorted, mags)
+		slices.Sort(sorted)
+		med := sorted[n/2]
 		if med <= 0 {
 			med = 1e-30
 		}
 		// notch the dominant narrow tones
-		type bin struct {
-			idx int
-			mag float64
-		}
-		var hot []bin
+		hot = hot[:0]
 		for i, m := range mags {
 			if m > med*threshold {
-				hot = append(hot, bin{i, m})
+				hot = append(hot, hotBin{i, m})
 			}
 		}
 		if len(hot) > 0 {
-			// strongest first, capped
-			sort.Slice(hot, func(a, b int) bool { return hot[a].mag > hot[b].mag })
+			strongestFirst(hot)
 			if len(hot) > k.MaxNotchPerBlock {
 				hot = hot[:k.MaxNotchPerBlock]
 			}
@@ -139,11 +162,11 @@ func (k *CSSKiller) Apply(rx []complex128, fs float64) []complex128 {
 				// clear the bin and one neighbor each side (fractional
 				// frequency leakage)
 				for d := -1; d <= 1; d++ {
-					spec[((h.idx+d)%len(spec)+len(spec))%len(spec)] = 0
+					spec[((h.idx+d)%n+n)%n] = 0
 				}
 			}
-			cleaned := dsp.IFFT(spec)
-			copy(block, cleaned)
+			dsp.IFFTInPlace(spec)
+			copy(block, spec)
 		}
 		// re-chirp
 		for i := range block {
@@ -174,9 +197,6 @@ func baseChirp(upDir bool, chips, osr int, bw, fs float64) []complex128 {
 		} else if phase < -math.Pi {
 			phase += 2 * math.Pi
 		}
-	}
-	if !upDir {
-		return out
 	}
 	return out
 }
@@ -294,14 +314,4 @@ func codeWaveforms(tech phy.CodedTechnology, fs float64) [][]complex128 {
 		out[ci] = w
 	}
 	return out
-}
-
-func medianFloat(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	c := make([]float64, len(v))
-	copy(c, v)
-	sort.Float64s(c)
-	return c[len(c)/2]
 }

@@ -259,8 +259,7 @@ func (b *MatchedBank) Name() string { return "matched" }
 // normalized correlation.
 func (b *MatchedBank) Metric(rx []complex128) []float64 {
 	var out []float64
-	for _, tmpl := range b.templates {
-		m := dsp.NormalizedCorrelate(rx, tmpl)
+	for _, m := range dsp.NormalizedCorrelateAll(rx, b.templates...) {
 		if out == nil {
 			out = m
 			continue

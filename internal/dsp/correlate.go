@@ -1,6 +1,9 @@
 package dsp
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // CrossCorrelate returns the sliding cross-correlation of x against the
 // reference template ref:
@@ -11,39 +14,96 @@ import "math"
 // switches to FFT-based correlation for large inputs. It returns nil when
 // ref is longer than x or either is empty.
 func CrossCorrelate(x, ref []complex128) []complex128 {
-	n, k := len(x), len(ref)
-	if k == 0 || n < k {
-		return nil
-	}
-	outLen := n - k + 1
-	if n*k <= 1<<17 {
-		out := make([]complex128, outLen)
-		for i := 0; i < outLen; i++ {
-			var acc complex128
-			seg := x[i : i+k]
-			for j, r := range ref {
-				acc += seg[j] * complex(real(r), -imag(r))
-			}
-			out[i] = acc
+	var out []complex128
+	// A lone template is never handed scratch, so its result can be kept.
+	correlateEach(x, [][]complex128{ref}, func(_ int, corr []complex128) { out = corr })
+	return out
+}
+
+// correlateEach calls use(i, CrossCorrelate(x, refs[i])) for every ref whose
+// correlation is defined, in no particular order. Templates on the FFT path
+// are taken in groups of one FFT size: x is transformed once per group and
+// every template's spectrum comes from the memo. The last template of a
+// group multiplies into the transform of x in place; the others get
+// scratch, which use must not keep.
+func correlateEach(x []complex128, refs [][]complex128, use func(i int, corr []complex128)) {
+	n := len(x)
+	fftSize := func(ref []complex128) int { // 0 off the FFT path
+		if k := len(ref); k > 0 && n >= k && n*k > 1<<17 {
+			return NextPow2(n + k - 1)
 		}
-		return out
+		return 0
 	}
-	// FFT method: linear cross-correlation equals IFFT(X · conj(R)) after
-	// zero-padding both vectors to at least n+k-1.
-	m := NextPow2(n + k - 1)
-	fx := make([]complex128, m)
-	copy(fx, x)
-	fr := make([]complex128, m)
-	copy(fr, ref)
-	FFTInPlace(fx)
-	FFTInPlace(fr)
-	for i := range fx {
-		fx[i] *= complex(real(fr[i]), -imag(fr[i]))
+	var scratch []complex128
+	for i, ref := range refs {
+		k := len(ref)
+		if k == 0 || n < k {
+			continue
+		}
+		if n*k <= 1<<17 {
+			use(i, correlateDirect(x, ref))
+			continue
+		}
+		// FFT method: linear cross-correlation equals IFFT(X · conj(R))
+		// after zero-padding both vectors to at least n+k-1.
+		m := fftSize(ref)
+		left := 0
+		for j, r := range refs {
+			if fftSize(r) == m {
+				if j < i {
+					left = -1 // this size's group is done
+					break
+				}
+				left++
+			}
+		}
+		if left < 0 {
+			continue
+		}
+		fx := paddedFFT(x, m)
+		for j := i; left > 0; j++ {
+			if fftSize(refs[j]) != m {
+				continue
+			}
+			left--
+			prod := fx
+			if left > 0 {
+				scratch = slices.Grow(scratch[:0], m)[:m]
+				prod = scratch
+			}
+			fr := memo.padded(refs[j], m)
+			for b, v := range fx {
+				prod[b] = v * complex(real(fr[b]), -imag(fr[b]))
+			}
+			IFFTInPlace(prod)
+			// Correlation lag k corresponds to output index k.
+			use(j, prod[:n-len(refs[j])+1])
+		}
 	}
-	IFFTInPlace(fx)
-	// Correlation lag k corresponds to output index k.
+}
+
+// correlateDirect is the O(n·k) sliding correlation, cheaper than the FFT
+// path for short inputs.
+func correlateDirect(x, ref []complex128) []complex128 {
+	k := len(ref)
+	outLen := len(x) - k + 1
 	out := make([]complex128, outLen)
-	copy(out, fx[:outLen])
+	for i := 0; i < outLen; i++ {
+		var acc complex128
+		seg := x[i : i+k]
+		for j, r := range ref {
+			acc += seg[j] * complex(real(r), -imag(r))
+		}
+		out[i] = acc
+	}
+	return out
+}
+
+// paddedFFT returns the m-point FFT of x zero-padded to m.
+func paddedFFT(x []complex128, m int) []complex128 {
+	out := make([]complex128, m)
+	copy(out, x)
+	FFTInPlace(out)
 	return out
 }
 
@@ -54,17 +114,29 @@ func CrossCorrelate(x, ref []complex128) []complex128 {
 // gateway detect packets buried below the noise floor without tracking the
 // noise level.
 func NormalizedCorrelate(x, ref []complex128) []float64 {
+	return NormalizedCorrelateAll(x, ref)[0]
+}
+
+// NormalizedCorrelateAll returns NormalizedCorrelate(x, ref) for every ref
+// (nil where a ref is empty or longer than x), transforming x once per FFT
+// size rather than once per template — the shape of classifying one
+// capture against a bank of preambles.
+func NormalizedCorrelateAll(x []complex128, refs ...[]complex128) [][]float64 {
+	out := make([][]float64, len(refs))
+	correlateEach(x, refs, func(i int, corr []complex128) { out[i] = normalize(x, refs[i], corr) })
+	return out
+}
+
+// normalize turns the correlation of x against ref into |corr| over the
+// root of the window and template energies.
+func normalize(x, ref, corr []complex128) []float64 {
 	n, k := len(x), len(ref)
-	corr := CrossCorrelate(x, ref)
-	if corr == nil {
-		return nil
-	}
+	out := make([]float64, len(corr))
 	refE := Energy(ref)
 	if refE == 0 {
-		return make([]float64, len(corr))
+		return out
 	}
 	// Sliding window energy of x.
-	out := make([]float64, len(corr))
 	var winE float64
 	for j := 0; j < k; j++ {
 		v := x[j]

@@ -7,6 +7,15 @@
 // Algorithms favor clarity and numerical robustness over absolute speed, but
 // the FFT-based paths (correlation, filtering of long vectors) are fast
 // enough to run the paper's full SNR sweeps in seconds.
+//
+// Spectra of fixed operands — correlation templates, FIR taps, Bluestein
+// kernels — are computed once and kept in a process-wide memo. The reuse
+// is exact: a hit is confirmed bit for bit against a private copy of the
+// operand and returns the very slice a fresh transform would produce, so
+// no output depends on what the memo holds. The memo is bounded by a byte
+// budget with least-recently-used eviction, and it lives here rather than
+// in caller state because no caller keeps state across calls: the cloud
+// builds a decoder per segment and concurrent farm workers share the PHYs.
 package dsp
 
 import (
@@ -139,33 +148,20 @@ func radix2(x []complex128) {
 }
 
 // bluestein computes an arbitrary-length DFT as a convolution, which is in
-// turn computed with power-of-two FFTs (chirp-z transform).
+// turn computed with power-of-two FFTs (chirp-z transform). The chirp and
+// the kernel spectrum depend only on n, so they come from the memo.
 func bluestein(x []complex128) {
 	n := len(x)
 	m := NextPow2(2*n - 1)
-
-	// w[k] = e^{-iπk²/n}; indices are taken mod 2n to stay exact.
-	w := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		j := (int64(k) * int64(k)) % int64(2*n)
-		s, c := math.Sincos(-math.Pi * float64(j) / float64(n))
-		w[k] = complex(c, s)
-	}
+	w, kernel := memo.bluesteinKernel(n, m)
 
 	a := make([]complex128, m)
-	b := make([]complex128, m)
 	for k := 0; k < n; k++ {
 		a[k] = x[k] * w[k]
-		bc := complex(real(w[k]), -imag(w[k])) // conj
-		b[k] = bc
-		if k > 0 {
-			b[m-k] = bc
-		}
 	}
 	radix2(a)
-	radix2(b)
 	for i := range a {
-		a[i] *= b[i]
+		a[i] *= kernel[i]
 	}
 	// inverse FFT of a, power-of-two length
 	for i := range a {

@@ -128,14 +128,12 @@ func convolveComplex(x []complex128, h []float64) []complex128 {
 		return out
 	}
 	m := NextPow2(outLen)
-	fx := make([]complex128, m)
-	copy(fx, x)
-	fh := make([]complex128, m)
+	ch := make([]complex128, k)
 	for i, t := range h {
-		fh[i] = complex(t, 0)
+		ch[i] = complex(t, 0)
 	}
-	FFTInPlace(fx)
-	FFTInPlace(fh)
+	fh := memo.padded(ch, m)
+	fx := paddedFFT(x, m)
 	for i := range fx {
 		fx[i] *= fh[i]
 	}

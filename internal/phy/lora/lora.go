@@ -368,8 +368,8 @@ func (r *Radio) demodSymbol(window, downRef []complex128) (uint32, complex128) {
 func (r *Radio) sync(rx []complex128, fs float64) (start int, ok bool) {
 	n := r.symbolSamples(fs)
 	p := r.cfg.PreambleLen
-	mUp := dsp.NormalizedCorrelate(rx, r.chirp(true, 0, fs))
-	mDown := dsp.NormalizedCorrelate(rx, r.chirp(false, 0, fs))
+	ms := dsp.NormalizedCorrelateAll(rx, r.chirp(true, 0, fs), r.chirp(false, 0, fs))
+	mUp, mDown := ms[0], ms[1]
 	span := (p + 2) * n
 	limit := len(mUp) - span
 	if limit <= 0 || len(mDown) < span {
