@@ -1,6 +1,6 @@
 // Command galiot-top is the operator's one-glance view of a running
 // galiot process: it scrapes the observability endpoint of a
-// galiot-cloud, galiot-gateway or galiot-fleet run (-addr) and renders
+// galiot-cloud or galiot-gateway run (-addr) and renders
 // health, the fleet metrics rollup and the recent event journal as a
 // compact text dashboard. One-shot by default; -watch refreshes on an
 // interval until interrupted, and -json emits the raw scrape instead of

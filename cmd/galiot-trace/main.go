@@ -2,22 +2,20 @@
 // trees the obs.TraceStore stitches together from gateway and cloud
 // processes via the wire-propagated trace context (backhaul v3).
 //
-// It reads traces either from a live observability endpoint (-addr, the
+// It reads traces from a live observability endpoint (-addr, the
 // /trace/slowest and /trace/tree routes an ObsServer with a Traces store
-// serves) or from a captured artifact (-in TRACE.json, as written by
-// galiot-fleet -trace-out). Output is an indented span tree per trace with
-// per-stage durations and the critical path, or raw JSON with -json.
+// serves). Output is an indented span tree per trace with per-stage
+// durations and the critical path, or raw JSON with -json.
 //
-// With -assert the command is a CI gate: it exits non-zero unless the
-// input holds at least one trace, zero orphan spans (every span's parent
-// was assembled into the same tree), and at least one trace stitched
-// across both processes (gateway-side and cloud-side spans sharing one
-// trace ID).
+// With -assert the command is a CI gate over every retained trace: it
+// exits non-zero unless the endpoint holds at least one trace, zero orphan
+// spans (every span's parent was assembled into the same tree), and at
+// least one trace stitched across both processes (gateway-side and
+// cloud-side spans sharing one trace ID).
 //
-//	galiot-trace -in TRACE.json                 # slowest 10, rendered
 //	galiot-trace -addr 127.0.0.1:8077 -slowest 5
-//	galiot-trace -in TRACE.json -id 0xe302...   # one trace by ID
-//	galiot-trace -in TRACE.json -assert         # CI continuity gate
+//	galiot-trace -addr 127.0.0.1:8077 -id 0xe302...   # one trace by ID
+//	galiot-trace -addr 127.0.0.1:8077 -assert         # CI continuity gate
 package main
 
 import (
@@ -27,7 +25,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -36,27 +33,26 @@ import (
 
 func main() {
 	var (
-		in      = flag.String("in", "", "read trace trees from this JSON file (galiot-fleet -trace-out artifact)")
-		addr    = flag.String("addr", "", "read traces from a live observability endpoint (host:port serving /trace/slowest)")
+		addr    = flag.String("addr", "", "read traces from this live observability endpoint (host:port serving /trace/slowest)")
 		id      = flag.String("id", "", "show only this trace (decimal or 0x hex trace ID)")
-		slowest = flag.Int("slowest", 10, "with -addr, fetch the N slowest traces; with -in, show the N slowest (0 = all)")
+		slowest = flag.Int("slowest", 10, "fetch the N slowest traces (0 = all)")
 		asJSON  = flag.Bool("json", false, "emit the selected trees as JSON instead of rendering them")
 		doAss   = flag.Bool("assert", false, "continuity gate: exit non-zero unless traces exist, zero spans are orphaned, and at least one trace spans both gateway and cloud")
 	)
 	flag.Parse()
 
-	if (*in == "") == (*addr == "") {
-		fmt.Fprintln(os.Stderr, "galiot-trace: exactly one of -in or -addr is required")
+	if *addr == "" {
+		fmt.Fprintln(os.Stderr, "galiot-trace: -addr is required")
 		os.Exit(2)
 	}
 
-	// The gate must judge the whole artifact, not the slowest-N view a
+	// The gate must judge every retained trace, not the slowest-N view a
 	// human would page through (an orphan in trace #11 still fails CI).
-	sl := *slowest
-	if *doAss && *in != "" {
-		sl = 0
+	n := *slowest
+	if *doAss {
+		n = 0
 	}
-	trees, err := load(*in, *addr, *id, sl)
+	trees, err := fetch(*addr, *id, n)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "galiot-trace:", err)
 		os.Exit(1)
@@ -95,39 +91,8 @@ func main() {
 	}
 }
 
-// load resolves the selected trace trees from the file or the endpoint.
-func load(in, addr, id string, slowest int) ([]galiot.ObsTraceTree, error) {
-	if addr != "" {
-		return fetch(addr, id, slowest)
-	}
-	data, err := os.ReadFile(in)
-	if err != nil {
-		return nil, err
-	}
-	var trees []galiot.ObsTraceTree
-	if err := json.Unmarshal(data, &trees); err != nil {
-		return nil, fmt.Errorf("%s: %w", in, err)
-	}
-	if id != "" {
-		want, err := galiot.ParseTraceID(id)
-		if err != nil {
-			return nil, err
-		}
-		for _, tr := range trees {
-			if tr.TraceID == want {
-				return []galiot.ObsTraceTree{tr}, nil
-			}
-		}
-		return nil, fmt.Errorf("trace %s not in %s", id, in)
-	}
-	if slowest > 0 && len(trees) > slowest {
-		sort.SliceStable(trees, func(i, j int) bool { return trees[i].Duration > trees[j].Duration })
-		trees = trees[:slowest]
-	}
-	return trees, nil
-}
-
-// fetch pulls trees from a live ObsServer: one tree by ID, or the slowest N.
+// fetch pulls trees from a live ObsServer: one tree by ID, or the slowest
+// n (0 = every retained tree).
 func fetch(addr, id string, slowest int) ([]galiot.ObsTraceTree, error) {
 	client := &http.Client{Timeout: 5 * time.Second}
 	if id != "" {
@@ -136,9 +101,6 @@ func fetch(addr, id string, slowest int) ([]galiot.ObsTraceTree, error) {
 			return nil, err
 		}
 		return []galiot.ObsTraceTree{tr}, nil
-	}
-	if slowest <= 0 {
-		slowest = 10
 	}
 	var trees []galiot.ObsTraceTree
 	if err := getJSON(client, fmt.Sprintf("http://%s/trace/slowest?n=%d", addr, slowest), &trees); err != nil {

@@ -1,10 +1,10 @@
 // Extensibility: the paper's core pitch — a software radio gateway gains a
 // new technology "through a simple software update", not a new radio chip.
 // This example starts a gateway+cloud on the three prototype technologies,
-// then "updates" both with two more (SigFox-class D-BPSK and WiFi
-// HaLow-class OFDM) by rebuilding the universal preamble and the decoder
-// over the larger set — no other change — and decodes a five-technology
-// airspace, including a LoRa×HaLow collision.
+// then "updates" both with two more (802.15.4-style O-QPSK DSSS and
+// SigFox-class D-BPSK) by rebuilding the universal preamble and the
+// decoder over the larger set — no other change — and decodes a
+// five-technology airspace, including a LoRa×O-QPSK collision.
 //
 //	go run ./examples/extensibility
 package main
@@ -21,7 +21,7 @@ import (
 
 func main() {
 	before := galiot.Technologies()   // lora, xbee, zwave
-	after := galiot.TechnologiesAll() // + oqpsk, dbpsk, halow
+	after := galiot.TechnologiesAll() // + oqpsk, dbpsk
 
 	// The "software update": the universal preamble is rebuilt from the new
 	// technology list. Its length is still that of the longest preamble —
@@ -39,8 +39,9 @@ func main() {
 	fmt.Printf("after update:       %d techs -> template %d samples (%d groups)\n\n",
 		len(after), len(uniAfter.Template), len(uniAfter.Groups))
 
-	// Put all five 1 MHz-capable technologies on the air, with a full
-	// time+frequency overlap between LoRa and HaLow OFDM.
+	// Put all five technologies on the air, staggered so each overlaps its
+	// neighbours in time; LoRa and O-QPSK both spread across the band, so
+	// they also overlap in frequency.
 	gen := rng.New(11)
 	payloads := map[string][]byte{
 		"lora":  []byte("lora frame"),
@@ -48,7 +49,6 @@ func main() {
 		"zwave": []byte("zwave frame"),
 		"oqpsk": []byte("oqpsk frame"),
 		"dbpsk": []byte{0xD0, 0x0D},
-		"halow": []byte("halow frame"),
 	}
 	var emissions []channel.Emission
 	longest := 0

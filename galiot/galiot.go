@@ -8,7 +8,8 @@
 // The package re-exports the pieces a downstream application composes:
 //
 //   - Technologies: ready-made PHYs (LoRa CSS, XBee GFSK, Z-Wave BFSK,
-//     802.15.4-style O-QPSK DSSS) behind the Technology interface;
+//     802.15.4-style O-QPSK DSSS, SigFox-class D-BPSK) behind the
+//     Technology interface;
 //   - NewGateway: front-end → detection → edge decode → backhaul pipeline;
 //   - NewCloud: the Algorithm-1 collision decoder as a service;
 //   - NewUniversalDetector / NewCollisionDecoder: the two core algorithms
@@ -19,23 +20,18 @@
 package galiot
 
 import (
-	"net/http"
-	"sync"
-
 	"repro/internal/backhaul"
 	"repro/internal/cancel"
 	"repro/internal/cloud"
 	"repro/internal/detect"
 	"repro/internal/farm"
 	"repro/internal/fleet"
-	"repro/internal/fleetsim"
 	"repro/internal/frontend"
 	"repro/internal/gateway"
 	"repro/internal/obs"
 	"repro/internal/phy"
 	"repro/internal/phy/dbpsk"
 	"repro/internal/phy/lora"
-	"repro/internal/phy/ofdm"
 	"repro/internal/phy/oqpsk"
 	"repro/internal/phy/xbee"
 	"repro/internal/phy/zwave"
@@ -95,14 +91,6 @@ type (
 	FleetConfig = fleet.Config
 	// FleetShardStats is one shard's point-in-time view from Fleet.Stats.
 	FleetShardStats = fleet.ShardStats
-	// FleetSimConfig parameterizes an in-process fleet simulation
-	// (internal/fleetsim): real gateways over loopback TCP against a
-	// sharded plane.
-	FleetSimConfig = fleetsim.Config
-	// FleetSimWorkload is a pre-rendered deterministic fleet workload.
-	FleetSimWorkload = fleetsim.Workload
-	// FleetSimReport is the structured outcome of one fleet simulation.
-	FleetSimReport = fleetsim.Report
 	// CollisionDecoder runs Algorithm 1 (SIC + kill filters).
 	CollisionDecoder = cancel.Decoder
 	// DecodeStats aggregates what a decode invocation did.
@@ -154,8 +142,8 @@ type (
 	ObsTraceTree = obs.TraceTree
 	// ObsSpanSnapshot is one finished span as recorded by a tracer.
 	ObsSpanSnapshot = obs.SpanSnapshot
-	// ObsFleet scrapes N metric endpoints or registries and merges them
-	// into a fleet-wide rollup (served at /fleet/metrics).
+	// ObsFleet merges N metric registries into a fleet-wide rollup
+	// (served at /fleet/metrics).
 	ObsFleet = obs.Fleet
 	// ObsFleetSnapshot is one point-in-time fleet rollup: exact counter
 	// sums, labeled gauge extremes, merged histogram sketches.
@@ -195,28 +183,12 @@ func TechnologiesWithDSSS() []Technology {
 	return append(Technologies(), oqpsk.Default())
 }
 
-// TechnologiesAll returns every implemented PHY that runs at the gateway's
-// 1 MHz capture rate: the three prototypes plus O-QPSK DSSS, the
-// SigFox-class D-BPSK ultra-narrowband PHY and the WiFi HaLow-class
-// 1 MHz-mode OFDM PHY — at least one technology per modulation class in
-// the paper's Sec. 5 taxonomy. The BLE LE 1M PHY (repro/internal/phy/ble)
-// is also implemented but needs a ≥5 MHz capture, so it is not part of
-// this set.
+// TechnologiesAll returns every implemented PHY: the three prototypes
+// plus O-QPSK DSSS and the SigFox-class D-BPSK ultra-narrowband PHY — one
+// technology per modulation class the kill filters of the paper's Sec. 5
+// cover.
 func TechnologiesAll() []Technology {
-	return append(TechnologiesWithDSSS(), dbpsk.Default(), ofdm.Default())
-}
-
-var registerOnce sync.Once
-
-// RegisterDefaults adds the default technology instances to the global
-// phy registry (used by name-based lookup in tools). Safe to call multiple
-// times.
-func RegisterDefaults() {
-	registerOnce.Do(func() {
-		for _, t := range TechnologiesAll() {
-			phy.Register(t)
-		}
-	})
+	return append(TechnologiesWithDSSS(), dbpsk.Default())
 }
 
 // NewGateway builds a gateway over the given technologies with the paper's
@@ -252,19 +224,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		cfg.Techs = Technologies()
 	}
 	return fleet.New(cfg)
-}
-
-// GenFleetWorkload renders a deterministic fleet workload from
-// cfg.Seed; reuse it across RunFleetSim calls to compare shard counts on
-// byte-identical captures.
-func GenFleetWorkload(cfg FleetSimConfig) (*FleetSimWorkload, error) {
-	return fleetsim.GenWorkload(cfg)
-}
-
-// RunFleetSim executes one in-process fleet simulation: real resilient
-// gateways, real wire protocol, a sharded decode plane, one Report.
-func RunFleetSim(cfg FleetSimConfig, wl *FleetSimWorkload) (*FleetSimReport, error) {
-	return fleetsim.Run(cfg, wl)
 }
 
 // NewUniversalDetector builds the universal-preamble detector of Sec. 4
@@ -319,12 +278,6 @@ func NewObsFleet(targets ...ObsTarget) *ObsFleet { return obs.NewFleet(targets..
 // ObsRegistryTarget makes an in-process registry a fleet scrape target.
 func ObsRegistryTarget(name string, r *ObsRegistry) ObsTarget {
 	return obs.RegistryTarget(name, r)
-}
-
-// ObsHTTPTarget makes a remote /metrics endpoint a fleet scrape target
-// (nil client uses a 5 s-timeout default).
-func ObsHTTPTarget(name, url string, client *http.Client) ObsTarget {
-	return obs.HTTPTarget(name, url, client)
 }
 
 // DefaultFrontend returns the paper's prototype front-end model: 1 MHz,

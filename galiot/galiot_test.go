@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/channel"
-	"repro/internal/phy"
 	"repro/internal/rng"
 )
 
@@ -26,27 +25,20 @@ func TestTechnologies(t *testing.T) {
 		t.Fatal("DSSS set")
 	}
 	all := TechnologiesAll()
-	if len(all) != 6 {
-		t.Fatal("full set")
+	if len(all) != 5 {
+		t.Fatalf("full set has %d technologies, want 5", len(all))
 	}
 	classes := map[string]bool{}
 	for _, tech := range all {
 		classes[tech.Class().String()] = true
 	}
-	for _, want := range []string{"CSS", "FSK", "DSSS", "PSK", "OFDM"} {
+	for _, want := range []string{"CSS", "FSK", "DSSS", "PSK"} {
 		if !classes[want] {
 			t.Fatalf("class %s not covered by TechnologiesAll", want)
 		}
 	}
-}
-
-func TestRegisterDefaultsIdempotent(t *testing.T) {
-	RegisterDefaults()
-	RegisterDefaults() // must not panic on duplicate registration
-	for _, name := range []string{"lora", "xbee", "zwave", "oqpsk", "dbpsk", "halow"} {
-		if _, ok := phy.Lookup(name); !ok {
-			t.Fatalf("%s not registered", name)
-		}
+	if len(classes) != 4 {
+		t.Fatalf("TechnologiesAll covers classes %v, want exactly CSS, FSK, DSSS, PSK", classes)
 	}
 }
 

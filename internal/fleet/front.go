@@ -41,9 +41,9 @@ type Config struct {
 	Clock func() int64
 	// Logf receives front and shard diagnostics; nil silences them.
 	Logf func(format string, args ...any)
-	// WrapDecode, when set, wraps each shard's real collision decoder. The
-	// fleet simulator hooks in here to count decode invocations per shard,
-	// catch cross-shard duplicates and substitute synthetic work.
+	// WrapDecode, when set, wraps each shard's real collision decoder: the
+	// test seam for the fleet tests, which count decodes per shard, catch
+	// cross-shard duplicates and substitute synthetic work here.
 	WrapDecode func(shard int, next farm.DecodeFunc) farm.DecodeFunc
 	// DedupTTL age-bounds each shard's replay dedup cache against Clock.
 	// Zero keeps the caches purely count-bound.

@@ -37,16 +37,16 @@ func capture(t *testing.T, tech phy.Technology, seed uint64, payload []byte) []c
 	return channel.Mix(len(sig)+100000, []channel.Emission{{Samples: sig, Offset: 30000, SNRdB: 15}}, gen, fs)
 }
 
-// runGateway drives one gateway.Run session against serve (the cloud side
+// runSession drives one gateway.Run session against serve (the cloud side
 // of a net.Pipe) and returns the decoded payloads, sorted, plus the shipping
 // window the gateway derived from the hello ack (scaleWindow's result, as
-// journaled on gateway_session_establish).
-func runGateway(t *testing.T, cfg gateway.Config, caps [][]complex128, serve func(rw io.ReadWriter) error) ([]string, int64) {
-	t.Helper()
+// journaled on gateway_session_establish). Safe to call from any goroutine:
+// failures come back as an error.
+func runSession(cfg gateway.Config, caps [][]complex128, serve func(rw io.ReadWriter) error) ([]string, int64, error) {
 	cfg.Journal = obs.NewJournal(0)
 	g, err := gateway.New(cfg)
 	if err != nil {
-		t.Fatal(err)
+		return nil, 0, err
 	}
 	a, b := net.Pipe()
 	defer a.Close()
@@ -66,10 +66,17 @@ func runGateway(t *testing.T, cfg gateway.Config, caps [][]complex128, serve fun
 			}
 		})
 	}()
+	var first error
 	for i := 0; i < 2; i++ {
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
+		if err := <-errCh; err != nil && first == nil {
+			// Unblock the other side before waiting for it.
+			first = err
+			a.Close()
+			b.Close()
 		}
+	}
+	if first != nil {
+		return nil, 0, first
 	}
 	sort.Strings(payloads)
 	window := int64(-1)
@@ -77,6 +84,17 @@ func runGateway(t *testing.T, cfg gateway.Config, caps [][]complex128, serve fun
 		if e.Name == "gateway_session_establish" {
 			window = e.Value
 		}
+	}
+	return payloads, window, nil
+}
+
+// runGateway is runSession on the test goroutine: any session error fails
+// the test.
+func runGateway(t *testing.T, cfg gateway.Config, caps [][]complex128, serve func(rw io.ReadWriter) error) ([]string, int64) {
+	t.Helper()
+	payloads, window, err := runSession(cfg, caps, serve)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return payloads, window
 }

@@ -29,8 +29,8 @@ import (
 const chaosSegments = 8
 
 // chaosTracers wires a gateway-side and a cloud-side tracer (distinct
-// sites, as two processes would have) into one shared trace store — the
-// same assembly galiot-fleet does across real process boundaries.
+// sites, as two processes would have) into one shared trace store, which
+// stitches their spans by the wire-propagated trace ID.
 func chaosTracers(store *obs.TraceStore, gwSite string) (*obs.Tracer, *obs.Tracer) {
 	gw := obs.NewTracer(0)
 	gw.SetSite(gwSite)

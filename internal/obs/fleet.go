@@ -1,23 +1,15 @@
-// Fleet-wide metrics aggregation: many obs endpoints (decode shards,
-// gateways, the front) merge into one rollup with a per-target breakdown.
-// Counters sum exactly; gauges report labeled min/max/mean/sum; histogram
-// quantiles come from merged log-linear sketches (see SketchIndex for the
-// documented error bound). Targets are pluggable — an in-process registry
-// (RegistryTarget) and a scraped HTTP /metrics endpoint (HTTPTarget) merge
-// identically — so the same rollup serves the in-process sharded plane of
-// galiot-cloud, the loopback fleet of internal/fleetsim, and a real
-// cross-process deployment.
+// Fleet-wide metrics aggregation: many obs registries (decode shards, the
+// front) merge into one rollup with a per-target breakdown. Counters sum
+// exactly; gauges report labeled min/max/mean/sum; histogram quantiles
+// come from merged log-linear sketches (see SketchIndex for the documented
+// error bound). galiot-cloud serves the rollup of its sharded plane at
+// /fleet/metrics and logs it on shutdown.
 
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
 	"sort"
 	"sync"
-	"time"
 )
 
 // Target is one scrape source of the fleet aggregator.
@@ -34,30 +26,6 @@ type Target struct {
 func RegistryTarget(name string, r *Registry) Target {
 	return Target{Name: name, Fetch: func() (Snapshot, error) {
 		return r.Snapshot(), nil
-	}}
-}
-
-// HTTPTarget scrapes a remote obs server's /metrics endpoint. url is the
-// full metrics URL (http://host:port/metrics); client nil uses a
-// 5-second-timeout default.
-func HTTPTarget(name, url string, client *http.Client) Target {
-	if client == nil {
-		client = &http.Client{Timeout: 5 * time.Second}
-	}
-	return Target{Name: name, Fetch: func() (Snapshot, error) {
-		resp, err := client.Get(url)
-		if err != nil {
-			return Snapshot{}, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return Snapshot{}, fmt.Errorf("obs: scrape %s: status %s", url, resp.Status)
-		}
-		var snap Snapshot
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&snap); err != nil {
-			return Snapshot{}, fmt.Errorf("obs: scrape %s: %w", url, err)
-		}
-		return snap, nil
 	}}
 }
 
@@ -114,31 +82,23 @@ type FleetSnapshot struct {
 	Histograms map[string]AggHistogram `json:"histograms"`
 }
 
-// Fleet aggregates N obs targets into one FleetSnapshot on demand. Add
-// targets once at wiring time; Collect is safe for concurrent use (each
-// pass fetches every target concurrently and merges the results).
+// Fleet aggregates N obs targets into one FleetSnapshot on demand. The
+// targets are fixed at NewFleet, so Collect is safe for concurrent use
+// (each pass fetches every target concurrently and merges the results).
 type Fleet struct {
-	mu      sync.Mutex
 	targets []Target
 }
 
-// NewFleet builds an aggregator over the given targets.
+// NewFleet builds an aggregator over the given targets; targets without a
+// Fetch are dropped.
 func NewFleet(targets ...Target) *Fleet {
 	f := &Fleet{}
 	for _, t := range targets {
-		f.Add(t)
+		if t.Fetch != nil {
+			f.targets = append(f.targets, t)
+		}
 	}
 	return f
-}
-
-// Add registers one more scrape target.
-func (f *Fleet) Add(t Target) {
-	if f == nil || t.Fetch == nil {
-		return
-	}
-	f.mu.Lock()
-	f.targets = append(f.targets, t)
-	f.mu.Unlock()
 }
 
 // Collect fetches every target (concurrently) and merges the snapshots
@@ -148,10 +108,7 @@ func (f *Fleet) Collect() FleetSnapshot {
 	if f == nil {
 		return Aggregate(nil, nil)
 	}
-	f.mu.Lock()
-	targets := append([]Target(nil), f.targets...)
-	f.mu.Unlock()
-
+	targets := f.targets
 	snaps := make([]Snapshot, len(targets))
 	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
@@ -186,8 +143,7 @@ func (f *Fleet) Collect() FleetSnapshot {
 }
 
 // Aggregate merges already-fetched snapshots (parallel slices of target
-// name and snapshot) into a rollup. It is the pure core of Collect, usable
-// directly by in-process consumers like internal/fleetsim reports.
+// name and snapshot) into a rollup. It is the pure core of Collect.
 func Aggregate(names []string, snaps []Snapshot) FleetSnapshot {
 	out := FleetSnapshot{
 		Targets:    append([]string(nil), names...),

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"sort"
 	"testing"
 )
@@ -188,37 +187,6 @@ var errTest = errAlways("target down")
 type errAlways string
 
 func (e errAlways) Error() string { return string(e) }
-
-func TestHTTPTargetScrapesMetricsEndpoint(t *testing.T) {
-	t.Parallel()
-	reg := NewRegistry()
-	reg.Counter("gateway_segments_shipped_total").Add(3)
-	reg.Histogram("farm_queue_wait_samples", 16).Observe(100)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		_ = json.NewEncoder(w).Encode(reg.Snapshot())
-	}))
-	defer ts.Close()
-
-	tgt := HTTPTarget("gw0", ts.URL, nil)
-	snap, err := tgt.Fetch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Counters["gateway_segments_shipped_total"] != 3 {
-		t.Errorf("scraped counter = %d, want 3", snap.Counters["gateway_segments_shipped_total"])
-	}
-	// The sketch survives the JSON round trip, so remote histograms merge
-	// like local ones.
-	hs := snap.Histograms["farm_queue_wait_samples"]
-	if len(hs.Sketch) != 1 || hs.Sketch[0].Count != 1 {
-		t.Errorf("scraped sketch = %+v, want one occupied bucket", hs.Sketch)
-	}
-
-	down := HTTPTarget("gw1", "http://127.0.0.1:1/metrics", nil)
-	if _, err := down.Fetch(); err == nil {
-		t.Error("scraping a dead endpoint must fail")
-	}
-}
 
 // TestServerFleetEndpoints drives the four new endpoints end to end over
 // a real listener: /fleet/metrics, /healthz, /readyz, /events/recent.

@@ -16,7 +16,8 @@ import (
 //	GET /metrics       registry snapshot as one JSON object
 //	GET /trace/recent  ring of recent segment traces (spans grouped by ID)
 //	GET /trace/tree    one assembled trace tree by ?id= (decimal or 0x hex)
-//	GET /trace/slowest the ?n= longest retained trace trees (default 10)
+//	GET /trace/slowest the ?n= longest retained trace trees (default 10,
+//	                   n=0 serves every retained tree)
 //	GET /events/recent event-journal ring (state transitions, oldest first)
 //	GET /healthz       liveness checks; 503 when any fails
 //	GET /readyz        liveness + readiness checks; 503 when any fails
@@ -160,7 +161,7 @@ func (s *Server) handleTraceSlowest(w http.ResponseWriter, r *http.Request) {
 	n := 10
 	if q := r.URL.Query().Get("n"); q != "" {
 		v, err := strconv.Atoi(q)
-		if err != nil || v <= 0 {
+		if err != nil || v < 0 {
 			http.Error(w, "bad n", http.StatusBadRequest)
 			return
 		}

@@ -114,3 +114,41 @@ func TestServerDoubleStartAndIdleClose(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 }
+
+// TestServerTraceSlowestAll: /trace/slowest?n=0 serves every retained tree,
+// not the default ten — the continuity gate judges the whole store, so an
+// orphan in the eleventh-slowest trace must reach it. Without n the route
+// still serves ten, and a negative n is refused.
+func TestServerTraceSlowestAll(t *testing.T) {
+	t.Parallel()
+	const traces = 14
+	store := NewTraceStore(TraceStoreConfig{SampleEvery: 1})
+	for i := 0; i < traces; i++ {
+		store.Ingest(SpanSnapshot{TraceID: MintTraceID(0, int64(i)), SpanID: uint64(i + 1), Kind: "gateway-segment", Start: 0, End: int64(100 + i)})
+	}
+	s := &Server{Traces: store}
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	defer s.Close()
+	base := fmt.Sprintf("http://%s", s.Addr())
+
+	var all []TraceTree
+	getJSON(t, base+"/trace/slowest?n=0", http.StatusOK, &all)
+	if len(all) != traces {
+		t.Fatalf("/trace/slowest?n=0 served %d trees, want all %d", len(all), traces)
+	}
+	var dflt []TraceTree
+	getJSON(t, base+"/trace/slowest", http.StatusOK, &dflt)
+	if len(dflt) != 10 {
+		t.Fatalf("/trace/slowest served %d trees, want the default 10", len(dflt))
+	}
+	resp, err := http.Get(base + "/trace/slowest?n=-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("n=-1 answered %d, want %d", resp.StatusCode, http.StatusBadRequest)
+	}
+}

@@ -226,8 +226,7 @@ func (s *TraceStore) Slowest(n int) []TraceTree {
 	return trees
 }
 
-// Trees assembles every retained trace in insertion order — the artifact
-// form galiot-fleet writes and galiot-trace consumes.
+// Trees assembles every retained trace in insertion order.
 func (s *TraceStore) Trees() []TraceTree {
 	if s == nil {
 		return nil

@@ -1,8 +1,7 @@
 // Package phy defines the common abstractions for IoT radio technologies:
-// the Technology interface every PHY implements, the modulation-class
-// taxonomy that drives the choice of "kill" filter at the cloud, and a
-// registry (in the style of gopacket's layer registry) through which the
-// gateway and cloud enumerate the technologies they decode.
+// the Technology interface every PHY implements and the modulation-class
+// taxonomy that drives the choice of "kill" filter at the cloud. Gateway
+// and cloud decode an explicit technology list their caller passes in.
 //
 // A Technology is both a transmitter (Modulate) and a receiver
 // (Demodulate). Modulate produces a complex-baseband waveform at a caller-
@@ -14,11 +13,7 @@
 // reconstruct and subtract the signal.
 package phy
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "fmt"
 
 // Class is a modulation family. The cloud decoder picks its cancellation
 // strategy ("kill" filter) by class, not by technology, which is what lets
@@ -31,7 +26,6 @@ const (
 	ClassPSK               // phase shift keying: energy in a narrow center band
 	ClassCSS               // chirp spread spectrum: energy swept across the band
 	ClassDSSS              // direct-sequence: energy spread by orthogonal codes
-	ClassOFDM              // multicarrier: energy across many subcarriers (no kill filter in the paper's set)
 )
 
 // String names the class.
@@ -45,8 +39,6 @@ func (c Class) String() string {
 		return "CSS"
 	case ClassDSSS:
 		return "DSSS"
-	case ClassOFDM:
-		return "OFDM"
 	default:
 		return fmt.Sprintf("class(%d)", int(c))
 	}
@@ -136,48 +128,9 @@ type NarrowbandTechnology interface {
 	Center() float64
 }
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Technology{}
-)
-
-// Register adds a technology to the global registry. Registering a
-// duplicate name panics: names are the cross-layer identifiers used by the
-// backhaul protocol, so collisions are programming errors.
-func Register(t Technology) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	name := t.Name()
-	if _, dup := registry[name]; dup {
-		panic("phy: duplicate technology " + name)
-	}
-	registry[name] = t
-}
-
-// Lookup returns the registered technology with the given name.
-func Lookup(name string) (Technology, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	t, ok := registry[name]
-	return t, ok
-}
-
-// All returns the registered technologies sorted by name.
-func All() []Technology {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]Technology, 0, len(registry))
-	//lint:ignore nondeterminism the collected values are sorted by name below
-	for _, t := range registry {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
-	return out
-}
-
 // Extras returns the Table-1 rows the paper lists but that are not
-// prototyped in this repository, for callers that assemble a catalog from
-// an explicit technology list instead of the global registry.
+// implemented in this repository, for callers that assemble the catalog
+// from an explicit technology list.
 func Extras() []Info {
 	out := make([]Info, len(table1Extras))
 	copy(out, table1Extras)
