@@ -12,9 +12,10 @@
 // decode shards (default 1) behind one accept loop, each with its own
 // decode farm and replay cache, sessions routed by a consistent hash of
 // (gateway, epoch). The -obs-addr endpoint serves the plane registry at
-// /metrics and, at /fleet/metrics, the rollup across the plane registry
-// ("front") and every shard farm's private registry ("shard<i>", where the
-// farm_* series live) with exact per-target breakdown.
+// /metrics: the shards' cloud_* series summed, the front's
+// cloud_fleet_* and cloud_shard<i>_* series, and each shard farm's series
+// as cloud_shard<i>_farm_*. SIGINT drains the plane and logs the same
+// snapshot as one `metrics: {...}` line.
 package main
 
 import (
@@ -39,7 +40,7 @@ func main() {
 		shards         = flag.Int("shards", 1, "decode-plane shard count (sessions routed by consistent hash of gateway and epoch)")
 		sessionTimeout = flag.Duration("session-timeout", 0, "reap sessions idle for this long (0 = never)")
 		dedupTTL       = flag.Duration("dedup-ttl", 0, "evict replay-dedup cache entries older than this (0 = count-bound only)")
-		obsAddr        = flag.String("obs-addr", "", "serve /metrics, /trace/recent, /events/recent, /healthz, /readyz, /fleet/metrics and pprof on this address (empty = off)")
+		obsAddr        = flag.String("obs-addr", "", "serve /metrics, /trace/recent, /events/recent, /healthz, /readyz and pprof on this address (empty = off)")
 	)
 	flag.Parse()
 	if *workers < 1 {
@@ -86,12 +87,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "galiot-cloud:", err)
 		os.Exit(1)
 	}
-	// The fleet aggregator scrapes the plane registry plus every shard
-	// farm's private registry, so -obs-addr exposes all per-shard series
-	// through /fleet/metrics with exact per-target breakdown.
-	fl := galiot.NewObsFleet(front.Targets()...)
 	if *obsAddr != "" {
-		obsSrv := &galiot.ObsServer{Registry: reg, Tracer: tracer, Journal: journal, Health: health, Fleet: fl, Traces: traces}
+		obsSrv := &galiot.ObsServer{Registry: reg, Tracer: tracer, Journal: journal, Health: health, Traces: traces}
 		if err := obsSrv.Start(*obsAddr); err != nil {
 			fmt.Fprintln(os.Stderr, "galiot-cloud: obs server:", err)
 			os.Exit(1)
@@ -128,8 +125,5 @@ func main() {
 	}
 	if data, err := json.Marshal(reg.Snapshot()); err == nil {
 		log.Printf("metrics: %s", data)
-	}
-	if data, err := json.Marshal(fl.Collect()); err == nil {
-		log.Printf("fleet rollup: %s", data)
 	}
 }

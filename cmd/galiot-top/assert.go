@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,21 +12,21 @@ import (
 	"repro/galiot"
 )
 
-// runAsserts is -assert mode's whole lifecycle: load or scrape the rollup,
-// evaluate the gates, print one line per gate, and return the process exit
-// code (0 all pass, 1 any fail, 2 usage or scrape trouble).
-func runAsserts(client *http.Client, base, rollupPath, spec string) int {
+// runAsserts is -assert mode's whole lifecycle: load or scrape the
+// metrics, evaluate the gates, print one line per gate, and return the
+// process exit code (0 all pass, 1 any fail, 2 usage or scrape trouble).
+func runAsserts(client *http.Client, base, metricsPath, spec string) int {
 	asserts, err := parseAsserts(spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "galiot-top:", err)
 		return 2
 	}
-	var snap *galiot.ObsFleetSnapshot
-	if rollupPath != "" {
-		snap, err = loadSnapshot(rollupPath)
+	var snap *galiot.ObsSnapshot
+	if metricsPath != "" {
+		snap, err = loadSnapshot(metricsPath)
 	} else {
-		snap = &galiot.ObsFleetSnapshot{}
-		err = getJSON(client, base+"/fleet/metrics", snap, http.StatusOK)
+		snap = &galiot.ObsSnapshot{}
+		err = getJSON(client, base+"/metrics", snap, http.StatusOK)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "galiot-top:", err)
@@ -86,16 +87,16 @@ func parseAsserts(spec string) ([]assertion, error) {
 	return out, nil
 }
 
-// resolveSeries reads the asserted value of one series from the rollup:
-// counters gate on the fleet total, gauges on the fleet maximum (thresholds
-// bound the worst member, not the sum), histograms on the observation
-// count. The second return is false when no target reported the series.
-func resolveSeries(snap *galiot.ObsFleetSnapshot, name string) (int64, bool) {
+// resolveSeries reads the asserted value of one series from the
+// snapshot: counters and gauges gate on their value, histograms on the
+// observation count. The second return is false when the process does not
+// register the series.
+func resolveSeries(snap *galiot.ObsSnapshot, name string) (int64, bool) {
 	if c, ok := snap.Counters[name]; ok {
-		return int64(c.Total), true
+		return int64(c), true
 	}
 	if g, ok := snap.Gauges[name]; ok {
-		return g.Max, true
+		return g, true
 	}
 	if h, ok := snap.Histograms[name]; ok {
 		return int64(h.Count), true
@@ -105,14 +106,14 @@ func resolveSeries(snap *galiot.ObsFleetSnapshot, name string) (int64, bool) {
 
 // evalAsserts checks every assertion against the snapshot and returns one
 // result line per assertion plus the overall verdict. A series absent from
-// the rollup fails its assertion: a gate that silently passes because the
-// metric was renamed is worse than a false alarm.
-func evalAsserts(snap *galiot.ObsFleetSnapshot, asserts []assertion) (lines []string, ok bool) {
+// the snapshot fails its assertion: a gate that silently passes because
+// the metric was renamed is worse than a false alarm.
+func evalAsserts(snap *galiot.ObsSnapshot, asserts []assertion) (lines []string, ok bool) {
 	ok = true
 	for _, a := range asserts {
 		got, found := resolveSeries(snap, a.name)
 		if !found {
-			lines = append(lines, fmt.Sprintf("FAIL %s%s%d (series not in rollup)", a.name, a.op, a.value))
+			lines = append(lines, fmt.Sprintf("FAIL %s%s%d (series not in metrics)", a.name, a.op, a.value))
 			ok = false
 			continue
 		}
@@ -141,16 +142,23 @@ func evalAsserts(snap *galiot.ObsFleetSnapshot, asserts []assertion) (lines []st
 	return lines, ok
 }
 
-// loadSnapshot reads a canned FleetSnapshot from a JSON file (the bytes of
-// a /fleet/metrics response or a fleet soak's ROLLUP.json artifact), so the
-// gate can run in CI without a live endpoint.
-func loadSnapshot(path string) (*galiot.ObsFleetSnapshot, error) {
+// metricsTag prefixes the snapshot on galiot-cloud's shutdown log line.
+const metricsTag = "metrics: "
+
+// loadSnapshot reads a saved metrics snapshot from a file: the body of a
+// /metrics response, or a log whose last `metrics: {...}` line carries it
+// (galiot-cloud's shutdown line), so the gate can run in CI without a live
+// endpoint.
+func loadSnapshot(path string) (*galiot.ObsSnapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var snap galiot.ObsFleetSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	if i := bytes.LastIndex(data, []byte(metricsTag)); i >= 0 {
+		data = data[i+len(metricsTag):]
+	}
+	var snap galiot.ObsSnapshot
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &snap, nil

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -38,22 +39,23 @@ func TestParseAsserts(t *testing.T) {
 }
 
 // TestEvalAssertsOverCannedRollup runs the gate over the checked-in
-// ROLLUP.json artifact: counters resolve to the fleet total, gauges to the
-// max, histograms to the count, and a missing series fails rather than
+// METRICS.json, a /metrics snapshot: counters and gauges resolve to their
+// value, histograms to the count, and a missing series fails rather than
 // silently passing.
 func TestEvalAssertsOverCannedRollup(t *testing.T) {
-	snap, err := loadSnapshot(filepath.Join("testdata", "ROLLUP.json"))
+	snap, err := loadSnapshot(filepath.Join("testdata", "METRICS.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	pass := []string{
-		"cloud_segments_decoded_total==42", // counter -> total
-		"gateway_spool_dropped_total<=0",   // zero threshold holds
-		"gateway_spool_depth_count<=9",     // gauge -> max (9), not sum (11)
-		"wal_live_bytes<=65536",            // gauge max exactly at threshold
-		"farm_queue_wait_samples>=7",       // histogram -> count
-		"wal_truncated_records_total!=0",   // observed truncation
+		"cloud_segments_decoded_total==42",          // counter -> value
+		"cloud_shard1_farm_jobs_admitted_total==12", // per-shard farm series
+		"gateway_spool_dropped_total<=0",            // zero threshold holds
+		"gateway_spool_depth_count<=9",              // gauge -> value
+		"wal_live_bytes<=65536",                     // gauge exactly at threshold
+		"cloud_shard0_farm_queue_wait_samples>=7",   // histogram -> count
+		"wal_truncated_records_total!=0",            // observed truncation
 	}
 	lines, ok := evalAsserts(snap, mustParse(t, strings.Join(pass, ",")))
 	if !ok {
@@ -69,9 +71,9 @@ func TestEvalAssertsOverCannedRollup(t *testing.T) {
 		expr   string
 		reason string
 	}{
-		{"gateway_spool_depth_count<=8", "gauge max 9 over threshold"},
-		{"cloud_segments_decoded_total<42", "counter total not under"},
-		{"wal_records_appended_total==0", "series absent from rollup"},
+		{"gateway_spool_depth_count<=8", "gauge 9 over threshold"},
+		{"cloud_segments_decoded_total<42", "counter not under"},
+		{"wal_records_appended_total==0", "series absent from the snapshot"},
 	}
 	for _, f := range fail {
 		lines, ok := evalAsserts(snap, mustParse(t, f.expr))
@@ -100,4 +102,28 @@ func mustParse(t *testing.T, spec string) []assertion {
 		t.Fatal(err)
 	}
 	return a
+}
+
+// TestLoadSnapshotFromShutdownLog reads the snapshot off galiot-cloud's
+// `metrics: {...}` shutdown line inside a whole log, the form the CI
+// loopback smoke saves.
+func TestLoadSnapshotFromShutdownLog(t *testing.T) {
+	body, err := os.ReadFile(filepath.Join("testdata", "METRICS.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := "2026/01/02 15:04:05 observability endpoints on http://127.0.0.1:9903/metrics\n" +
+		"2026/01/02 15:04:09 shard 0: 1 sessions routed, farm 30 admitted\n" +
+		"2026/01/02 15:04:09 metrics: " + strings.ReplaceAll(string(body), "\n", "") + "\n"
+	path := filepath.Join(t.TempDir(), "cloud.log")
+	if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := loadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines, ok := evalAsserts(snap, mustParse(t, "cloud_shard0_farm_jobs_admitted_total==30")); !ok {
+		t.Fatalf("gate over the log line failed: %v", lines)
+	}
 }

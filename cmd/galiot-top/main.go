@@ -1,8 +1,8 @@
 // Command galiot-top is the operator's one-glance view of a running
 // galiot process: it scrapes the observability endpoint of a
 // galiot-cloud or galiot-gateway run (-addr) and renders
-// health, the fleet metrics rollup and the recent event journal as a
-// compact text dashboard. One-shot by default; -watch refreshes on an
+// health, the process's /metrics snapshot and the recent event journal as
+// a compact text dashboard. One-shot by default; -watch refreshes on an
 // interval until interrupted, and -json emits the raw scrape instead of
 // the rendered view.
 //
@@ -14,13 +14,14 @@
 //
 // With -assert the dashboard becomes a scriptable gate: each
 // comma-separated `series op value` expression is checked against the
-// fleet rollup (counters gate on the total, gauges on the max, histograms
-// on the count) and the process exits non-zero when any fails. -rollup
-// evaluates a canned /fleet/metrics JSON file instead of scraping, so the
-// same gate runs against CI artifacts:
+// /metrics snapshot (counters and gauges gate on their value, histograms
+// on their observation count) and the process exits non-zero when any
+// fails. -metrics evaluates a saved /metrics body, or a log holding
+// galiot-cloud's `metrics: {...}` shutdown line, instead of scraping, so
+// the same gate runs against CI artifacts:
 //
 //	galiot-top -addr 127.0.0.1:9900 -assert 'gateway_spool_dropped_total==0,wal_live_bytes<=1048576'
-//	galiot-top -rollup ROLLUP.json -assert 'cloud_segments_decoded_total>=100'
+//	galiot-top -metrics cloud.log -assert 'cloud_shard0_farm_jobs_admitted_total>0'
 package main
 
 import (
@@ -46,7 +47,7 @@ func main() {
 		asJSON  = flag.Bool("json", false, "emit the raw scrape as one JSON object instead of the text view")
 		events  = flag.Int("events", 12, "journal entries to show (most recent; 0 = all)")
 		asserts = flag.String("assert", "", "comma-separated threshold gates, e.g. 'gateway_spool_dropped_total==0,wal_live_bytes<=1048576'; exit 1 when any fails")
-		rollup  = flag.String("rollup", "", "evaluate -assert against this /fleet/metrics JSON file instead of scraping -addr")
+		metrics = flag.String("metrics", "", "evaluate -assert against this `FILE` (a saved /metrics body, or a log holding a metrics: {...} line) instead of scraping -addr")
 	)
 	flag.Parse()
 
@@ -54,10 +55,10 @@ func main() {
 	base := "http://" + *addr
 
 	if *asserts != "" {
-		os.Exit(runAsserts(client, base, *rollup, *asserts))
+		os.Exit(runAsserts(client, base, *metrics, *asserts))
 	}
-	if *rollup != "" {
-		fmt.Fprintln(os.Stderr, "galiot-top: -rollup only applies to -assert mode")
+	if *metrics != "" {
+		fmt.Fprintln(os.Stderr, "galiot-top: -metrics only applies to -assert mode")
 		os.Exit(2)
 	}
 	if *watch <= 0 {
@@ -96,10 +97,10 @@ func main() {
 
 // view is one full scrape of an observability endpoint.
 type view struct {
-	Live   galiot.ObsHealthSnapshot `json:"healthz"`
-	Ready  galiot.ObsHealthSnapshot `json:"readyz"`
-	Fleet  galiot.ObsFleetSnapshot  `json:"fleet"`
-	Events []galiot.ObsEvent        `json:"events"`
+	Live    galiot.ObsHealthSnapshot `json:"healthz"`
+	Ready   galiot.ObsHealthSnapshot `json:"readyz"`
+	Metrics galiot.ObsSnapshot       `json:"metrics"`
+	Events  []galiot.ObsEvent        `json:"events"`
 }
 
 // fetch scrapes the four observability surfaces. Health endpoints answer
@@ -113,7 +114,7 @@ func fetch(client *http.Client, base string) (*view, error) {
 	if err := getJSON(client, base+"/readyz", &v.Ready, http.StatusOK, http.StatusServiceUnavailable); err != nil {
 		return nil, err
 	}
-	if err := getJSON(client, base+"/fleet/metrics", &v.Fleet, http.StatusOK); err != nil {
+	if err := getJSON(client, base+"/metrics", &v.Metrics, http.StatusOK); err != nil {
 		return nil, err
 	}
 	if err := getJSON(client, base+"/events/recent", &v.Events, http.StatusOK); err != nil {
@@ -159,8 +160,8 @@ func emit(v *view, asJSON bool, maxEvents int, base string) {
 	fmt.Print(render(v, maxEvents, base))
 }
 
-// render formats the text dashboard: health verdicts, the fleet rollup
-// (counters, gauge extremes, histogram quantiles) and the event tail.
+// render formats the text dashboard: health verdicts, the metrics
+// (counters, gauges, histogram quantiles) and the event tail.
 func render(v *view, maxEvents int, base string) string {
 	var w strings.Builder
 	fmt.Fprintf(&w, "galiot-top %s\n", base)
@@ -173,29 +174,23 @@ func render(v *view, maxEvents int, base string) string {
 		fmt.Fprintf(&w, "  %-4s %-36s %s\n", mark, c.Name, c.Detail)
 	}
 
-	fmt.Fprintf(&w, "targets: %s\n", strings.Join(v.Fleet.Targets, " "))
-	for _, name := range sortedKeys(v.Fleet.Errors) {
-		fmt.Fprintf(&w, "  SCRAPE ERROR %s: %s\n", name, v.Fleet.Errors[name])
-	}
-	if len(v.Fleet.Counters) > 0 {
+	m := v.Metrics
+	if len(m.Counters) > 0 {
 		fmt.Fprintf(&w, "counters:\n")
-		for _, name := range sortedKeys(v.Fleet.Counters) {
-			c := v.Fleet.Counters[name]
-			fmt.Fprintf(&w, "  %-44s %12d  %s\n", name, c.Total, perTarget(c.PerTarget))
+		for _, name := range sortedKeys(m.Counters) {
+			fmt.Fprintf(&w, "  %-44s %12d\n", name, m.Counters[name])
 		}
 	}
-	if len(v.Fleet.Gauges) > 0 {
+	if len(m.Gauges) > 0 {
 		fmt.Fprintf(&w, "gauges:\n")
-		for _, name := range sortedKeys(v.Fleet.Gauges) {
-			g := v.Fleet.Gauges[name]
-			fmt.Fprintf(&w, "  %-44s sum=%-10d min=%d@%s max=%d@%s\n",
-				name, g.Sum, g.Min, g.MinTarget, g.Max, g.MaxTarget)
+		for _, name := range sortedKeys(m.Gauges) {
+			fmt.Fprintf(&w, "  %-44s %12d\n", name, m.Gauges[name])
 		}
 	}
-	if len(v.Fleet.Histograms) > 0 {
+	if len(m.Histograms) > 0 {
 		fmt.Fprintf(&w, "histograms:\n")
-		for _, name := range sortedKeys(v.Fleet.Histograms) {
-			h := v.Fleet.Histograms[name]
+		for _, name := range sortedKeys(m.Histograms) {
+			h := m.Histograms[name]
 			fmt.Fprintf(&w, "  %-44s count=%-10d p50=%-8d p99=%d", name, h.Count, h.P50, h.P99)
 			if h.Exemplar != nil {
 				// The high-watermark observation's trace: feed it to
@@ -244,16 +239,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// perTarget formats a counter's per-target breakdown, key order.
-func perTarget(m map[string]uint64) string {
-	var b strings.Builder
-	for i, name := range sortedKeys(m) {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", name, m[name])
-	}
-	return b.String()
 }

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -9,18 +11,16 @@ import (
 	"repro/galiot"
 )
 
-// startEndpoint serves a populated observability endpoint: two registry
-// targets with overlapping series, one health registry with a failing
-// readiness check, and a journal with a coalesced burst.
+// startEndpoint serves a populated observability endpoint: one registry
+// with a counter, a gauge and a histogram, one health registry with a
+// failing readiness check, and a journal with a coalesced burst.
 func startEndpoint(t *testing.T) (base string, srv *galiot.ObsServer) {
 	t.Helper()
-	a, b := galiot.NewObsRegistry(), galiot.NewObsRegistry()
-	a.Counter("cloud_segments_decoded_total").Add(30)
-	b.Counter("cloud_segments_decoded_total").Add(12)
-	a.Gauge("farm_jobs_queued_count").Set(3)
-	b.Gauge("farm_jobs_queued_count").Set(9)
+	reg := galiot.NewObsRegistry()
+	reg.Counter("cloud_segments_decoded_total").Add(42)
+	reg.Gauge("farm_jobs_queued_count").Set(9)
 	for v := int64(1); v <= 64; v *= 2 {
-		a.Histogram("farm_queue_wait_samples", 0).Observe(v)
+		reg.Histogram("farm_queue_wait_samples", 0).Observe(v)
 	}
 
 	h := galiot.NewObsHealth()
@@ -36,15 +36,7 @@ func startEndpoint(t *testing.T) (base string, srv *galiot.ObsServer) {
 	j.Record("gateway_busy_reject", 17)
 	j.Record("gateway_busy_reject", 18)
 
-	srv = &galiot.ObsServer{
-		Registry: a,
-		Journal:  j,
-		Health:   h,
-		Fleet: galiot.NewObsFleet(
-			galiot.ObsRegistryTarget("shard0", a),
-			galiot.ObsRegistryTarget("shard1", b),
-		),
-	}
+	srv = &galiot.ObsServer{Registry: reg, Journal: j, Health: h}
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -58,9 +50,8 @@ func startEndpoint(t *testing.T) (base string, srv *galiot.ObsServer) {
 
 // TestFetchAndRender drives the scraper against a live endpoint and
 // checks the rendered dashboard carries every section: the health
-// verdicts (including the 503 /readyz body), the rollup's exact counter
-// sum with per-target breakdown, gauge extremes, merged histogram
-// quantiles, and the coalesced event burst.
+// verdicts (including the 503 /readyz body), counter and gauge values,
+// histogram quantiles, and the coalesced event burst.
 func TestFetchAndRender(t *testing.T) {
 	base, _ := startEndpoint(t)
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -75,8 +66,8 @@ func TestFetchAndRender(t *testing.T) {
 	if v.Ready.Healthy {
 		t.Errorf("readiness healthy despite saturated farm: %+v", v.Ready)
 	}
-	if got := v.Fleet.Counters["cloud_segments_decoded_total"].Total; got != 42 {
-		t.Errorf("rollup total = %d, want 42", got)
+	if got := v.Metrics.Counters["cloud_segments_decoded_total"]; got != 42 {
+		t.Errorf("decoded counter = %d, want 42", got)
 	}
 	if len(v.Events) != 2 {
 		t.Fatalf("events = %+v, want 2 entries", v.Events)
@@ -91,13 +82,11 @@ func TestFetchAndRender(t *testing.T) {
 		"ready: DEGRADED (1/2 checks failing)",
 		"FAIL cloud_farm_headroom",
 		"queue saturated at 64/64",
-		"targets: shard0 shard1",
 		"cloud_segments_decoded_total",
-		"shard0=30 shard1=12",
 		"farm_jobs_queued_count",
-		"min=3@shard0 max=9@shard1",
 		"farm_queue_wait_samples",
 		"count=7",
+		"p50=8",
 		"gateway_session_establish",
 		"gateway_busy_reject",
 		"x2",
@@ -131,5 +120,30 @@ func TestFetchRejectsDeadEndpoint(t *testing.T) {
 	client := &http.Client{Timeout: 500 * time.Millisecond}
 	if _, err := fetch(client, "http://127.0.0.1:1"); err == nil {
 		t.Fatal("fetch of a dead endpoint succeeded")
+	}
+}
+
+// TestAssertGatewayEndpoint gates on a gateway's endpoint, which serves
+// only its own registry at /metrics: the gateway_* counters render and the
+// documented spool-drop gate passes.
+func TestAssertGatewayEndpoint(t *testing.T) {
+	reg := galiot.NewObsRegistry()
+	reg.Counter("gateway_segments_shipped_total").Add(3)
+	reg.Counter("gateway_spool_dropped_total")
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		if err := json.NewEncoder(w).Encode(reg.Snapshot()); err != nil {
+			t.Error(err)
+		}
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	client := &http.Client{Timeout: 5 * time.Second}
+
+	if code := runAsserts(client, srv.URL, "", "gateway_spool_dropped_total==0,gateway_segments_shipped_total>0"); code != 0 {
+		t.Fatalf("gateway gate exited %d, want 0", code)
+	}
+	if code := runAsserts(client, srv.URL, "", "gateway_spool_dropped_total>0"); code != 1 {
+		t.Fatalf("failing gateway gate exited %d, want 1", code)
 	}
 }

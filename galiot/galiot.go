@@ -110,7 +110,7 @@ type (
 	// ObsTracer records per-segment spans (detect → ship → decode stages).
 	ObsTracer = obs.Tracer
 	// ObsServer exposes /metrics, /trace/recent, /events/recent, /healthz,
-	// /readyz, /fleet/metrics and pprof over HTTP.
+	// /readyz and pprof over HTTP.
 	ObsServer = obs.Server
 	// ObsJournal is the deterministic ring-buffered event journal behind
 	// /events/recent; gateway, cloud server and fleet components record
@@ -142,14 +142,6 @@ type (
 	ObsTraceTree = obs.TraceTree
 	// ObsSpanSnapshot is one finished span as recorded by a tracer.
 	ObsSpanSnapshot = obs.SpanSnapshot
-	// ObsFleet merges N metric registries into a fleet-wide rollup
-	// (served at /fleet/metrics).
-	ObsFleet = obs.Fleet
-	// ObsFleetSnapshot is one point-in-time fleet rollup: exact counter
-	// sums, labeled gauge extremes, merged histogram sketches.
-	ObsFleetSnapshot = obs.FleetSnapshot
-	// ObsTarget is one named scrape source for an ObsFleet.
-	ObsTarget = obs.Target
 )
 
 // SampleRate is the paper's gateway sample rate: the RTL-SDR configured
@@ -217,8 +209,8 @@ func NewCloud(techs ...Technology) *Cloud {
 // NewFleet builds a decode plane (default: the prototype technology set,
 // one shard). Call its NewServer method to accept gateway sessions — or
 // HandleConn with any byte stream — and Close it to drain the shard farms.
-// Per-shard farm_* series live on each shard's private registry: feed
-// Targets to an ObsFleet to read them per target at /fleet/metrics.
+// Every series lands on FleetConfig.Obs (its Registry method): the
+// shards' cloud_* summed, each shard farm's as cloud_shard<i>_farm_*.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if len(cfg.Techs) == 0 {
 		cfg.Techs = Technologies()
@@ -271,14 +263,6 @@ func NewObsJournal(ringSize int) *ObsJournal { return obs.NewJournal(ringSize) }
 
 // NewObsHealth builds an empty component-health registry.
 func NewObsHealth() *ObsHealth { return obs.NewHealth() }
-
-// NewObsFleet builds a fleet aggregator over the given scrape targets.
-func NewObsFleet(targets ...ObsTarget) *ObsFleet { return obs.NewFleet(targets...) }
-
-// ObsRegistryTarget makes an in-process registry a fleet scrape target.
-func ObsRegistryTarget(name string, r *ObsRegistry) ObsTarget {
-	return obs.RegistryTarget(name, r)
-}
 
 // DefaultFrontend returns the paper's prototype front-end model: 1 MHz,
 // 8-bit quantization, DC offset, IQ imbalance, 500 Hz tuner error.

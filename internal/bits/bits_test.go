@@ -136,49 +136,3 @@ func TestCRC8XOR(t *testing.T) {
 		t.Fatalf("xor checksum = %#02x", got)
 	}
 }
-
-func TestCRC24BLEProperties(t *testing.T) {
-	t.Parallel()
-	// Differential check: any single-bit corruption changes the CRC.
-	if err := quick.Check(func(data []byte, flipByte, flipBit uint8) bool {
-		if len(data) == 0 {
-			return true
-		}
-		orig := CRC24BLE(0x555555, data)
-		if orig > 0xFFFFFF {
-			return false
-		}
-		mod := append([]byte(nil), data...)
-		mod[int(flipByte)%len(mod)] ^= 1 << (flipBit % 8)
-		return CRC24BLE(0x555555, mod) != orig
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if CRC24BLE(0x555555, nil) != 0x555555 {
-		t.Fatal("empty CRC should equal init")
-	}
-}
-
-func TestBLEWhitenerInvolutionAndPeriod(t *testing.T) {
-	t.Parallel()
-	if err := quick.Check(func(data []byte, ch uint8) bool {
-		w1, w2 := NewBLEWhitener(ch), NewBLEWhitener(ch)
-		return bytes.Equal(w2.ApplyBytes(w1.ApplyBytes(data)), data)
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	// x^7+x^4+1 is primitive: period 127
-	w := NewBLEWhitener(37)
-	seed := w.state
-	period := 0
-	for i := 1; i <= 256; i++ {
-		w.NextBit()
-		if w.state == seed {
-			period = i
-			break
-		}
-	}
-	if period != 127 {
-		t.Fatalf("BLE whitener period %d, want 127", period)
-	}
-}

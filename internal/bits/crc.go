@@ -47,21 +47,3 @@ func CRC8XOR(init byte, data []byte) byte {
 	}
 	return c
 }
-
-// CRC24BLE computes the Bluetooth Low Energy 24-bit CRC over the PDU
-// (poly x^24+x^10+x^9+x^6+x^4+x^3+x+1, i.e. 0x00065B, processed LSB-first)
-// with the given 24-bit initial value (0x555555 for advertising channels).
-func CRC24BLE(init uint32, data []byte) uint32 {
-	crc := init & 0xFFFFFF
-	for _, b := range data {
-		for i := 0; i < 8; i++ {
-			inBit := uint32(b>>uint(i)) & 1
-			fb := (crc >> 23) & 1
-			crc = (crc << 1) & 0xFFFFFF
-			if fb^inBit == 1 {
-				crc ^= 0x00065B
-			}
-		}
-	}
-	return crc
-}

@@ -59,11 +59,3 @@ func (w *Whitener) ApplyBytes(data []byte) []byte {
 	w.Apply(b)
 	return Pack(b)
 }
-
-// NewBLEWhitener returns the Bluetooth LE data whitener: a 7-bit LFSR
-// (x^7 + x^4 + 1) seeded with the advertising/data channel index with bit 6
-// set, per Bluetooth Core Vol 6 Part B §3.2.
-func NewBLEWhitener(channel byte) *Whitener {
-	seed := uint16(channel&0x3F) | 0x40
-	return &Whitener{state: seed, taps: 0b0001001, order: 7, initial: seed}
-}

@@ -59,7 +59,14 @@ func oldKillFrequency(rx []complex128, tones []float64, width, fs float64) []com
 			spec[idx] = 0
 		}
 	}
-	return dsp.IFFT(spec)
+	return ifft(spec)
+}
+
+// ifft is the copying inverse transform: dsp.IFFTInPlace over a copy of x.
+func ifft(x []complex128) []complex128 {
+	out := dsp.Clone(x)
+	dsp.IFFTInPlace(out)
+	return out
 }
 
 // oldCSSApply is CSSKiller.Apply before its per-block scratch was hoisted
@@ -113,7 +120,7 @@ func oldCSSApply(k *CSSKiller, rx []complex128, fs float64) []complex128 {
 					spec[((h.idx+d)%len(spec)+len(spec))%len(spec)] = 0
 				}
 			}
-			cleaned := dsp.IFFT(spec)
+			cleaned := ifft(spec)
 			copy(block, cleaned)
 		}
 		for i := range block {

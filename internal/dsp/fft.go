@@ -83,15 +83,6 @@ func FFT(x []complex128) []complex128 {
 	return out
 }
 
-// IFFT returns the inverse discrete Fourier transform of x, scaled by 1/n so
-// that IFFT(FFT(x)) == x. The input is not modified.
-func IFFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	IFFTInPlace(out)
-	return out
-}
-
 // FFTInPlace computes the DFT of x in place.
 func FFTInPlace(x []complex128) {
 	n := len(x)

@@ -54,12 +54,19 @@ func TestFFTMatchesNaive(t *testing.T) {
 	}
 }
 
+// ifft is the copying inverse transform: IFFTInPlace over a copy of x.
+func ifft(x []complex128) []complex128 {
+	out := Clone(x)
+	IFFTInPlace(out)
+	return out
+}
+
 func TestFFTInverseRoundTrip(t *testing.T) {
 	t.Parallel()
 	r := rng.New(2)
 	for _, n := range []int{1, 2, 8, 13, 64, 100, 1024, 1000} {
 		x := randomVec(r, n)
-		y := IFFT(FFT(x))
+		y := ifft(FFT(x))
 		for i := range x {
 			if !approxEq(x[i], y[i], 1e-8*float64(n)) {
 				t.Fatalf("n=%d sample %d: got %v want %v", n, i, y[i], x[i])
@@ -75,7 +82,7 @@ func TestFFTRoundTripProperty(t *testing.T) {
 		n := int(nRaw%512) + 1
 		local := r.Split(seed)
 		x := randomVec(local, n)
-		y := IFFT(FFT(x))
+		y := ifft(FFT(x))
 		for i := range x {
 			if !approxEq(x[i], y[i], 1e-7*float64(n)) {
 				return false

@@ -141,38 +141,6 @@ func convolveComplex(x []complex128, h []float64) []complex128 {
 	return fx[:outLen]
 }
 
-// Decimate returns every factor-th sample of x after low-pass filtering at
-// 0.45× the output Nyquist rate to suppress aliasing. factor must be >= 1.
-func Decimate(x []complex128, factor int, sampleRate float64) []complex128 {
-	if factor <= 1 {
-		return Clone(x)
-	}
-	outRate := sampleRate / float64(factor)
-	lp := LowPass(0.45*outRate, sampleRate, 4*factor+1)
-	filtered := lp.ApplyComplex(x)
-	out := make([]complex128, 0, len(x)/factor+1)
-	for i := 0; i < len(filtered); i += factor {
-		out = append(out, filtered[i])
-	}
-	return out
-}
-
-// Interpolate upsamples x by an integer factor with zero stuffing followed
-// by low-pass interpolation filtering. factor must be >= 1.
-func Interpolate(x []complex128, factor int, sampleRate float64) []complex128 {
-	if factor <= 1 {
-		return Clone(x)
-	}
-	up := make([]complex128, len(x)*factor)
-	for i, v := range x {
-		up[i*factor] = v
-	}
-	outRate := sampleRate * float64(factor)
-	lp := LowPass(0.45*sampleRate, outRate, 4*factor+1)
-	filtered := lp.ApplyComplex(up)
-	return Scale(filtered, float64(factor))
-}
-
 // MovingAverage returns the centered moving average of x over a window of
 // the given odd width (even widths are rounded up).
 func MovingAverage(x []float64, width int) []float64 {

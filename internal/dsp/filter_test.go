@@ -139,40 +139,6 @@ func TestConvolveFFTMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestDecimateInterpolateRoundTrip(t *testing.T) {
-	t.Parallel()
-	const fs = 1e6
-	x := Tone(8000, 20e3, 0, fs)
-	down := Decimate(x, 4, fs)
-	if len(down) != 2000 {
-		t.Fatalf("decimated length %d", len(down))
-	}
-	f := DominantFrequency(down[100:1900], fs/4)
-	if math.Abs(f-20e3) > 500 {
-		t.Fatalf("decimated tone at %v", f)
-	}
-	up := Interpolate(down, 4, fs/4)
-	if len(up) != 8000 {
-		t.Fatalf("interpolated length %d", len(up))
-	}
-	f2 := DominantFrequency(up[500:7500], fs)
-	if math.Abs(f2-20e3) > 500 {
-		t.Fatalf("interpolated tone at %v", f2)
-	}
-}
-
-func TestDecimateRejectsAlias(t *testing.T) {
-	t.Parallel()
-	const fs = 1e6
-	// 400 kHz tone would alias to 150 kHz at fs/4; the anti-alias filter
-	// must suppress it.
-	x := Tone(8000, 400e3, 0, fs)
-	down := Decimate(x, 4, fs)
-	if p := Power(down[100:1900]); p > 0.01 {
-		t.Fatalf("alias power %v", p)
-	}
-}
-
 func TestMovingAverage(t *testing.T) {
 	t.Parallel()
 	x := []float64{1, 1, 1, 1, 1}

@@ -348,7 +348,7 @@ func TestBluesteinMatchesReferenceExactly(t *testing.T) {
 		refIFFTInPlace(wantInv)
 		twice(func(pass string) {
 			mustSame(t, pass+" FFT", FFT(x), want)
-			mustSame(t, pass+" IFFT", IFFT(x), wantInv)
+			mustSame(t, pass+" IFFT", ifft(x), wantInv)
 		})
 	}
 }

@@ -31,6 +31,9 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig3bShape(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pure-physics sweep; the non-race experiment step runs it")
+	}
 	s, err := RunFig3b(quick)
 	if err != nil {
 		t.Fatal(err)
@@ -59,6 +62,9 @@ func TestFig3bShape(t *testing.T) {
 }
 
 func TestFig3cShape(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pure-physics sweep; the non-race experiment step runs it")
+	}
 	s, err := RunFig3c(quick)
 	if err != nil {
 		t.Fatal(err)
@@ -120,6 +126,9 @@ func TestCostAndAblationPreamble(t *testing.T) {
 }
 
 func TestBatteryShowsSavings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pure-physics sweep; the non-race experiment step runs it")
+	}
 	tab, err := Battery(quick)
 	if err != nil {
 		t.Fatal(err)
@@ -143,6 +152,9 @@ func TestBatteryShowsSavings(t *testing.T) {
 }
 
 func TestAblationKillHasPerFilterRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pure-physics sweep; the non-race experiment step runs it")
+	}
 	tab, err := AblationKill(quick)
 	if err != nil {
 		t.Fatal(err)
@@ -156,6 +168,9 @@ func TestAblationKillHasPerFilterRows(t *testing.T) {
 // live gateway policy inside the backhaul experiment (there is no separate
 // placement model), so its row and counts must be there.
 func TestEdgePolicyAndScaling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pure-physics sweep; the non-race experiment step runs it")
+	}
 	bh, err := Backhaul(quick)
 	if err != nil || len(bh.Rows) != 4 {
 		t.Fatalf("backhaul: %v rows %d", err, len(bh.Rows))

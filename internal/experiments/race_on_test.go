@@ -2,7 +2,8 @@
 
 package experiments
 
-// raceEnabled gates the full experiment sweep: the race detector's ~10-20x
-// slowdown pushes RunAll past any reasonable test timeout, and every
-// experiment it drives is already race-instrumented by its own test.
+// raceEnabled gates the full experiment sweep and the pure-physics
+// sweeps: the race detector's ~10-20x slowdown pushes them toward the
+// package timeout, they start no goroutines of their own, and the non-race
+// experiment step runs every one of their asserts.
 const raceEnabled = true

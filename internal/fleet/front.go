@@ -27,9 +27,10 @@ type Config struct {
 	QueueDepth int
 	// Techs is the technology set every shard decodes. Required.
 	Techs []phy.Technology
-	// Obs is the plane-wide registry: the shards' cloud_* series and the
-	// front's cloud_fleet_* / cloud_shard<i>_* series land here. Nil
-	// creates a private registry.
+	// Obs is the plane-wide registry: the shards' cloud_* series, the
+	// front's cloud_fleet_* / cloud_shard<i>_* series and each shard
+	// farm's series as cloud_shard<i>_farm_* land here. Nil creates a
+	// private registry.
 	Obs *obs.Registry
 	// Tracer receives per-segment decode spans from every shard (nil
 	// disables tracing).
@@ -62,9 +63,6 @@ type Config struct {
 type shard struct {
 	svc  *cloud.Service
 	farm *farm.Farm
-	// reg is the shard farm's private registry (so Snapshot stays
-	// per-shard), retained for the fleet aggregator (Targets).
-	reg *obs.Registry
 	// detached flips when Close drains the shard; the shard's liveness
 	// check reads it.
 	detached atomic.Bool
@@ -130,19 +128,20 @@ func New(cfg Config) (*Front, error) {
 		if cfg.WrapDecode != nil {
 			dec = cfg.WrapDecode(i, dec)
 		}
-		freg := obs.NewRegistry()
+		// The farm registers its fixed farm_* names through a prefixed
+		// view, so each shard keeps its own counters (Stats reads them)
+		// on the one plane registry.
+		p := fmt.Sprintf("cloud_shard%d_", i)
 		fm := svc.StartFarm(farm.Config{
 			Workers:    cfg.Workers,
 			QueueDepth: cfg.QueueDepth,
-			Obs:        freg,
+			Obs:        reg.Prefixed(p),
 			Clock:      cfg.Clock,
 			Decode:     dec,
 		})
-		p := fmt.Sprintf("cloud_shard%d_", i)
 		sh := &shard{
 			svc:      svc,
 			farm:     fm,
-			reg:      freg,
 			sessions: reg.Counter(p + "sessions_total"),
 			active:   reg.Gauge(p + "sessions_active_count"),
 		}
@@ -173,19 +172,6 @@ func (f *Front) Shards() int { return len(f.shards) }
 // Capacity returns the plane's aggregate admission capacity (the hello-ack
 // hint): shard count × per-shard queue depth.
 func (f *Front) Capacity() int { return f.capacity }
-
-// Targets exposes the whole plane as fleet-aggregation scrape targets:
-// the plane registry as "front" plus each shard farm's private registry
-// as "shard<i>". Feeding them to an obs.Fleet makes every per-shard
-// series visible through /fleet/metrics with exact per-target breakdown.
-func (f *Front) Targets() []obs.Target {
-	ts := make([]obs.Target, 0, len(f.shards)+1)
-	ts = append(ts, obs.RegistryTarget("front", f.reg))
-	for i, sh := range f.shards {
-		ts = append(ts, obs.RegistryTarget(fmt.Sprintf("shard%d", i), sh.reg))
-	}
-	return ts
-}
 
 // HandleConn serves one gateway connection: read the hello, route the
 // session to its shard by (gateway, epoch), and let the shard's service
@@ -230,7 +216,7 @@ type ShardStats struct {
 }
 
 // Stats snapshots every shard (index order). The same farm series are
-// served per target through Targets.
+// on the plane registry as cloud_shard<i>_farm_*.
 func (f *Front) Stats() []ShardStats {
 	out := make([]ShardStats, len(f.shards))
 	for i, sh := range f.shards {

@@ -126,7 +126,7 @@ type Gateway struct {
 }
 
 // detectThreshold is the universal-preamble correlation threshold every
-// gateway runs at (ROADMAP item 4 replaces it with a noise-normalised one).
+// gateway runs at (ROADMAP item 6(a) replaces it with a noise-normalised one).
 // The edge path's other fixed number, the 0.15 second-technology score that
 // makes a segment a suspected collision, is cancel's collisionScore.
 const detectThreshold = 0.08

@@ -23,7 +23,6 @@
 package obs
 
 import (
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -221,123 +220,15 @@ func (h *Histogram) ObserveExemplar(v int64, trace uint64) {
 	}
 }
 
-// SketchBucket is one occupied bucket of a histogram's log-linear
-// quantile sketch (see SketchIndex for the bucket scheme).
-type SketchBucket struct {
-	Index int    `json:"index"`
-	Count uint64 `json:"count"`
-}
-
-// SketchIndex maps a value to its sketch bucket. The scheme is log-linear
-// with 8 linear sub-buckets per power-of-two octave:
-//
-//   - v <= 0 lands in bucket 0;
-//   - 1 <= v < 16 is stored exactly (bucket index = v);
-//   - v >= 16 lands in octave o = floor(log2 v), sub-bucket = the three
-//     bits after the leading bit, i.e. bucket width 2^(o-3).
-//
-// Reconstructing a value from its bucket midpoint (SketchValue) is
-// therefore exact below 16 and within 1/16 (6.25%) relative error above —
-// the documented sketch error bound that merged fleet quantiles inherit.
-func SketchIndex(v int64) int {
-	if v <= 0 {
-		return 0
-	}
-	if v < 16 {
-		return int(v)
-	}
-	o := bits.Len64(uint64(v)) - 1
-	sub := int((v >> (o - 3)) & 7)
-	return 16 + (o-4)*8 + sub
-}
-
-// SketchValue returns the representative value of a sketch bucket: the
-// bucket itself below 16, the bucket midpoint above.
-func SketchValue(index int) int64 {
-	if index <= 0 {
-		return 0
-	}
-	if index < 16 {
-		return int64(index)
-	}
-	o := 4 + (index-16)/8
-	sub := int64((index - 16) % 8)
-	lo := int64(1)<<o + sub<<(o-3)
-	return lo + int64(1)<<(o-4) // lo + half a bucket width
-}
-
 // HistogramSnapshot is a point-in-time summary of a Histogram.
 type HistogramSnapshot struct {
 	Count  uint64 `json:"count"`  // observations ever recorded
 	Window int    `json:"window"` // ring capacity the quantiles cover
 	P50    int64  `json:"p50"`
 	P99    int64  `json:"p99"`
-	// Sketch is the window's log-linear bucket sketch (occupied buckets
-	// only, ascending index). Unlike P50/P99 it is mergeable: summing
-	// bucket counts across targets yields fleet-level quantiles within
-	// the documented 1/16 relative error (see SketchIndex).
-	Sketch []SketchBucket `json:"sketch,omitempty"`
 	// Exemplar is the high-watermark observation's trace link, when the
 	// histogram was fed through ObserveExemplar.
 	Exemplar *Exemplar `json:"exemplar,omitempty"`
-}
-
-// SketchPercentile returns the p-th percentile (0..100) reconstructed
-// from the snapshot's sketch, using the same integer rank math as the
-// exact estimator (rank = n*p/100 over the windowed observations).
-func (s HistogramSnapshot) SketchPercentile(p int) int64 {
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	var n uint64
-	for _, b := range s.Sketch {
-		n += b.Count
-	}
-	if n == 0 {
-		return 0
-	}
-	rank := n * uint64(p) / 100
-	if rank >= n {
-		rank = n - 1
-	}
-	var cum uint64
-	for _, b := range s.Sketch {
-		cum += b.Count
-		if cum > rank {
-			return SketchValue(b.Index)
-		}
-	}
-	return SketchValue(s.Sketch[len(s.Sketch)-1].Index)
-}
-
-// MergeSketches sums bucket counts across snapshots, producing the
-// fleet-level sketch (ascending index). Quantiles read from the merged
-// sketch are within the documented per-bucket error of the exact
-// quantiles over the union of the windows.
-func MergeSketches(snaps ...HistogramSnapshot) []SketchBucket {
-	counts := make(map[int]uint64)
-	for _, s := range snaps {
-		for _, b := range s.Sketch {
-			counts[b.Index] += b.Count
-		}
-	}
-	if len(counts) == 0 {
-		return nil
-	}
-	idxs := make([]int, 0, len(counts))
-	//lint:ignore nondeterminism the collected indices are sorted before use
-	for i := range counts {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	out := make([]SketchBucket, 0, len(idxs))
-	for _, i := range idxs {
-		out = append(out, SketchBucket{Index: i, Count: counts[i]})
-	}
-	return out
 }
 
 // Snapshot sorts a copy of the ring and summarizes it. The quantile index
@@ -362,18 +253,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	s.P50 = sorted[n*50/100]
 	s.P99 = sorted[n*99/100]
-	// The sorted window feeds the mergeable sketch in one pass: equal
-	// indexes are adjacent after the sort, so occupied buckets come out
-	// ascending without a second sort.
-	for i := 0; i < n; {
-		idx := SketchIndex(sorted[i])
-		j := i
-		for j < n && SketchIndex(sorted[j]) == idx {
-			j++
-		}
-		s.Sketch = append(s.Sketch, SketchBucket{Index: idx, Count: uint64(j - i)})
-		i = j
-	}
 	return s
 }
 
@@ -390,6 +269,11 @@ type Registry struct {
 	counterNames []string
 	gaugeNames   []string
 	histNames    []string
+
+	// root is set on a view (see Prefixed): the view owns no metrics and
+	// registers every name as prefix+name on root.
+	root   *Registry
+	prefix string
 }
 
 // NewRegistry returns an empty registry.
@@ -401,10 +285,23 @@ func NewRegistry() *Registry {
 	}
 }
 
+// Prefixed returns a view of r that registers every metric as
+// prefix+name on r itself, so r.Snapshot (and /metrics) carries the
+// view's series beside r's own. A component that registers fixed names
+// (the farm's farm_*) gets one namespace per instance this way: the
+// decode plane hands shard i the view "cloud_shard<i>_". Snapshot on a
+// view reads all of r.
+func (r *Registry) Prefixed(prefix string) *Registry {
+	return &Registry{root: r, prefix: prefix}
+}
+
 // Counter returns the named counter, creating it on first use. The name
 // must follow the subsystem_name_unit scheme (see ValidMetricName).
 func (r *Registry) Counter(name string) *Counter {
 	mustValidName(name)
+	if r.root != nil {
+		return r.root.Counter(r.prefix + name)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c, ok := r.counters[name]; ok {
@@ -419,6 +316,9 @@ func (r *Registry) Counter(name string) *Counter {
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
 	mustValidName(name)
+	if r.root != nil {
+		return r.root.Gauge(r.prefix + name)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if g, ok := r.gauges[name]; ok {
@@ -435,6 +335,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 // return the existing histogram regardless of window.
 func (r *Registry) Histogram(name string, window int) *Histogram {
 	mustValidName(name)
+	if r.root != nil {
+		return r.root.Histogram(r.prefix+name, window)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h, ok := r.hists[name]; ok {
@@ -458,6 +361,9 @@ type Snapshot struct {
 // result is a consistent-enough view for monitoring (each metric is read
 // atomically, the set as a whole is not a transaction).
 func (r *Registry) Snapshot() Snapshot {
+	if r.root != nil {
+		return r.root.Snapshot()
+	}
 	type counterRef struct {
 		name string
 		c    *Counter

@@ -106,6 +106,45 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 }
 
+// TestRegistryPrefixedView checks a view registers prefix+name on its
+// root: the series show up in the root's snapshot, two views of the same
+// prefix share instances, different prefixes never do, views nest, and a
+// name that is only valid with the prefix still has to be valid alone.
+func TestRegistryPrefixedView(t *testing.T) {
+	t.Parallel()
+	r := NewRegistry()
+	s0, s1 := r.Prefixed("cloud_shard0_"), r.Prefixed("cloud_shard1_")
+	s0.Counter("farm_jobs_admitted_total").Add(2)
+	r.Prefixed("cloud_shard0_").Counter("farm_jobs_admitted_total").Inc()
+	s1.Counter("farm_jobs_admitted_total").Add(5)
+	s0.Gauge("farm_jobs_queued_count").Set(4)
+	s1.Histogram("farm_queue_wait_samples", 8).Observe(9)
+	r.Prefixed("cloud_").Prefixed("shard1_").Counter("farm_jobs_rejected_total").Inc()
+
+	snap := s0.Snapshot() // a view reads the whole root
+	for name, want := range map[string]uint64{
+		"cloud_shard0_farm_jobs_admitted_total": 3,
+		"cloud_shard1_farm_jobs_admitted_total": 5,
+		"cloud_shard1_farm_jobs_rejected_total": 1,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if len(snap.Counters) != 3 {
+		t.Errorf("counters = %v, want exactly the three prefixed series", snap.Counters)
+	}
+	if snap.Gauges["cloud_shard0_farm_jobs_queued_count"] != 4 || snap.Histograms["cloud_shard1_farm_queue_wait_samples"].Count != 1 {
+		t.Errorf("gauges = %v, histograms = %v", snap.Gauges, snap.Histograms)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("view accepted a bare name that breaks the scheme")
+		}
+	}()
+	r.Prefixed("cloud_shard0_").Counter("total")
+}
+
 // TestHistogramQuantilesMatchFarmEstimator pins the quantile index math to
 // the estimator this histogram replaced in internal/farm: four waits
 // [0, 300, 500, 600] must yield p50 = sorted[4/2] = 500 and

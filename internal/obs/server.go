@@ -21,7 +21,6 @@ import (
 //	GET /events/recent event-journal ring (state transitions, oldest first)
 //	GET /healthz       liveness checks; 503 when any fails
 //	GET /readyz        liveness + readiness checks; 503 when any fails
-//	GET /fleet/metrics fleet rollup across the configured scrape targets
 //	GET /debug/pprof/  standard pprof handlers (explicitly wired to the
 //	                   server's own mux, not http.DefaultServeMux)
 //
@@ -38,8 +37,6 @@ type Server struct {
 	Traces *TraceStore
 	// Health backs /healthz and /readyz; nil reports vacuously healthy.
 	Health *Health
-	// Fleet backs /fleet/metrics; nil serves an empty rollup.
-	Fleet *Fleet
 
 	wg       sync.WaitGroup
 	ln       net.Listener
@@ -61,7 +58,6 @@ func (s *Server) Start(addr string) error {
 	mux.HandleFunc("/events/recent", s.handleEvents)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/fleet/metrics", s.handleFleet)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -207,8 +203,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeHealth(w, s.Health.Readiness())
-}
-
-func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.Fleet.Collect())
 }

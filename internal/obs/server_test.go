@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -150,5 +151,88 @@ func TestServerTraceSlowestAll(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("n=-1 answered %d, want %d", resp.StatusCode, http.StatusBadRequest)
+	}
+}
+
+// TestServerFleetEndpoints drives what a sharded plane serves over a real
+// listener: /metrics carries a shard's prefixed series beside the plane's
+// own, /events/recent the coalesced shard lifecycle, /healthz and /readyz
+// the liveness verdict, and there is no second metrics route.
+func TestServerFleetEndpoints(t *testing.T) {
+	t.Parallel()
+	reg := NewRegistry()
+	reg.Counter("cloud_segments_decoded_total").Add(7)
+	reg.Prefixed("cloud_shard1_").Counter("farm_jobs_admitted_total").Add(5)
+	j := NewJournal(8)
+	j.Record("fleet_shard_attach", 0)
+	j.Record("fleet_shard_attach", 1)
+	h := NewHealth()
+	healthy := true
+	h.Register("fleet_plane_liveness", func() CheckResult {
+		if healthy {
+			return Healthy("")
+		}
+		return Unhealthy("down")
+	})
+
+	srv := &Server{Registry: reg, Journal: j, Health: h}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	base := "http://" + srv.Addr().String()
+
+	var snap Snapshot
+	getJSON(t, base+"/metrics", http.StatusOK, &snap)
+	if snap.Counters["cloud_segments_decoded_total"] != 7 || snap.Counters["cloud_shard1_farm_jobs_admitted_total"] != 5 {
+		t.Errorf("/metrics counters = %v, want the plane's 7 decodes and shard 1's 5 admits", snap.Counters)
+	}
+	resp, err := http.Get(base + "/fleet/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/fleet/metrics status = %d, want 404 (one metrics view per process)", resp.StatusCode)
+	}
+
+	var events []Event
+	getJSON(t, base+"/events/recent", http.StatusOK, &events)
+	if len(events) != 1 || events[0].Name != "fleet_shard_attach" || events[0].Count != 2 {
+		t.Errorf("/events/recent = %+v, want one coalesced fleet_shard_attach", events)
+	}
+
+	var hs HealthSnapshot
+	getJSON(t, base+"/healthz", http.StatusOK, &hs)
+	if !hs.Healthy {
+		t.Errorf("/healthz = %+v, want healthy", hs)
+	}
+	healthy = false
+	getJSON(t, base+"/healthz", http.StatusServiceUnavailable, &hs)
+	if hs.Healthy || len(hs.Checks) != 1 {
+		t.Errorf("/healthz after flip = %+v, want unhealthy with the check listed", hs)
+	}
+	getJSON(t, base+"/readyz", http.StatusServiceUnavailable, &hs)
+	if hs.Healthy {
+		t.Errorf("/readyz = %+v, want unready while a liveness check fails", hs)
+	}
+}
+
+// getJSON fetches url, asserts the status code, and decodes the body.
+func getJSON(t *testing.T, url string, wantStatus int, into any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != wantStatus {
+		t.Fatalf("GET %s status = %d, want %d", url, resp.StatusCode, wantStatus)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("GET %s: content type %q", url, ct)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+		t.Fatalf("GET %s decode: %v", url, err)
 	}
 }
