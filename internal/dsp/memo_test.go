@@ -184,15 +184,15 @@ func refBluestein(x []complex128) {
 			b[m-k] = bc
 		}
 	}
-	radix2(a)
-	radix2(b)
+	parentRadix2(a)
+	parentRadix2(b)
 	for i := range a {
 		a[i] *= b[i]
 	}
 	for i := range a {
 		a[i] = complex(real(a[i]), -imag(a[i]))
 	}
-	radix2(a)
+	parentRadix2(a)
 	inv := 1 / float64(m)
 	for i := range a {
 		a[i] = complex(real(a[i])*inv, -imag(a[i])*inv)
@@ -208,7 +208,7 @@ func refFFTInPlace(x []complex128) {
 	switch n := len(x); {
 	case n <= 1:
 	case IsPow2(n):
-		radix2(x)
+		parentRadix2(x)
 	default:
 		refBluestein(x)
 	}

@@ -103,7 +103,7 @@ func stageDefs() []stageDef {
 		{name: "cloud_decode", quickIters: 4, fullIters: 16, build: buildCloudDecode},
 		{name: "kill_freq", quickIters: 16, fullIters: 64, build: buildKillFreq},
 		{name: "kill_css", quickIters: 8, fullIters: 32, build: buildKillCSS},
-		{name: "kill_codes", quickIters: 8, fullIters: 32, build: buildKillCodes},
+		{name: "kill_codes", quickIters: 40, fullIters: 160, build: buildKillCodes},
 	}
 }
 
