@@ -40,7 +40,7 @@ func main() {
 		shards         = flag.Int("shards", 1, "decode-plane shard count (sessions routed by consistent hash of gateway and epoch)")
 		sessionTimeout = flag.Duration("session-timeout", 0, "reap sessions idle for this long (0 = never)")
 		dedupTTL       = flag.Duration("dedup-ttl", 0, "evict replay-dedup cache entries older than this (0 = count-bound only)")
-		obsAddr        = flag.String("obs-addr", "", "serve /metrics, /trace/recent, /events/recent, /healthz, /readyz and pprof on this address (empty = off)")
+		obsAddr        = flag.String("obs-addr", "", "serve /metrics, /trace/tree, /trace/slowest, /events/recent, /healthz, /readyz and pprof on this address (empty = off)")
 	)
 	flag.Parse()
 	if *workers < 1 {
@@ -54,7 +54,7 @@ func main() {
 	}
 	clock := func() int64 { return time.Now().UnixNano() }
 	reg := galiot.NewObsRegistry()
-	tracer := galiot.NewObsTracer(0)
+	tracer := galiot.NewObsTracer()
 	tracer.SetClock(clock)
 	tracer.SetSite("cloud")
 	journal := galiot.NewObsJournal(0)
@@ -62,9 +62,9 @@ func main() {
 	health := galiot.NewObsHealth()
 	// The trace store assembles this process's spans — stitched onto the
 	// wire-propagated trace IDs gateways send — behind /trace/tree and
-	// /trace/slowest. Defaults keep every anomalous trace (replays, drops,
-	// slow outliers) plus a 1-in-16 head sample.
-	traces := galiot.NewObsTraceStore(galiot.ObsTraceStoreConfig{Obs: reg, Journal: journal})
+	// /trace/slowest. Ordinary traces are evicted first, so replayed,
+	// rejected and dropped ones outlive them.
+	traces := galiot.NewObsTraceStore(reg)
 	tracer.SetSink(traces.Ingest)
 
 	cfg := galiot.FleetConfig{
@@ -88,7 +88,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *obsAddr != "" {
-		obsSrv := &galiot.ObsServer{Registry: reg, Tracer: tracer, Journal: journal, Health: health, Traces: traces}
+		obsSrv := &galiot.ObsServer{Registry: reg, Journal: journal, Health: health, Traces: traces}
 		if err := obsSrv.Start(*obsAddr); err != nil {
 			fmt.Fprintln(os.Stderr, "galiot-cloud: obs server:", err)
 			os.Exit(1)

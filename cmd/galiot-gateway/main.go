@@ -53,7 +53,7 @@ func run() int {
 		window    = flag.Int("window", 0, "max unacknowledged segments in flight per session (0 = default)")
 		retry     = flag.Int("retry", 0, "max consecutive reconnect attempts before giving up (0 = default)")
 		spool     = flag.Int("spool", 0, "segment spool capacity between detection and backhaul (0 = default)")
-		obsAddr   = flag.String("obs-addr", "", "serve /metrics, /trace/recent, /events/recent, /healthz, /readyz and pprof on this address (empty = off)")
+		obsAddr   = flag.String("obs-addr", "", "serve /metrics, /trace/tree, /trace/slowest, /events/recent, /healthz, /readyz and pprof on this address (empty = off)")
 		walDir    = flag.String("wal-dir", "", "journal admitted segments to a write-ahead log in this directory and replay unacked ones on restart (empty = off)")
 		walSync   = flag.String("wal-sync", "batched", "WAL fsync policy: record (every append), batched (every few appends), off (close only)")
 	)
@@ -73,7 +73,7 @@ func run() int {
 	}
 
 	reg := galiot.NewObsRegistry()
-	tracer := galiot.NewObsTracer(0)
+	tracer := galiot.NewObsTracer()
 	tracer.SetClock(func() int64 { return time.Now().UnixNano() })
 	tracer.SetSite(fmt.Sprintf("gw-%d", *seed))
 	journal := galiot.NewObsJournal(0)
@@ -82,10 +82,10 @@ func run() int {
 	// Gateway-side halves of the distributed traces: spans land here with
 	// the same trace IDs the segments carry onto the wire, so this
 	// process's /trace/tree and the cloud's show the two sides of one ID.
-	traces := galiot.NewObsTraceStore(galiot.ObsTraceStoreConfig{Obs: reg, Journal: journal})
+	traces := galiot.NewObsTraceStore(reg)
 	tracer.SetSink(traces.Ingest)
 	if *obsAddr != "" {
-		obsSrv := &galiot.ObsServer{Registry: reg, Tracer: tracer, Journal: journal, Health: health, Traces: traces}
+		obsSrv := &galiot.ObsServer{Registry: reg, Journal: journal, Health: health, Traces: traces}
 		if err := obsSrv.Start(*obsAddr); err != nil {
 			fmt.Fprintln(os.Stderr, "galiot-gateway: obs server:", err)
 			return 1

@@ -5,8 +5,8 @@
 // frames stream back to the gateway.
 //
 // Gateway and cloud share one metrics registry and one tracer, so a single
-// snapshot covers the whole pipeline and /trace/recent shows each segment's
-// detect → ship → decode journey end to end.
+// snapshot covers the whole pipeline and /trace/slowest shows each
+// segment's detect → ship → decode journey end to end.
 //
 //	go run ./examples/gateway-cloud
 //	go run ./examples/gateway-cloud -obs-addr 127.0.0.1:8077
@@ -35,7 +35,7 @@ import (
 )
 
 func main() {
-	obsAddr := flag.String("obs-addr", "", "serve /metrics, /trace/recent and pprof on this address (empty = off)")
+	obsAddr := flag.String("obs-addr", "", "serve /metrics, /trace/tree, /trace/slowest and pprof on this address (empty = off)")
 	flag.Parse()
 
 	techs := galiot.Technologies()
@@ -44,13 +44,13 @@ func main() {
 	// store stitches the gateway-side and cloud-side spans of each segment
 	// into one tree behind /trace/tree and /trace/slowest.
 	reg := galiot.NewObsRegistry()
-	tracer := galiot.NewObsTracer(0)
+	tracer := galiot.NewObsTracer()
 	tracer.SetClock(func() int64 { return time.Now().UnixNano() })
 	tracer.SetSite("example")
-	traces := galiot.NewObsTraceStore(galiot.ObsTraceStoreConfig{Obs: reg})
+	traces := galiot.NewObsTraceStore(reg)
 	tracer.SetSink(traces.Ingest)
 	if *obsAddr != "" {
-		obsSrv := &galiot.ObsServer{Registry: reg, Tracer: tracer, Traces: traces}
+		obsSrv := &galiot.ObsServer{Registry: reg, Traces: traces}
 		if err := obsSrv.Start(*obsAddr); err != nil {
 			log.Fatal(err)
 		}

@@ -107,10 +107,11 @@ type (
 	ObsRegistry = obs.Registry
 	// ObsSnapshot is a point-in-time JSON-marshalable copy of a registry.
 	ObsSnapshot = obs.Snapshot
-	// ObsTracer records per-segment spans (detect → ship → decode stages).
+	// ObsTracer times per-segment spans (detect → ship → decode stages) and
+	// hands each finished one to its sink, typically an ObsTraceStore.
 	ObsTracer = obs.Tracer
-	// ObsServer exposes /metrics, /trace/recent, /events/recent, /healthz,
-	// /readyz and pprof over HTTP.
+	// ObsServer exposes /metrics, /trace/tree, /trace/slowest,
+	// /events/recent, /healthz, /readyz and pprof over HTTP.
 	ObsServer = obs.Server
 	// ObsJournal is the deterministic ring-buffered event journal behind
 	// /events/recent; gateway, cloud server and fleet components record
@@ -134,9 +135,6 @@ type (
 	// retention; serve it through ObsServer at /trace/tree and
 	// /trace/slowest.
 	ObsTraceStore = obs.TraceStore
-	// ObsTraceStoreConfig sizes an ObsTraceStore (capacity, sampling,
-	// slow-trace threshold).
-	ObsTraceStoreConfig = obs.TraceStoreConfig
 	// ObsTraceTree is one assembled trace: its spans, duration, orphan
 	// count and critical path.
 	ObsTraceTree = obs.TraceTree
@@ -238,19 +236,17 @@ func NewSICBaseline(techs []Technology) *CollisionDecoder {
 // NewObsRegistry builds an empty metrics registry.
 func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
 
-// NewObsTracer builds a segment tracer keeping the most recent ringSize
-// spans (0 = default). Callers running in real time should SetClock it to a
+// NewObsTracer builds a segment tracer; SetSink it to a store's Ingest to
+// keep its spans. Callers running in real time should SetClock it to a
 // wall-clock nanosecond source; the default clock is a deterministic step
 // counter suited to simulations and tests.
-func NewObsTracer(ringSize int) *ObsTracer { return obs.NewTracer(ringSize) }
+func NewObsTracer() *ObsTracer { return obs.NewTracer() }
 
-// NewObsTraceStore builds a trace-assembly store; SetSink the tracers that
-// should feed it with store.Ingest. A zero config gets the documented
-// defaults (512 traces retained, 1-in-16 head sampling plus every
-// anomalous trace).
-func NewObsTraceStore(cfg ObsTraceStoreConfig) *ObsTraceStore {
-	return obs.NewTraceStore(cfg)
-}
+// NewObsTraceStore builds a trace-assembly store retaining up to 512
+// traces, the oldest ordinary trace evicted first, and registers its
+// trace_* metrics on reg (nil = none). SetSink the tracers that should
+// feed it with store.Ingest.
+func NewObsTraceStore(reg *ObsRegistry) *ObsTraceStore { return obs.NewTraceStore(reg) }
 
 // ParseTraceID parses a trace ID in decimal or 0x-hex form (the formats
 // the /trace/tree route and galiot-trace accept).

@@ -68,16 +68,14 @@ func badWAL(r *obs.Registry, j *obs.Journal, h *obs.Health) {
 	h.Register("wal_ok", nil)          // want "health check name \\\"wal_ok\\\" does not follow subsystem_subject_condition"
 }
 
-// Tracing vocabulary: the trace_* metric and event names added with the
-// distributed-tracing plane must lint clean, and the obvious misnamings
-// must not.
-func goodTrace(r *obs.Registry, j *obs.Journal) {
+// Tracing vocabulary: the trace_* metric names of the distributed-tracing
+// plane must lint clean, and the obvious misnamings must not. The trace
+// store journals nothing, so no trace_* event verb exists: "sample" and
+// "evict" are not in the vocabulary.
+func goodTrace(r *obs.Registry) {
 	_ = r.Counter("trace_spans_ingested_total")
 	_ = r.Gauge("trace_traces_retained_count")
 	_ = r.Counter("trace_traces_evicted_total")
-	_ = r.Counter("trace_traces_sampled_total")
-	j.Record("trace_entry_sample", 1)
-	j.Record("trace_entry_evict", 1)
 }
 
 func badTrace(r *obs.Registry, j *obs.Journal) {
@@ -85,6 +83,8 @@ func badTrace(r *obs.Registry, j *obs.Journal) {
 	_ = r.Gauge("trace_retained")         // want "metric name \\\"trace_retained\\\" does not follow subsystem_name_unit"
 	j.Record("trace_entry_sampled", 1)    // want "event name \\\"trace_entry_sampled\\\" does not follow subsystem_subject_verb"
 	j.Record("trace_entry_evicted", 1)    // want "event name \\\"trace_entry_evicted\\\" does not follow subsystem_subject_verb"
+	j.Record("trace_entry_sample", 1)     // want "event name \\\"trace_entry_sample\\\" does not follow subsystem_subject_verb"
+	j.Record("trace_entry_evict", 1)      // want "event name \\\"trace_entry_evict\\\" does not follow subsystem_subject_verb"
 }
 
 // Dynamic names cannot be checked statically; the registries validate them

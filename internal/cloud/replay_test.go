@@ -23,7 +23,9 @@ import (
 // the replay's trace carries "dedup_hit" instead.
 func TestReplayedSegmentNotDoubleCounted(t *testing.T) {
 	svc := NewService(techs())
-	tracer := obs.NewTracer(0)
+	tracer := obs.NewTracer()
+	store := obs.NewTraceStore(nil)
+	tracer.SetSink(store.Ingest)
 	svc.UseObs(svc.Registry(), tracer)
 	svc.StartFarm(farm.Config{Workers: 1, QueueDepth: 4})
 	defer svc.Close()
@@ -65,7 +67,7 @@ func TestReplayedSegmentNotDoubleCounted(t *testing.T) {
 	// failed reply write, which ServeConn's return does not join — wait
 	// for it to land before reading the tracer or reconnecting.
 	deadline := time.Now().Add(5 * time.Second)
-	for countStages(tracer, "decode") == 0 {
+	for countStages(store, "decode") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("decode span never landed in the tracer")
 		}
@@ -116,19 +118,19 @@ func TestReplayedSegmentNotDoubleCounted(t *testing.T) {
 
 	// The traces agree: one decode span across both sessions, and the
 	// replay's trace is marked as a cache answer.
-	if n := countStages(tracer, "decode"); n != 1 {
+	if n := countStages(store, "decode"); n != 1 {
 		t.Fatalf("traces carry %d decode stages, want 1 (replay re-decoded)", n)
 	}
-	if n := countStages(tracer, "dedup_hit"); n != 1 {
+	if n := countStages(store, "dedup_hit"); n != 1 {
 		t.Fatalf("traces carry %d dedup_hit stages, want 1", n)
 	}
 }
 
-// countStages counts ended stages of the given name across the tracer's
-// recent spans.
-func countStages(tracer *obs.Tracer, name string) int {
+// countStages counts ended stages of the given name across the store's
+// retained spans.
+func countStages(store *obs.TraceStore, name string) int {
 	n := 0
-	for _, tr := range tracer.Recent() {
+	for _, tr := range store.Trees() {
 		for _, sp := range tr.Spans {
 			for _, st := range sp.Stages {
 				if st.Name == name {

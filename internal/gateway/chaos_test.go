@@ -32,10 +32,10 @@ const chaosSegments = 8
 // sites, as two processes would have) into one shared trace store, which
 // stitches their spans by the wire-propagated trace ID.
 func chaosTracers(store *obs.TraceStore, gwSite string) (*obs.Tracer, *obs.Tracer) {
-	gw := obs.NewTracer(0)
+	gw := obs.NewTracer()
 	gw.SetSite(gwSite)
 	gw.SetSink(store.Ingest)
-	cl := obs.NewTracer(0)
+	cl := obs.NewTracer()
 	cl.SetSite("cloud")
 	cl.SetSink(store.Ingest)
 	return gw, cl
@@ -170,7 +170,7 @@ func TestChaosSoak(t *testing.T) {
 	// Control: no faults — zero reconnects, zero drops, every segment
 	// decoded exactly once.
 	j0 := obs.NewJournal(obs.DefaultJournalRing)
-	store0 := obs.NewTraceStore(obs.TraceStoreConfig{SampleEvery: 1})
+	store0 := obs.NewTraceStore(nil)
 	g0, svc0, rep0 := chaosRun(t, nil, 3, j0, store0)
 	if got := counter(t, g0, "gateway_reconnects_total"); got != 0 {
 		t.Fatalf("control reconnects = %d, want 0", got)
@@ -217,7 +217,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatalf("schedule kills %d connections, want 6", sched.Faulty())
 	}
 	j1 := obs.NewJournal(obs.DefaultJournalRing)
-	store1 := obs.NewTraceStore(obs.TraceStoreConfig{SampleEvery: 1})
+	store1 := obs.NewTraceStore(nil)
 	g1, svc1, rep1 := chaosRun(t, &sched, 4, j1, store1)
 
 	if got, want := counter(t, g1, "gateway_reconnects_total"), uint64(sched.Faulty()); got != want {

@@ -132,12 +132,12 @@ func TestWALRestartSoak(t *testing.T) {
 	// its own tracer site (as two incarnations of a process would), the
 	// cloud keeps one tracer across both, and the WAL carries each
 	// segment's trace ID over the restart.
-	store := obs.NewTraceStore(obs.TraceStoreConfig{SampleEvery: 1})
-	cloudTracer := obs.NewTracer(0)
+	store := obs.NewTraceStore(nil)
+	cloudTracer := obs.NewTracer()
 	cloudTracer.SetSite("cloud")
 	cloudTracer.SetSink(store.Ingest)
 	phaseTracer := func(site string) *obs.Tracer {
-		tr := obs.NewTracer(0)
+		tr := obs.NewTracer()
 		tr.SetSite(site)
 		tr.SetSink(store.Ingest)
 		return tr

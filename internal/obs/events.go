@@ -17,7 +17,6 @@ var EventVerbs = []string{
 	"drop",      // a segment left the reliable path
 	"enter",     // a mode was entered (degraded enter)
 	"establish", // a session came up
-	"evict",     // a retained entry was displaced (trace entry evict)
 	"exhaust",   // a retry budget ran out
 	"exit",      // a mode was left (degraded exit)
 	"reap",      // an idle session was collected
@@ -25,7 +24,6 @@ var EventVerbs = []string{
 	"reject",    // an admission rejection (busy reject)
 	"replay",    // an unacked segment was reshipped
 	"resize",    // a plane changed shape
-	"sample",    // a tail-sampling policy kept an entry (trace entry sample)
 	"truncate",  // a corrupt tail was cut (wal tail truncate)
 }
 

@@ -1,6 +1,8 @@
 // Package obs is the observability layer of the GalioT pipeline: a
 // registry of named counters, gauges and windowed histograms, per-segment
-// trace spans, and an HTTP introspection server (/metrics, /trace/recent,
+// trace spans (a Tracer times them and sinks each finished one into a
+// TraceStore, the one place a process keeps spans), and an HTTP
+// introspection server (/metrics, /trace/tree, /trace/slowest,
 // /debug/pprof). It is stdlib-only and obeys the repository's determinism
 // and hot-path rules (DESIGN.md §10):
 //

@@ -14,7 +14,6 @@ import (
 // -obs-addr flag of the serving commands:
 //
 //	GET /metrics       registry snapshot as one JSON object
-//	GET /trace/recent  ring of recent segment traces (spans grouped by ID)
 //	GET /trace/tree    one assembled trace tree by ?id= (decimal or 0x hex)
 //	GET /trace/slowest the ?n= longest retained trace trees (default 10,
 //	                   n=0 serves every retained tree)
@@ -29,8 +28,6 @@ import (
 type Server struct {
 	// Registry backs /metrics; nil serves an empty snapshot.
 	Registry *Registry
-	// Tracer backs /trace/recent; nil serves an empty list.
-	Tracer *Tracer
 	// Journal backs /events/recent; nil serves an empty list.
 	Journal *Journal
 	// Traces backs /trace/tree and /trace/slowest; nil serves 404 / empty.
@@ -52,7 +49,6 @@ func (s *Server) Start(addr string) error {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/trace/recent", s.handleTraces)
 	mux.HandleFunc("/trace/tree", s.handleTraceTree)
 	mux.HandleFunc("/trace/slowest", s.handleTraceSlowest)
 	mux.HandleFunc("/events/recent", s.handleEvents)
@@ -120,14 +116,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, s.Registry.Snapshot())
-}
-
-func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request) {
-	traces := s.Tracer.Recent()
-	if traces == nil {
-		traces = []TraceSnapshot{}
-	}
-	writeJSON(w, traces)
 }
 
 // ParseTraceID parses a trace ID in decimal or 0x-prefixed hex — the two

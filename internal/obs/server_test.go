@@ -21,12 +21,14 @@ func TestServerEndpoints(t *testing.T) {
 	reg.Counter("gateway_segments_shipped_total").Add(7)
 	reg.Gauge("farm_jobs_queued_count").Set(2)
 	reg.Histogram("farm_queue_wait_samples", 16).Observe(500)
-	tr := NewTracer(8)
+	tr := NewTracer()
+	store := NewTraceStore(reg)
+	tr.SetSink(store.Ingest)
 	sp := tr.Start("gateway-segment", MintTraceID(0, 1))
 	sp.Stage("detect", 3, 0)
 	sp.End()
 
-	s := &Server{Registry: reg, Tracer: tr}
+	s := &Server{Registry: reg, Traces: store}
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatalf("start: %v", err)
 	}
@@ -44,8 +46,8 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("metrics histograms = %v", snap.Histograms)
 	}
 
-	var traces []TraceSnapshot
-	getJSON(t, base+"/trace/recent", http.StatusOK, &traces)
+	var traces []TraceTree
+	getJSON(t, base+"/trace/slowest", http.StatusOK, &traces)
 	if len(traces) != 1 || len(traces[0].Spans) != 1 || traces[0].Spans[0].Kind != "gateway-segment" {
 		t.Fatalf("traces = %+v", traces)
 	}
@@ -79,7 +81,7 @@ func TestServerEndpoints(t *testing.T) {
 
 func TestServerEmptyBackends(t *testing.T) {
 	t.Parallel()
-	s := &Server{} // no registry, no tracer
+	s := &Server{} // no registry, no trace store
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatalf("start: %v", err)
 	}
@@ -91,8 +93,8 @@ func TestServerEmptyBackends(t *testing.T) {
 	base := fmt.Sprintf("http://%s", s.Addr())
 	var snap Snapshot
 	getJSON(t, base+"/metrics", http.StatusOK, &snap)
-	var traces []TraceSnapshot
-	getJSON(t, base+"/trace/recent", http.StatusOK, &traces)
+	var traces []TraceTree
+	getJSON(t, base+"/trace/slowest", http.StatusOK, &traces)
 	if len(traces) != 0 {
 		t.Fatalf("traces = %v", traces)
 	}
@@ -123,7 +125,7 @@ func TestServerDoubleStartAndIdleClose(t *testing.T) {
 func TestServerTraceSlowestAll(t *testing.T) {
 	t.Parallel()
 	const traces = 14
-	store := NewTraceStore(TraceStoreConfig{SampleEvery: 1})
+	store := NewTraceStore(nil)
 	for i := 0; i < traces; i++ {
 		store.Ingest(SpanSnapshot{TraceID: MintTraceID(0, int64(i)), SpanID: uint64(i + 1), Kind: "gateway-segment", Start: 0, End: int64(100 + i)})
 	}

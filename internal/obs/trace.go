@@ -12,10 +12,6 @@ import (
 // grown.
 const MaxStages = 24
 
-// DefaultTraceRing is the span ring size when Tracer is built with
-// ringSize <= 0.
-const DefaultTraceRing = 256
-
 // Stage is one timed step of a span. Dur is measured on the clock of
 // whichever subsystem recorded it (the tracer clock for timed stages, the
 // farm's sample clock for queue waits — see DESIGN.md §10 for the per-stage
@@ -101,8 +97,8 @@ func (sp *Span) Stage(name string, dur int64, value float64) {
 	sp.mu.Unlock()
 }
 
-// End stamps the span's end time, publishes it to the tracer's ring, and
-// recycles it. The span must not be used after End.
+// End stamps the span's end time, hands its snapshot to the tracer's
+// sink, and recycles it. The span must not be used after End.
 func (sp *Span) End() {
 	if sp == nil {
 		return
@@ -114,35 +110,26 @@ func (sp *Span) End() {
 		return
 	}
 	sp.end = tr.Now()
-	rec := spanRec{
-		id:      sp.id,
-		span:    sp.span,
-		parent:  sp.parent,
-		kind:    sp.kind,
-		start:   sp.start,
-		end:     sp.end,
-		n:       sp.n,
-		dropped: sp.dropped,
-		stages:  sp.stages,
+	sink := tr.sink
+	var sn SpanSnapshot
+	if sink != nil {
+		sn = SpanSnapshot{
+			TraceID:       sp.id,
+			SpanID:        sp.span,
+			Parent:        sp.parent,
+			Kind:          sp.kind,
+			Start:         sp.start,
+			End:           sp.end,
+			DroppedStages: sp.dropped,
+			Stages:        append([]Stage(nil), sp.stages[:sp.n]...),
+		}
 	}
 	sp.tr = nil
 	sp.mu.Unlock()
-	tr.record(rec)
+	if sink != nil {
+		sink(sn)
+	}
 	tr.pool.Put(sp)
-}
-
-// spanRec is a finished span as stored in the tracer ring: plain values,
-// no mutex, copyable.
-type spanRec struct {
-	id      uint64
-	span    uint64
-	parent  uint64
-	kind    string
-	start   int64
-	end     int64
-	n       int
-	dropped int
-	stages  [MaxStages]Stage
 }
 
 // SpanSnapshot is the JSON form of a finished span.
@@ -157,16 +144,8 @@ type SpanSnapshot struct {
 	Stages        []Stage `json:"stages"`
 }
 
-// TraceSnapshot groups the spans that share a trace ID — in the
-// single-process example the gateway-side and cloud-side spans of one
-// segment merge into one trace here.
-type TraceSnapshot struct {
-	TraceID uint64         `json:"trace_id"`
-	Spans   []SpanSnapshot `json:"spans"`
-}
-
-// Tracer hands out spans and keeps the most recent finished ones in a
-// ring for /trace/recent. The zero clock is a deterministic step counter
+// Tracer hands out spans and passes each finished one to its sink; it
+// keeps none itself. The zero clock is a deterministic step counter
 // (every Now call advances it by one), which keeps library code replayable
 // under the nondeterminism rule; commands inject the wall clock with
 // SetClock before starting traffic.
@@ -177,21 +156,10 @@ type Tracer struct {
 	spanSeq atomic.Uint64
 	sink    func(SpanSnapshot)
 	pool    sync.Pool
-
-	mu    sync.Mutex
-	ring  []spanRec
-	next  int
-	total uint64
 }
 
-// NewTracer builds a tracer whose ring keeps the last ringSize finished
-// spans (<= 0 means DefaultTraceRing).
-func NewTracer(ringSize int) *Tracer {
-	if ringSize <= 0 {
-		ringSize = DefaultTraceRing
-	}
-	return &Tracer{ring: make([]spanRec, ringSize)}
-}
+// NewTracer builds a tracer on the deterministic step clock with no sink.
+func NewTracer() *Tracer { return &Tracer{} }
 
 // SetClock replaces the deterministic step clock, typically with
 // func() int64 { return time.Now().UnixNano() }. Call before the tracer is
@@ -212,10 +180,11 @@ func (t *Tracer) SetSite(name string) {
 	}
 }
 
-// SetSink registers a callback invoked with every finished span, in
-// addition to the ring. A TraceStore hangs off this hook to assemble
-// cross-process trace trees. Call before the tracer is shared across
-// goroutines; the callback must be safe for concurrent use.
+// SetSink registers the callback invoked with every finished span — the
+// tracer's only output. Commands sink into a TraceStore, which assembles
+// cross-process trace trees; a tracer without a sink times spans and
+// discards them. Call before the tracer is shared across goroutines; the
+// callback must be safe for concurrent use.
 func (t *Tracer) SetSink(sink func(SpanSnapshot)) {
 	if t != nil {
 		t.sink = sink
@@ -276,75 +245,6 @@ func (t *Tracer) nextSpanID() uint64 {
 		z = 1
 	}
 	return z
-}
-
-// record appends a finished span to the ring and feeds the sink.
-func (t *Tracer) record(rec spanRec) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.ring[t.next] = rec
-	t.next = (t.next + 1) % len(t.ring)
-	t.total++
-	sink := t.sink
-	t.mu.Unlock()
-	if sink != nil {
-		sink(rec.snapshot())
-	}
-}
-
-// snapshot converts a ring record to its JSON form.
-func (rec *spanRec) snapshot() SpanSnapshot {
-	return SpanSnapshot{
-		TraceID:       rec.id,
-		SpanID:        rec.span,
-		Parent:        rec.parent,
-		Kind:          rec.kind,
-		Start:         rec.start,
-		End:           rec.end,
-		DroppedStages: rec.dropped,
-		Stages:        append([]Stage(nil), rec.stages[:rec.n]...),
-	}
-}
-
-// Recent returns the ring's finished spans, oldest first, grouped into
-// traces by trace ID (groups ordered by each trace's oldest span).
-func (t *Tracer) Recent() []TraceSnapshot {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	n := int(t.total)
-	if t.total > uint64(len(t.ring)) {
-		n = len(t.ring)
-	}
-	recs := make([]spanRec, 0, n)
-	for i := 0; i < n; i++ {
-		// Oldest record first: when the ring has wrapped, t.next points at
-		// the oldest slot.
-		idx := i
-		if t.total > uint64(len(t.ring)) {
-			idx = (t.next + i) % len(t.ring)
-		}
-		recs = append(recs, t.ring[idx])
-	}
-	t.mu.Unlock()
-
-	var out []TraceSnapshot
-	byID := make(map[uint64]int, len(recs))
-	for i := range recs {
-		rec := &recs[i]
-		snap := rec.snapshot()
-		gi, ok := byID[rec.id]
-		if !ok {
-			gi = len(out)
-			out = append(out, TraceSnapshot{TraceID: rec.id})
-			byID[rec.id] = gi
-		}
-		out[gi].Spans = append(out[gi].Spans, snap)
-	}
-	return out
 }
 
 // SiteID hashes a site/process name (FNV-1a) for span-ID salting and

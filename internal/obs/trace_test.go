@@ -2,11 +2,11 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -25,17 +25,28 @@ func TestNilTracerAndSpanAreInert(t *testing.T) {
 	if sp.Now() != 0 || sp.TraceID() != 0 {
 		t.Fatal("nil span not inert")
 	}
-	if got := tr.Recent(); got != nil {
-		t.Fatalf("nil tracer Recent = %v", got)
+	var store *TraceStore
+	store.Ingest(SpanSnapshot{TraceID: 1})
+	if store.Len() != 0 || store.Trees() != nil {
+		t.Fatal("nil store not inert")
 	}
 	if ctx := ContextWithSpan(context.Background(), nil); SpanFromContext(ctx) != nil {
 		t.Fatal("nil span attached to context")
 	}
 }
 
+// sinkedTracer builds a tracer that sinks every finished span into a
+// fresh store, the way every command wires its tracer.
+func sinkedTracer() (*Tracer, *TraceStore) {
+	tr := NewTracer()
+	store := NewTraceStore(nil)
+	tr.SetSink(store.Ingest)
+	return tr, store
+}
+
 func TestSpanLifecycle(t *testing.T) {
 	t.Parallel()
-	tr := NewTracer(8)
+	tr, store := sinkedTracer()
 	id := MintTraceID(0, 42)
 	sp := tr.Start("gateway-segment", id)
 	if sp.TraceID() != id {
@@ -46,7 +57,7 @@ func TestSpanLifecycle(t *testing.T) {
 	sp.End()
 	sp.End() // double End must be harmless
 
-	traces := tr.Recent()
+	traces := store.Trees()
 	if len(traces) != 1 {
 		t.Fatalf("got %d traces, want 1", len(traces))
 	}
@@ -68,7 +79,7 @@ func TestSpanLifecycle(t *testing.T) {
 
 func TestSpanGroupingByTraceID(t *testing.T) {
 	t.Parallel()
-	tr := NewTracer(8)
+	tr, store := sinkedTracer()
 	id := MintTraceID(0, 7)
 	gw := tr.Start("gateway-segment", id)
 	gw.Stage("detect", 1, 0)
@@ -79,7 +90,7 @@ func TestSpanGroupingByTraceID(t *testing.T) {
 	other := tr.Start("cloud-segment", MintTraceID(0, 8))
 	other.End()
 
-	traces := tr.Recent()
+	traces := store.Trees()
 	if len(traces) != 2 {
 		t.Fatalf("got %d traces, want 2", len(traces))
 	}
@@ -93,13 +104,13 @@ func TestSpanGroupingByTraceID(t *testing.T) {
 
 func TestSpanStageCapDropsNotGrows(t *testing.T) {
 	t.Parallel()
-	tr := NewTracer(4)
+	tr, store := sinkedTracer()
 	sp := tr.Start("cloud-segment", 1)
 	for i := 0; i < MaxStages+10; i++ {
 		sp.Stage("sic_round", int64(i), 0)
 	}
 	sp.End()
-	span := tr.Recent()[0].Spans[0]
+	span := store.Trees()[0].Spans[0]
 	if len(span.Stages) != MaxStages {
 		t.Fatalf("stages = %d, want cap %d", len(span.Stages), MaxStages)
 	}
@@ -108,28 +119,9 @@ func TestSpanStageCapDropsNotGrows(t *testing.T) {
 	}
 }
 
-func TestTracerRingEviction(t *testing.T) {
-	t.Parallel()
-	tr := NewTracer(4)
-	for i := 0; i < 10; i++ {
-		sp := tr.Start("gateway-segment", uint64(i+1))
-		sp.End()
-	}
-	traces := tr.Recent()
-	if len(traces) != 4 {
-		t.Fatalf("got %d traces, want ring size 4", len(traces))
-	}
-	// Oldest surviving span first: IDs 7, 8, 9, 10.
-	for i, want := range []uint64{7, 8, 9, 10} {
-		if traces[i].TraceID != want {
-			t.Fatalf("trace %d id = %d, want %d", i, traces[i].TraceID, want)
-		}
-	}
-}
-
 func TestContextCarriesSpan(t *testing.T) {
 	t.Parallel()
-	tr := NewTracer(4)
+	tr := NewTracer()
 	sp := tr.Start("cloud-segment", 3)
 	ctx := ContextWithSpan(context.Background(), sp)
 	if got := SpanFromContext(ctx); got != sp {
@@ -160,17 +152,23 @@ func TestMintTraceIDStableAndDistinct(t *testing.T) {
 	}
 }
 
-// TestTracerConcurrent exercises concurrent span lifecycles against Recent
-// readers; meaningful under -race.
+// TestTracerConcurrent exercises concurrent span lifecycles sinking into
+// a store while a reader assembles its trees; meaningful under -race. The
+// spans outnumber the store's capacity, so eviction runs concurrently too
+// and its accounting must stay exact.
 func TestTracerConcurrent(t *testing.T) {
 	t.Parallel()
-	tr := NewTracer(32)
+	const workers, perWorker = 8, 200
+	reg := NewRegistry()
+	tr := NewTracer()
+	store := NewTraceStore(reg)
+	tr.SetSink(store.Ingest)
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
+			for i := 0; i < perWorker; i++ {
 				sp := tr.Start("cloud-segment", MintTraceID(0, int64(w*1000+i)))
 				sp.Stage("decode", 1, 0)
 				sp.End()
@@ -187,15 +185,45 @@ func TestTracerConcurrent(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				tr.Recent()
+				store.Trees()
 			}
 		}
 	}()
 	wg.Wait()
 	close(stop)
 	readerWG.Wait()
-	if got := len(tr.Recent()); got == 0 || got > 32 {
-		t.Fatalf("recent traces = %d", got)
+	if got := store.Len(); got != TraceStoreCapacity {
+		t.Fatalf("retained traces = %d, want capacity %d", got, TraceStoreCapacity)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["trace_spans_ingested_total"]; got != workers*perWorker {
+		t.Fatalf("ingested = %d, want %d", got, workers*perWorker)
+	}
+	if got := snap.Counters["trace_traces_evicted_total"]; got != workers*perWorker-TraceStoreCapacity {
+		t.Fatalf("evicted = %d, want %d", got, workers*perWorker-TraceStoreCapacity)
+	}
+}
+
+// TestSinkedSpanAllocs pins the steady-state cost of one traced segment:
+// Start, three stages and End on a sinked tracer allocate at most the one
+// stage slice the sink's snapshot owns — the span itself is pooled.
+func TestSinkedSpanAllocs(t *testing.T) {
+	tr := NewTracer()
+	var stages int
+	tr.SetSink(func(sn SpanSnapshot) { stages += len(sn.Stages) })
+	run := func() {
+		sp := tr.Start("cloud-segment", 1)
+		sp.Stage("detect", 1, 0)
+		sp.Stage("decode", 2, 0)
+		sp.Stage("reply", 3, 0)
+		sp.End()
+	}
+	run() // fill the span pool
+	if a := testing.AllocsPerRun(100, run); a > 1 {
+		t.Fatalf("Start+3×Stage+End allocates %.0f per span, want <= 1", a)
+	}
+	if stages != 3*102 {
+		t.Fatalf("sink saw %d stages, want %d", stages, 3*102)
 	}
 }
 
@@ -206,7 +234,7 @@ func TestTracerConcurrent(t *testing.T) {
 func TestSpanDroppedStagesConcurrentExact(t *testing.T) {
 	t.Parallel()
 	const workers, perWorker = 8, 50
-	tr := NewTracer(4)
+	tr, store := sinkedTracer()
 	sp := tr.Start("cloud-segment", 1)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -220,7 +248,7 @@ func TestSpanDroppedStagesConcurrentExact(t *testing.T) {
 	}
 	wg.Wait()
 	sp.End()
-	snap := tr.Recent()[0].Spans[0]
+	snap := store.Trees()[0].Spans[0]
 	if len(snap.Stages) != MaxStages {
 		t.Fatalf("kept stages = %d, want cap %d", len(snap.Stages), MaxStages)
 	}
@@ -229,30 +257,32 @@ func TestSpanDroppedStagesConcurrentExact(t *testing.T) {
 	}
 }
 
-// TestTracerRingOverflowUnderHTTPSnapshots overflows a small span ring from
-// concurrent writers while an HTTP client snapshots /trace/recent and
-// /trace/slowest the whole time. Checks that no finished span is lost by
-// the sink even when the ring evicts, and that every snapshot the server
-// hands out has internally consistent stage/drop accounting. Meaningful
-// under -race: this is the End vs HTTP-snapshot race the soak tools rely
-// on.
-func TestTracerRingOverflowUnderHTTPSnapshots(t *testing.T) {
+// TestTraceStoreUnderHTTPSnapshots ends spans from concurrent writers
+// while an HTTP client polls every retained tree (/trace/slowest?n=0) the
+// whole time. Checks that the sink sees every finished span exactly once
+// and that every snapshot the server hands out has internally consistent
+// stage/drop accounting. Meaningful under -race: this is the End vs
+// HTTP-snapshot race the soak tools rely on.
+func TestTraceStoreUnderHTTPSnapshots(t *testing.T) {
 	t.Parallel()
-	const workers, perWorker, ring = 4, 100, 8
-	tr := NewTracer(ring)
-	store := NewTraceStore(TraceStoreConfig{Capacity: workers * perWorker, SampleEvery: 1})
-	var sunk atomic.Int64
+	const workers, perWorker = 4, 100
+	tr := NewTracer()
+	store := NewTraceStore(nil)
+	var mu sync.Mutex
+	sunk := map[uint64]int{}
 	tr.SetSink(func(sn SpanSnapshot) {
-		sunk.Add(1)
+		mu.Lock()
+		sunk[sn.SpanID]++
+		mu.Unlock()
 		store.Ingest(sn)
 	})
 
-	s := &Server{Tracer: tr, Traces: store}
+	s := &Server{Traces: store}
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatalf("start: %v", err)
 	}
 	defer s.Close()
-	base := fmt.Sprintf("http://%s", s.Addr())
+	url := fmt.Sprintf("http://%s/trace/slowest?n=0", s.Addr())
 
 	stop := make(chan struct{})
 	var readerWG sync.WaitGroup
@@ -265,14 +295,22 @@ func TestTracerRingOverflowUnderHTTPSnapshots(t *testing.T) {
 				return
 			default:
 			}
-			for _, url := range []string{base + "/trace/recent", base + "/trace/slowest?n=4"} {
-				resp, err := http.Get(url)
-				if err != nil {
-					continue // server shutting down mid-request is fine
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
+			resp, err := http.Get(url)
+			if err != nil {
+				continue // server shutting down mid-request is fine
 			}
+			var trees []TraceTree
+			if err := json.NewDecoder(resp.Body).Decode(&trees); err == nil {
+				for _, trace := range trees {
+					for _, sp := range trace.Spans {
+						if sp.DroppedStages > 0 && len(sp.Stages) != MaxStages {
+							t.Errorf("served span dropped %d stages while only %d recorded", sp.DroppedStages, len(sp.Stages))
+						}
+					}
+				}
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
 		}
 	}()
 
@@ -300,12 +338,13 @@ func TestTracerRingOverflowUnderHTTPSnapshots(t *testing.T) {
 	close(stop)
 	readerWG.Wait()
 
-	if got := sunk.Load(); got != workers*perWorker {
-		t.Fatalf("sink saw %d spans, want %d (ring eviction must not drop sink delivery)", got, workers*perWorker)
+	if len(sunk) != workers*perWorker {
+		t.Fatalf("sink saw %d distinct spans, want %d", len(sunk), workers*perWorker)
 	}
-	traces := tr.Recent()
-	if len(traces) == 0 || len(traces) > ring {
-		t.Fatalf("recent traces = %d, want 1..%d", len(traces), ring)
+	for id, n := range sunk {
+		if n != 1 {
+			t.Fatalf("sink saw span %x %d times, want once", id, n)
+		}
 	}
 	for _, trace := range store.Trees() {
 		for _, sp := range trace.Spans {

@@ -5,34 +5,12 @@ import (
 	"sync"
 )
 
-// DefaultTraceStoreCapacity bounds retained traces when the config does
-// not say otherwise.
-const DefaultTraceStoreCapacity = 512
-
-// DefaultTraceSampleEvery is the default head-sampling rate for ordinary
-// traces: 1 in N new traces is promoted to keeper regardless of what
-// happens to it later, so the store always holds a representative slice
-// of healthy traffic next to the interesting tail.
-const DefaultTraceSampleEvery = 16
-
-// TraceStoreConfig sizes a TraceStore and declares its retention policy.
-type TraceStoreConfig struct {
-	// Capacity is the maximum number of traces retained (<= 0 means
-	// DefaultTraceStoreCapacity).
-	Capacity int
-	// SampleEvery promotes 1 in N new traces to keeper (<= 0 means
-	// DefaultTraceSampleEvery; 1 keeps everything).
-	SampleEvery int
-	// Obs registers trace_* metrics when non-nil.
-	Obs *Registry
-	// Journal records eviction/sampling events when non-nil.
-	Journal *Journal
-}
+// TraceStoreCapacity bounds the traces a TraceStore retains.
+const TraceStoreCapacity = 512
 
 // traceEntry is one assembled trace: every ingested span that carried
 // its trace ID, plus the retention classification accumulated so far.
 type traceEntry struct {
-	id    uint64
 	spans []SpanSnapshot
 	keep  bool
 }
@@ -65,55 +43,39 @@ type traceStoreMetrics struct {
 	ingested *Counter
 	retained *Gauge
 	evicted  *Counter
-	sampled  *Counter
 }
 
 // TraceStore assembles finished spans from any number of tracers —
 // typically one per process role, all sinking here — into trace trees
-// keyed by the wire-propagated trace ID, with tail-based retention:
-// traces that replayed or erred are always kept; ordinary
-// traces are head-sampled and evicted first under capacity pressure.
+// keyed by the wire-propagated trace ID, with tail-based retention: past
+// TraceStoreCapacity the oldest ordinary trace goes first, so traces that
+// replayed or erred (keepers) outlive every ordinary one; only a store
+// full of keepers evicts its oldest keeper.
 //
 // All methods are safe for concurrent use and nil-safe, so a disabled
 // store (nil) costs one branch.
 type TraceStore struct {
-	mu      sync.Mutex
-	cap     int
-	every   int
-	traces  map[uint64]*traceEntry
-	order   []uint64 // insertion order, oldest first
-	seen    uint64
-	m       traceStoreMetrics
-	journal *Journal
+	mu     sync.Mutex
+	traces map[uint64]*traceEntry
+	order  []uint64 // insertion order, oldest first
+	m      traceStoreMetrics
 }
 
-// NewTraceStore builds a store with the given policy and registers its
-// metrics on cfg.Obs when present.
-func NewTraceStore(cfg TraceStoreConfig) *TraceStore {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultTraceStoreCapacity
-	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = DefaultTraceSampleEvery
-	}
-	s := &TraceStore{
-		cap:     cfg.Capacity,
-		every:   cfg.SampleEvery,
-		traces:  make(map[uint64]*traceEntry),
-		journal: cfg.Journal,
-	}
-	if cfg.Obs != nil {
-		s.m.ingested = cfg.Obs.Counter("trace_spans_ingested_total")
-		s.m.retained = cfg.Obs.Gauge("trace_traces_retained_count")
-		s.m.evicted = cfg.Obs.Counter("trace_traces_evicted_total")
-		s.m.sampled = cfg.Obs.Counter("trace_traces_sampled_total")
+// NewTraceStore builds an empty store and registers its trace_* metrics
+// on reg when reg is non-nil.
+func NewTraceStore(reg *Registry) *TraceStore {
+	s := &TraceStore{traces: make(map[uint64]*traceEntry)}
+	if reg != nil {
+		s.m.ingested = reg.Counter("trace_spans_ingested_total")
+		s.m.retained = reg.Gauge("trace_traces_retained_count")
+		s.m.evicted = reg.Counter("trace_traces_evicted_total")
 	}
 	return s
 }
 
 // Ingest adds one finished span to its trace, creating the trace on
-// first sight and evicting under the tail-retention policy when the
-// store is over capacity. Wire it to a tracer with SetSink:
+// first sight and evicting the oldest ordinary trace when the store is
+// over capacity. Wire it to a tracer with SetSink:
 //
 //	tracer.SetSink(store.Ingest)
 func (s *TraceStore) Ingest(sn SpanSnapshot) {
@@ -124,23 +86,15 @@ func (s *TraceStore) Ingest(sn SpanSnapshot) {
 	s.m.ingested.Inc()
 	e, ok := s.traces[sn.TraceID]
 	if !ok {
-		e = &traceEntry{id: sn.TraceID}
+		e = &traceEntry{}
 		s.traces[sn.TraceID] = e
 		s.order = append(s.order, sn.TraceID)
-		s.seen++
-		if s.every == 1 || s.seen%uint64(s.every) == 1 {
-			e.keep = true
-			s.m.sampled.Inc()
-			if s.journal != nil {
-				s.journal.Record("trace_entry_sample", int64(len(s.order)))
-			}
-		}
 	}
 	e.spans = append(e.spans, sn)
 	if !e.keep && keeper(&sn) {
 		e.keep = true
 	}
-	for len(s.order) > s.cap {
+	if len(s.order) > TraceStoreCapacity {
 		s.evictLocked()
 	}
 	s.m.retained.Set(int64(len(s.order)))
@@ -156,7 +110,7 @@ func keeper(sn *SpanSnapshot) bool {
 	}
 	for i := range sn.Stages {
 		switch sn.Stages[i].Name {
-		case "replay", "wal_replay", "busy_reject", "spool_drop", "skip", "deadline":
+		case "replay", "wal_replay", "busy_reject", "spool_drop":
 			return true
 		}
 	}
@@ -177,9 +131,6 @@ func (s *TraceStore) evictLocked() {
 	s.order = append(s.order[:victim], s.order[victim+1:]...)
 	delete(s.traces, id)
 	s.m.evicted.Inc()
-	if s.journal != nil {
-		s.journal.Record("trace_entry_evict", int64(len(s.order)))
-	}
 }
 
 // Len reports the number of retained traces.

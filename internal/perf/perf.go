@@ -183,8 +183,7 @@ func runStage(b *workbench, def stageDef) (StageResult, error) {
 	// Sub-stage traces and decode stats restart here so they cover exactly
 	// the timed iterations, not warmup or probe runs.
 	if r.trace != nil {
-		r.trace.t = obs.NewTracer(2*iters + 8)
-		r.trace.t.SetClock(b.opts.Clock)
+		r.trace.reset(b.opts.Clock)
 	}
 	if r.stats != nil {
 		*r.stats = cancel.Stats{}
@@ -227,34 +226,42 @@ func runStage(b *workbench, def stageDef) (StageResult, error) {
 		res.DecodeStats = &st
 	}
 	if r.trace != nil {
-		res.SubStages = aggregateSubStages(r.trace.t)
+		res.SubStages = r.trace.subStages()
 	}
 	return res, nil
 }
 
-// aggregateSubStages folds every span in tr's ring into per-name
-// invocation counts and total wall time, sorted by name.
-func aggregateSubStages(tr *obs.Tracer) []SubStage {
-	agg := map[string]*SubStage{}
-	var names []string
-	for _, trace := range tr.Recent() {
-		for _, sp := range trace.Spans {
-			for _, st := range sp.Stages {
-				s := agg[st.Name]
-				if s == nil {
-					s = &SubStage{Name: st.Name}
-					agg[st.Name] = s
-					names = append(names, st.Name)
-				}
-				s.Count++
-				s.WallNs += st.Dur
-			}
+// reset installs a fresh tracer on clock whose finished spans fold into
+// the box, dropping whatever an earlier run folded.
+func (b *traceBox) reset(clock func() int64) {
+	b.agg = map[string]*SubStage{}
+	b.names = nil
+	b.t = obs.NewTracer()
+	b.t.SetClock(clock)
+	b.t.SetSink(b.fold)
+}
+
+// fold is the tracer's sink: it adds one finished span's stages to the
+// per-name invocation counts and total wall time.
+func (b *traceBox) fold(sn obs.SpanSnapshot) {
+	for _, st := range sn.Stages {
+		s := b.agg[st.Name]
+		if s == nil {
+			s = &SubStage{Name: st.Name}
+			b.agg[st.Name] = s
+			b.names = append(b.names, st.Name)
 		}
+		s.Count++
+		s.WallNs += st.Dur
 	}
-	sort.Strings(names)
-	out := make([]SubStage, len(names))
-	for i, n := range names {
-		out[i] = *agg[n]
+}
+
+// subStages returns the folded stages sorted by name.
+func (b *traceBox) subStages() []SubStage {
+	sort.Strings(b.names)
+	out := make([]SubStage, len(b.names))
+	for i, n := range b.names {
+		out[i] = *b.agg[n]
 	}
 	return out
 }

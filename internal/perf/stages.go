@@ -46,9 +46,13 @@ func (b *workbench) techs() []phy.Technology {
 }
 
 // traceBox lets runStage swap in a fresh tracer before the timed loop
-// while stage closures keep one stable pointer to read through.
+// while stage closures keep one stable pointer to read through; the
+// tracer's sink folds each finished span's stages into agg. Stages run on
+// the calling goroutine, so the sink needs no lock.
 type traceBox struct {
-	t *obs.Tracer
+	t     *obs.Tracer
+	agg   map[string]*SubStage
+	names []string // agg's keys in first-seen order
 }
 
 // runner is one built stage: a closed-over workload plus metadata.
@@ -57,8 +61,8 @@ type runner struct {
 	// run executes one iteration and returns the frames (or segments)
 	// produced.
 	run func() int
-	// trace, when set, collects sub-stage spans (runStage resets it before
-	// the timed loop and aggregates it after).
+	// trace, when set, folds sub-stage spans (runStage resets it before
+	// the timed loop and reads it after).
 	trace *traceBox
 	// stats, when set, accumulates decode statistics across iterations.
 	stats *cancel.Stats
