@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/galiot"
@@ -20,17 +21,24 @@ import (
 	"repro/internal/sim"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is main with its exit code returned; errors go to stderr. A failed
+// write of the summary to stdout is dropped, as fmt.Printf drops it.
+func run(args []string, stdout io.Writer) int {
+	fl := flag.NewFlagSet("galiot-record", flag.ContinueOnError)
 	var (
-		out     = flag.String("out", "capture.cu8", "output cu8 file")
-		truth   = flag.String("truth", "", "ground-truth sidecar (default <out>.truth)")
-		seconds = flag.Float64("seconds", 1, "capture length in seconds")
-		seed    = flag.Uint64("seed", 1, "traffic RNG seed")
-		snrMin  = flag.Float64("snr-min", 5, "minimum per-packet SNR (dB)")
-		snrMax  = flag.Float64("snr-max", 15, "maximum per-packet SNR (dB)")
-		meanGap = flag.Float64("gap", 0.08, "mean idle gap per transmitter (s)")
+		out     = fl.String("out", "capture.cu8", "output cu8 file")
+		truth   = fl.String("truth", "", "ground-truth sidecar (default <out>.truth)")
+		seconds = fl.Float64("seconds", 1, "capture length in seconds")
+		seed    = fl.Uint64("seed", 1, "traffic RNG seed")
+		snrMin  = fl.Float64("snr-min", 5, "minimum per-packet SNR (dB)")
+		snrMax  = fl.Float64("snr-max", 15, "maximum per-packet SNR (dB)")
+		meanGap = fl.Float64("gap", 0.08, "mean idle gap per transmitter (s)")
 	)
-	flag.Parse()
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
 	if *truth == "" {
 		*truth = *out + ".truth"
 	}
@@ -46,7 +54,7 @@ func main() {
 	}, rng.New(*seed))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "galiot-record:", err)
-		os.Exit(1)
+		return 1
 	}
 
 	// Scale into the cu8 range like an AGC'd front-end: peak at 0.95.
@@ -55,24 +63,11 @@ func main() {
 	if peak > 0 {
 		dsp.Scale(samples, 0.95/peak)
 	}
-	f, err := os.Create(*out)
-	if err != nil {
+	if err := os.WriteFile(*out, iq.Encode(samples), 0o666); err != nil {
 		fmt.Fprintln(os.Stderr, "galiot-record:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	w := iq.NewWriter(f, iq.CU8)
-	if _, err := w.Write(samples); err != nil {
-		fmt.Fprintln(os.Stderr, "galiot-record:", err)
-		os.Exit(1)
+		return 1
 	}
 
-	tf, err := os.Create(*truth)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "galiot-record:", err)
-		os.Exit(1)
-	}
-	defer tf.Close()
 	// A short write here silently corrupts the ground truth every
 	// detection-rate comparison is scored against, so fail loudly.
 	var truthBuf bytes.Buffer
@@ -80,12 +75,13 @@ func main() {
 	for _, p := range scen.Packets {
 		fmt.Fprintf(&truthBuf, "%s %d %d %.1f %x\n", p.Tech, p.Offset, p.Length, p.SNRdB, p.Payload)
 	}
-	if _, err := tf.Write(truthBuf.Bytes()); err != nil {
+	if err := os.WriteFile(*truth, truthBuf.Bytes(), 0o666); err != nil {
 		fmt.Fprintln(os.Stderr, "galiot-record:", err)
-		os.Exit(1)
+		return 1
 	}
 
-	fmt.Printf("wrote %s: %d samples (%.2f s at %.0f Hz), %d packets (truth in %s)\n",
+	_, _ = fmt.Fprintf(stdout, "wrote %s: %d samples (%.2f s at %.0f Hz), %d packets (truth in %s)\n",
 		*out, len(samples), float64(len(samples))/galiot.SampleRate, galiot.SampleRate,
 		len(scen.Packets), *truth)
+	return 0
 }

@@ -18,18 +18,25 @@ import (
 	"repro/internal/iq"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is main with its exit code returned; errors go to stderr. A failed
+// write to stdout is dropped, as fmt.Printf drops it.
+func run(args []string, stdout io.Writer) int {
+	fl := flag.NewFlagSet("galiot-replay", flag.ContinueOnError)
 	var (
-		in   = flag.String("in", "capture.cu8", "input cu8 file")
-		rate = flag.Float64("rate", galiot.SampleRate, "capture sample rate in Hz")
-		edge = flag.Bool("edge", true, "resolve uncollided packets at the edge")
+		in   = fl.String("in", "capture.cu8", "input cu8 file")
+		rate = fl.Float64("rate", galiot.SampleRate, "capture sample rate in Hz")
+		edge = fl.Bool("edge", true, "resolve uncollided packets at the edge")
 	)
-	flag.Parse()
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
 
 	f, err := os.Open(*in)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "galiot-replay:", err)
-		os.Exit(1)
+		return 1
 	}
 	defer f.Close()
 
@@ -41,12 +48,12 @@ func main() {
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "galiot-replay:", err)
-		os.Exit(1)
+		return 1
 	}
 	svc := galiot.NewCloud(techs...)
 
 	printFrame := func(where string, tech string, offset int64, crc bool, payload []byte) {
-		fmt.Printf("%-5s %-6s @%-9d crc=%-5v payload=%x\n", where, tech, offset, crc, payload)
+		_, _ = fmt.Fprintf(stdout, "%-5s %-6s @%-9d crc=%-5v payload=%x\n", where, tech, offset, crc, payload)
 	}
 	decoded := 0
 	handle := func(res galiot.GatewayResult) {
@@ -63,51 +70,40 @@ func main() {
 		}
 	}
 
-	reader := iq.NewReader(f, iq.CU8)
-	if !dsp.ApproxEqual(*rate, galiot.SampleRate, 1e-6) {
-		// Non-native capture rate (e.g. rtl_sdr's customary 2.048 MHz):
-		// read everything and resample into the 1 MHz pipeline.
-		var all []complex128
-		tmp := make([]complex128, 1<<18)
-		for {
-			n, err := reader.Read(tmp)
-			if n > 0 {
-				all = append(all, tmp[:n]...)
-			}
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "galiot-replay:", err)
-				os.Exit(1)
-			}
+	// A non-native capture rate (e.g. rtl_sdr's customary 2.048 MHz) is
+	// read whole and resampled into the 1 MHz pipeline; a native one
+	// streams through the gateway block by block.
+	native := dsp.ApproxEqual(*rate, galiot.SampleRate, 1e-6)
+	reader := iq.NewReader(f)
+	var all []complex128
+	buf := make([]complex128, 1<<18)
+	for {
+		n, err := reader.Read(buf)
+		if n > 0 && native {
+			handle(gw.Process(buf[:n]))
+		} else if n > 0 {
+			all = append(all, buf[:n]...)
 		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "galiot-replay:", err)
+			return 1
+		}
+	}
+	if !native {
 		converted, err := dsp.Resample(all, *rate, galiot.SampleRate)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "galiot-replay: resample:", err)
-			os.Exit(1)
+			return 1
 		}
 		handle(gw.Process(converted))
-		handle(gw.Flush())
-	} else {
-		buf := make([]complex128, 1<<18)
-		for {
-			n, err := reader.Read(buf)
-			if n > 0 {
-				handle(gw.Process(buf[:n]))
-			}
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "galiot-replay:", err)
-				os.Exit(1)
-			}
-		}
-		handle(gw.Flush())
 	}
+	handle(gw.Flush())
 
 	st := gw.Stats()
-	fmt.Printf("\nreplayed %.2f s (capture rate %.0f Hz): %d segments, %d frames recovered\n",
+	_, _ = fmt.Fprintf(stdout, "\nreplayed %.2f s (capture rate %.0f Hz): %d segments, %d frames recovered\n",
 		float64(st.RawBytes/2)/galiot.SampleRate, *rate, st.SegmentsShipped+st.SegmentsResolved, decoded)
+	return 0
 }

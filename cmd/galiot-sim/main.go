@@ -12,34 +12,43 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/experiments"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is main with its exit code returned; errors go to stderr. A failed
+// write to stdout is dropped, as fmt.Printf drops it.
+func run(args []string, stdout io.Writer) int {
+	fl := flag.NewFlagSet("galiot-sim", flag.ContinueOnError)
 	var (
-		exp   = flag.String("exp", "all", "experiment id to run, or 'all'")
-		seed  = flag.Uint64("seed", 1, "base RNG seed (runs are deterministic per seed)")
-		quick = flag.Bool("quick", false, "reduced trial counts for a fast smoke run")
-		list  = flag.Bool("list", false, "list experiment ids and exit")
+		exp   = fl.String("exp", "all", "experiment id to run, or 'all'")
+		seed  = fl.Uint64("seed", 1, "base RNG seed (runs are deterministic per seed)")
+		quick = fl.Bool("quick", false, "reduced trial counts for a fast smoke run")
+		list  = fl.Bool("list", false, "list experiment ids and exit")
 	)
-	flag.Parse()
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
-		fmt.Println(strings.Join(experiments.IDs(), "\n"))
-		return
+		_, _ = fmt.Fprintln(stdout, strings.Join(experiments.IDs(), "\n"))
+		return 0
 	}
 	opt := experiments.Options{Seed: *seed, Quick: *quick}
 	var err error
 	if *exp == "all" {
-		err = experiments.RunAll(opt, os.Stdout)
+		err = experiments.RunAll(opt, stdout)
 	} else {
-		err = experiments.Run(*exp, opt, os.Stdout)
+		err = experiments.Run(*exp, opt, stdout)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "galiot-sim:", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

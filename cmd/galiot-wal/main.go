@@ -19,81 +19,95 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/resilience/wal"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its exit code returned: 1 on an inspection failure or
+// a -verify finding, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("galiot-wal", flag.ContinueOnError)
+	fl.SetOutput(stderr)
 	var (
-		dir     = flag.String("dir", "", "WAL directory to inspect (required)")
-		asJSON  = flag.Bool("json", false, "emit the full report as JSON")
-		records = flag.Bool("records", false, "list every record, not just per-file totals")
-		verify  = flag.Bool("verify", false, "exit non-zero if any file holds a torn or corrupt tail")
+		dir     = fl.String("dir", "", "WAL directory to inspect (required)")
+		asJSON  = fl.Bool("json", false, "emit the full report as JSON")
+		records = fl.Bool("records", false, "list every record, not just per-file totals")
+		verify  = fl.Bool("verify", false, "exit non-zero if any file holds a torn or corrupt tail")
 	)
-	flag.Parse()
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
 	if *dir == "" {
-		fmt.Fprintln(os.Stderr, "galiot-wal: -dir is required")
-		os.Exit(2)
+		printf(stderr, "galiot-wal: -dir is required\n")
+		return 2
 	}
 
-	rep, err := wal.Inspect(*dir, nil)
+	rep, err := wal.Inspect(*dir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "galiot-wal:", err)
-		os.Exit(1)
+		printf(stderr, "galiot-wal: %v\n", err)
+		return 1
 	}
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "galiot-wal:", err)
-			os.Exit(1)
+			printf(stderr, "galiot-wal: %v\n", err)
+			return 1
 		}
 	} else {
-		printReport(rep, *records)
+		printReport(stdout, rep, *records)
 	}
 
 	if *verify && rep.TornBytes > 0 {
-		fmt.Fprintf(os.Stderr, "galiot-wal: VERIFY FAIL: %d torn bytes\n", rep.TornBytes)
-		os.Exit(1)
+		printf(stderr, "galiot-wal: VERIFY FAIL: %d torn bytes\n", rep.TornBytes)
+		return 1
 	}
+	return 0
 }
 
-func printReport(rep *wal.Report, records bool) {
-	fmt.Printf("%s: %d files\n", rep.Dir, len(rep.Files))
+// printf writes formatted output, explicitly discarding the write error as
+// terminal output does.
+func printf(w io.Writer, format string, args ...any) { _, _ = fmt.Fprintf(w, format, args...) }
+
+func printReport(w io.Writer, rep *wal.Report, records bool) {
+	printf(w, "%s: %d files\n", rep.Dir, len(rep.Files))
 	for _, f := range rep.Files {
-		fmt.Printf("  %s: %d bytes, %d data, %d acks", f.Name, f.Bytes, f.Data, f.Acks)
+		printf(w, "  %s: %d bytes, %d data, %d acks", f.Name, f.Bytes, f.Data, f.Acks)
 		if f.TornBytes > 0 {
-			fmt.Printf(", TORN TAIL %d bytes", f.TornBytes)
+			printf(w, ", TORN TAIL %d bytes", f.TornBytes)
 		}
-		fmt.Println()
+		printf(w, "\n")
 		if records {
 			for _, r := range f.Records {
 				switch r.Kind {
 				case "data":
-					fmt.Printf("    data id=%d start=%d samples=%d", r.ID, r.SegStart, r.SegSamples)
+					printf(w, "    data id=%d start=%d samples=%d", r.ID, r.SegStart, r.SegSamples)
 					if r.TraceID != 0 {
-						fmt.Printf(" trace=0x%016x", r.TraceID)
+						printf(w, " trace=0x%016x", r.TraceID)
 					}
-					fmt.Println()
+					printf(w, "\n")
 				case "ack":
-					fmt.Printf("    ack  id=%d\n", r.ID)
+					printf(w, "    ack  id=%d\n", r.ID)
 				}
 			}
 		}
 	}
-	fmt.Printf("totals: %d data records, %d acks, %d live (unacked), %d of them traced",
+	printf(w, "totals: %d data records, %d acks, %d live (unacked), %d of them traced",
 		rep.DataRecords, rep.AckRecords, len(rep.Live), rep.Traced)
 	if rep.TornBytes > 0 {
-		fmt.Printf(", %d torn bytes", rep.TornBytes)
+		printf(w, ", %d torn bytes", rep.TornBytes)
 	}
-	fmt.Println()
+	printf(w, "\n")
 	for _, r := range rep.Live {
-		fmt.Printf("  live id=%d start=%d samples=%d", r.ID, r.SegStart, r.SegSamples)
+		printf(w, "  live id=%d start=%d samples=%d", r.ID, r.SegStart, r.SegSamples)
 		if r.TraceID != 0 {
-			fmt.Printf(" trace=0x%016x", r.TraceID)
+			printf(w, " trace=0x%016x", r.TraceID)
 		}
-		fmt.Println()
+		printf(w, "\n")
 	}
 }

@@ -6,8 +6,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/galiot"
 	"repro/internal/channel"
@@ -15,6 +18,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the demo to w, dropping a failed write as fmt.Printf does:
+// the text is for a terminal.
+func run(w io.Writer) error {
 	techs := galiot.Technologies()
 	payloads := map[string][]byte{
 		"lora":  []byte("soil moisture 41%"),
@@ -30,7 +41,7 @@ func main() {
 	for i, tech := range techs {
 		sig, err := tech.Modulate(payloads[tech.Name()], galiot.SampleRate)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		emissions = append(emissions, channel.Emission{
 			Samples: sig,
@@ -42,23 +53,24 @@ func main() {
 		}
 	}
 	capture := channel.Mix(longest+30000, emissions, gen, galiot.SampleRate)
-	fmt.Printf("capture: %d samples with a 3-way cross-technology collision\n\n", len(capture))
+	_, _ = fmt.Fprintf(w, "capture: %d samples with a 3-way cross-technology collision\n\n", len(capture))
 
 	run := func(name string, dec *galiot.CollisionDecoder) int {
 		frames, stats := dec.Decode(capture)
-		fmt.Printf("%s recovered %d frame(s):\n", name, len(frames))
+		_, _ = fmt.Fprintf(w, "%s recovered %d frame(s):\n", name, len(frames))
 		for _, f := range frames {
-			fmt.Printf("  %-5s crc=%v payload=%q\n", f.Tech, f.CRCOK, f.Payload)
+			_, _ = fmt.Fprintf(w, "  %-5s crc=%v payload=%q\n", f.Tech, f.CRCOK, f.Payload)
 		}
-		fmt.Printf("  decoder stats: %+v\n\n", stats)
+		_, _ = fmt.Fprintf(w, "  decoder stats: %+v\n\n", stats)
 		return len(frames)
 	}
 
 	nSIC := run("strict SIC baseline", galiot.NewSICBaseline(techs))
 	nCloud := run("GalioT (SIC + kill filters)", galiot.NewCollisionDecoder(techs))
 
-	fmt.Printf("SIC: %d/3, GalioT: %d/3\n", nSIC, nCloud)
+	_, _ = fmt.Fprintf(w, "SIC: %d/3, GalioT: %d/3\n", nSIC, nCloud)
 	if nCloud < 3 {
-		log.Fatal("expected GalioT to recover all three frames")
+		return errors.New("expected GalioT to recover all three frames")
 	}
+	return nil
 }

@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/galiot"
 	"repro/internal/channel"
@@ -20,6 +22,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the demo to w, dropping a failed write as fmt.Printf does:
+// the text is for a terminal.
+func run(w io.Writer) error {
 	before := galiot.Technologies()   // lora, xbee, zwave
 	after := galiot.TechnologiesAll() // + oqpsk, dbpsk
 
@@ -28,15 +38,15 @@ func main() {
 	// detection cost does not grow with the technology count.
 	uniBefore, err := detect.BuildUniversal(before, galiot.SampleRate)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	uniAfter, err := detect.BuildUniversal(after, galiot.SampleRate)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("universal preamble: %d techs -> template %d samples (%d groups)\n",
+	_, _ = fmt.Fprintf(w, "universal preamble: %d techs -> template %d samples (%d groups)\n",
 		len(before), len(uniBefore.Template), len(uniBefore.Groups))
-	fmt.Printf("after update:       %d techs -> template %d samples (%d groups)\n\n",
+	_, _ = fmt.Fprintf(w, "after update:       %d techs -> template %d samples (%d groups)\n\n",
 		len(after), len(uniAfter.Template), len(uniAfter.Groups))
 
 	// Put all five technologies on the air, staggered so each overlaps its
@@ -55,7 +65,7 @@ func main() {
 	for i, tech := range after {
 		sig, err := tech.Modulate(payloads[tech.Name()], galiot.SampleRate)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		emissions = append(emissions, channel.Emission{
 			Samples: sig,
@@ -71,23 +81,24 @@ func main() {
 	// Decode with the updated technology set.
 	dec := galiot.NewCollisionDecoder(after)
 	frames, stats := dec.Decode(capture)
-	fmt.Printf("decoded %d of %d technologies from one capture:\n", len(frames), len(after))
+	_, _ = fmt.Fprintf(w, "decoded %d of %d technologies from one capture:\n", len(frames), len(after))
 	got := map[string]bool{}
 	for _, f := range frames {
-		fmt.Printf("  %-6s crc=%v payload=%q\n", f.Tech, f.CRCOK, f.Payload)
+		_, _ = fmt.Fprintf(w, "  %-6s crc=%v payload=%q\n", f.Tech, f.CRCOK, f.Payload)
 		got[f.Tech] = true
 	}
-	fmt.Printf("decoder stats: %+v\n", stats)
+	_, _ = fmt.Fprintf(w, "decoder stats: %+v\n", stats)
 
 	missing := 0
 	for _, tech := range after {
 		if !got[tech.Name()] {
-			fmt.Printf("  (missing: %s)\n", tech.Name())
+			_, _ = fmt.Fprintf(w, "  (missing: %s)\n", tech.Name())
 			missing++
 		}
 	}
 	if missing > 1 {
-		log.Fatalf("software update failed: %d technologies undecoded", missing)
+		return fmt.Errorf("software update failed: %d technologies undecoded", missing)
 	}
-	fmt.Println("\nsoftware update complete: new technologies decoded with zero new hardware")
+	_, _ = fmt.Fprintln(w, "\nsoftware update complete: new technologies decoded with zero new hardware")
+	return nil
 }

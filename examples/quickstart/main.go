@@ -6,8 +6,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/galiot"
 	"repro/internal/channel"
@@ -15,15 +18,23 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the demo to w, dropping a failed write as fmt.Printf does:
+// the text is for a terminal.
+func run(w io.Writer) error {
 	techs := galiot.Technologies()
 	lora := techs[0]
 
 	payload := []byte("hello, GalioT!")
 	sig, err := lora.Modulate(payload, galiot.SampleRate)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("modulated %d payload bytes into %d I/Q samples (%.1f ms airtime)\n",
+	_, _ = fmt.Fprintf(w, "modulated %d payload bytes into %d I/Q samples (%.1f ms airtime)\n",
 		len(payload), len(sig), 1000*float64(len(sig))/galiot.SampleRate)
 
 	// Put the burst on the air at 0 dB SNR — at or below the noise floor,
@@ -39,12 +50,13 @@ func main() {
 
 	frame, err := lora.Demodulate(rx, galiot.SampleRate)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("decoded tech=%s crc=%v offset=%d payload=%q\n",
+	_, _ = fmt.Fprintf(w, "decoded tech=%s crc=%v offset=%d payload=%q\n",
 		frame.Tech, frame.CRCOK, frame.Offset, frame.Payload)
 	if !frame.CRCOK || string(frame.Payload) != string(payload) {
-		log.Fatal("round trip failed")
+		return errors.New("round trip failed")
 	}
-	fmt.Println("round trip OK at 0 dB SNR through the 8-bit front-end")
+	_, _ = fmt.Fprintln(w, "round trip OK at 0 dB SNR through the 8-bit front-end")
+	return nil
 }

@@ -10,9 +10,12 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"os"
 
 	"repro/galiot"
 	"repro/internal/channel"
@@ -21,6 +24,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the demo to w, dropping a failed write as fmt.Printf does:
+// the text is for a terminal.
+func run(w io.Writer) error {
 	techs := galiot.Technologies()
 	dec := galiot.NewCollisionDecoder(techs)
 	tracker := sensing.NewTracker(2) // flag deviations beyond 2 dB
@@ -30,13 +41,13 @@ func main() {
 	// transmissions 12 and 22 an "occupancy event" attenuates every link
 	// by 4 dB (a body blocking the strongest path).
 	const n = 30
-	fmt.Println("frame  tech   flagged  deviation")
+	_, _ = fmt.Fprintln(w, "frame  tech   flagged  deviation")
 	for i := 0; i < n; i++ {
 		tech := techs[i%len(techs)]
 		payload := []byte{byte(i), 0xCA, 0xFE}
 		sig, err := tech.Modulate(payload, galiot.SampleRate)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		amp := 1.0
 		if i >= 12 && i < 22 {
@@ -51,7 +62,7 @@ func main() {
 
 		frames, _ := dec.Decode(rx)
 		if len(frames) == 0 {
-			fmt.Printf("%5d  %-5s  (not decoded)\n", i, tech.Name())
+			_, _ = fmt.Fprintf(w, "%5d  %-5s  (not decoded)\n", i, tech.Name())
 			continue
 		}
 		flagged, dev := tracker.Observe(sensing.Observation{
@@ -63,16 +74,17 @@ func main() {
 		if flagged {
 			mark = "  <-- occupancy"
 		}
-		fmt.Printf("%5d  %-5s  %-7v  %+6.2f dB%s\n", i, tech.Name(), flagged, dev, mark)
+		_, _ = fmt.Fprintf(w, "%5d  %-5s  %-7v  %+6.2f dB%s\n", i, tech.Name(), flagged, dev, mark)
 	}
 
 	events := tracker.Events()
-	fmt.Printf("\n%d event(s) detected across %d technologies\n", len(events), tracker.Coverage())
+	_, _ = fmt.Fprintf(w, "\n%d event(s) detected across %d technologies\n", len(events), tracker.Coverage())
 	for _, ev := range events {
-		fmt.Printf("  event frames %.0f..%.0f (%d observations, mean drop %.1f dB)\n",
+		_, _ = fmt.Fprintf(w, "  event frames %.0f..%.0f (%d observations, mean drop %.1f dB)\n",
 			ev.Start, ev.End, ev.Count, ev.MeanDropDB)
 	}
 	if len(events) == 0 || tracker.Coverage() < 2 {
-		log.Fatal("sensing toy failed to see the event collectively")
+		return errors.New("sensing toy failed to see the event collectively")
 	}
+	return nil
 }

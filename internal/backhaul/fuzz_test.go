@@ -11,29 +11,30 @@ import (
 )
 
 // FuzzSegmentCodec drives the segment codec from two directions at once:
-// the sample bytes are first treated as a CU8 capture and pushed through a
-// full Encode/DecodeSegment round trip (metadata and samples must survive
-// within quantization error), and then fed raw to DecodeSegment, which must
-// reject or accept arbitrary payloads without panicking.
+// the sample bytes are first treated as a cu8 capture and pushed through a
+// full Encode/DecodeSegment round trip, with or without trace context
+// (metadata, trace context and samples must survive within quantization
+// error), and then fed raw to DecodeSegment, which must reject or accept
+// arbitrary payloads without panicking.
 func FuzzSegmentCodec(f *testing.F) {
 	// Seeds mirror the fixtures the unit tests exercise: empty, a short
 	// ramp, noise-like bytes, and a repetitive tone-like run that flate
 	// actually compresses.
-	f.Add(int64(0), uint64(math.Float64bits(1e6)), []byte{}, uint8(0), false)
-	f.Add(int64(123456), uint64(math.Float64bits(1e6)), []byte{0, 64, 128, 192, 255, 127}, uint8(0), true)
-	f.Add(int64(-9), uint64(math.Float64bits(250e3)), []byte{200, 55, 13, 240, 99, 1, 128, 128}, uint8(1), true)
+	f.Add(int64(0), uint64(math.Float64bits(1e6)), []byte{}, false)
+	f.Add(int64(123456), uint64(math.Float64bits(1e6)), []byte{0, 64, 128, 192, 255, 127}, true)
+	f.Add(int64(-9), uint64(math.Float64bits(250e3)), []byte{200, 55, 13, 240, 99, 1, 128, 128}, true)
 	tone := make([]byte, 512)
 	for i := range tone {
 		tone[i] = byte(128 + 100*((i/2)%2))
 	}
-	f.Add(int64(1<<40), uint64(math.Float64bits(2.4e6)), tone, uint8(2), false)
+	f.Add(int64(1<<40), uint64(math.Float64bits(2.4e6)), tone, false)
 	// Hostile rates: the codec refuses what no radio runs at (NaN, 0) and
 	// carries an absurd-but-finite 1e12 for the session to refuse.
-	f.Add(int64(7), uint64(math.Float64bits(math.NaN())), []byte{1, 2, 3, 4}, uint8(0), true)
-	f.Add(int64(7), uint64(math.Float64bits(0)), []byte{1, 2, 3, 4}, uint8(0), false)
-	f.Add(int64(7), uint64(math.Float64bits(1e12)), []byte{1, 2, 3, 4}, uint8(0), true)
+	f.Add(int64(7), uint64(math.Float64bits(math.NaN())), []byte{1, 2, 3, 4}, true)
+	f.Add(int64(7), uint64(math.Float64bits(0)), []byte{1, 2, 3, 4}, false)
+	f.Add(int64(7), uint64(math.Float64bits(1e12)), []byte{1, 2, 3, 4}, true)
 
-	f.Fuzz(func(t *testing.T, start int64, rateBits uint64, data []byte, formatSel uint8, compress bool) {
+	f.Fuzz(func(t *testing.T, start int64, rateBits uint64, data []byte, traced bool) {
 		// Direction 1: arbitrary bytes straight into the decoder. Errors are
 		// expected; panics and runaway allocation are the bugs.
 		if seg, err := DecodeSegment(data); err == nil {
@@ -44,22 +45,24 @@ func FuzzSegmentCodec(f *testing.F) {
 			}
 		}
 
-		// Direction 2: interpret the bytes as a CU8 capture and round-trip
-		// it through every codec configuration.
+		// Direction 2: interpret the bytes as a cu8 capture and round-trip
+		// it through the codec, with trace context on or off.
 		rate := math.Float64frombits(rateBits)
 		if len(data)%2 == 1 {
 			data = data[:len(data)-1]
 		}
-		samples, err := iq.Decode(data, iq.CU8)
+		samples, err := iq.Decode(data)
 		if err != nil {
-			t.Fatalf("CU8 decode of even-length bytes failed: %v", err)
+			t.Fatalf("cu8 decode of even-length bytes failed: %v", err)
 		}
-		format := iq.Format(formatSel % 3) // CU8, CS16, CF32
-		sc := SegmentCodec{Format: format, Compress: compress}
+		var trace, parent uint64
+		if traced {
+			trace, parent = rateBits|1, uint64(start)
+		}
 		if !(rate > 0) || math.IsInf(rate, 0) {
 			// A rate no radio runs at must not survive the decoder, however
 			// well-formed the rest of the payload is.
-			payload, err := sc.Encode(Segment{Start: start, SampleRate: rate, Samples: samples})
+			payload, err := DefaultCodec.Encode(Segment{Start: start, SampleRate: rate, Samples: samples, Trace: trace, Parent: parent})
 			if err != nil {
 				t.Fatalf("encode: %v", err)
 			}
@@ -68,8 +71,8 @@ func FuzzSegmentCodec(f *testing.F) {
 			}
 			rate = 1e6
 		}
-		seg := Segment{Start: start, SampleRate: rate, Samples: samples}
-		payload, err := sc.Encode(seg)
+		seg := Segment{Start: start, SampleRate: rate, Samples: samples, Trace: trace, Parent: parent}
+		payload, err := DefaultCodec.Encode(seg)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
@@ -84,17 +87,17 @@ func FuzzSegmentCodec(f *testing.F) {
 		if math.Float64bits(got.SampleRate) != math.Float64bits(rate) {
 			t.Fatalf("sample rate changed: %v → %v", rate, got.SampleRate)
 		}
-		// Quantization error bound: CU8 sees the coarsest grid. The AGC
-		// scale can shrink tiny signals below one LSB, so normalize the
-		// tolerance by the peak the encoder saw.
+		if got.Trace != trace || got.Parent != parent {
+			t.Fatalf("trace context changed: %#x/%#x → %#x/%#x", trace, parent, got.Trace, got.Parent)
+		}
+		// Quantization error bound: one 8-bit LSB. The AGC scale can shrink
+		// tiny signals below one LSB, so normalize the tolerance by the
+		// peak the encoder saw.
 		peak := 0.0
 		for _, v := range samples {
 			peak = math.Max(peak, math.Max(math.Abs(real(v)), math.Abs(imag(v))))
 		}
-		tol := 1e-3
-		if format == iq.CU8 {
-			tol = 2.0 / 127.5
-		}
+		tol := 2.0 / 127.5
 		if peak > 0 {
 			tol *= peak / 0.98
 		}

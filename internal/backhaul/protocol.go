@@ -5,9 +5,11 @@
 //
 // Framing: every message is [type:1][length:4 big-endian][payload]. Control
 // messages (hello, frames) are JSON; segment payloads are binary:
-// [startSample:8][sampleRate:8][scale:8][format:1][flags:1][trace:8? parent:8?][data...][crc32:4?].
-// The flags byte is a bitmask: bit 0 marks DEFLATE-compressed data, bit 1
-// marks a trailing IEEE CRC-32 over everything before it, so corruption on
+// [startSample:8][sampleRate:8][scale:8][format:1][flags:1][trace:8? parent:8?][data...][crc32:4].
+// The format byte is always 0 (cu8). The flags byte is a bitmask: bit 0
+// marks DEFLATE-compressed data, bit 1 marks the trailing IEEE CRC-32 over
+// everything before it. Every segment carries the trailer and the decoder
+// refuses one without it (or with another format byte), so corruption on
 // the wire is detected at decode time instead of silently producing garbage
 // I/Q (the resilience layer relies on this: a corrupted segment fails loudly,
 // the session dies, and the reconnecting gateway replays it — see DESIGN.md §11).
@@ -247,12 +249,10 @@ func (c *Conn) SendFrames(r FramesReport) error {
 // SendBye writes an orderly shutdown marker.
 func (c *Conn) SendBye() error { return c.WriteMessage(MsgBye, nil) }
 
-// SegmentCodec controls how segments are serialized.
-type SegmentCodec struct {
-	Format   iq.Format // sample format on the wire (CU8 matches the RTL-SDR ADC)
-	Compress bool      // apply DEFLATE on top
-	Checksum bool      // append an IEEE CRC-32 trailer so wire corruption is detected
-}
+// SegmentCodec serializes segments in the one segment encoding: cu8
+// samples (the RTL-SDR's native format), DEFLATE-compressed when that wins,
+// with a CRC-32 integrity trailer.
+type SegmentCodec struct{}
 
 // Segment payload flag bits (payload byte 25).
 const (
@@ -261,15 +261,19 @@ const (
 	flagTrace = 1 << 2 // 16-byte [trace:8][parent:8] extension follows the header
 )
 
+// formatCU8 is the sample-format byte (payload byte 24) of every segment;
+// it is the only value the decoder accepts.
+const formatCU8 = 0
+
 // traceExtSize is the flagTrace extension length.
 const traceExtSize = 16
 
 // DefaultCodec is what the paper's gateway effectively ships: 8-bit
 // quantized samples, compressed, with an integrity trailer.
-var DefaultCodec = SegmentCodec{Format: iq.CU8, Compress: true, Checksum: true}
+var DefaultCodec = SegmentCodec{}
 
 // Encode serializes a segment.
-func (sc SegmentCodec) Encode(seg Segment) ([]byte, error) {
+func (SegmentCodec) Encode(seg Segment) ([]byte, error) {
 	// Digital AGC: normalize the peak rail to 0.98 full scale so the
 	// quantizer neither clips strong bursts nor wastes dynamic range on
 	// weak ones.
@@ -290,77 +294,66 @@ func (sc SegmentCodec) Encode(seg Segment) ([]byte, error) {
 	for i, v := range seg.Samples {
 		scaled[i] = complex(real(v)*scale, imag(v)*scale)
 	}
-	raw, err := iq.Encode(scaled, sc.Format)
+	raw := iq.Encode(scaled)
+	flag := byte(flagCRC)
+	var buf bytes.Buffer
+	w, err := flate.NewWriter(&buf, flate.BestSpeed)
 	if err != nil {
 		return nil, err
 	}
-	flag := byte(0)
-	if sc.Compress {
-		var buf bytes.Buffer
-		w, err := flate.NewWriter(&buf, flate.BestSpeed)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := w.Write(raw); err != nil {
-			return nil, err
-		}
-		if err := w.Close(); err != nil {
-			return nil, err
-		}
-		// Only keep compression when it actually wins (noise-like I/Q can
-		// be incompressible).
-		if buf.Len() < len(raw) {
-			raw = buf.Bytes()
-			flag = flagFlate
-		}
+	if _, err := w.Write(raw); err != nil {
+		return nil, err
 	}
-	trailer := 0
-	if sc.Checksum {
-		flag |= flagCRC
-		trailer = 4
+	if err := w.Close(); err != nil {
+		return nil, err
+	}
+	// Only keep compression when it actually wins (noise-like I/Q can be
+	// incompressible).
+	if buf.Len() < len(raw) {
+		raw = buf.Bytes()
+		flag |= flagFlate
 	}
 	ext := 0
 	if seg.Trace != 0 {
 		flag |= flagTrace
 		ext = traceExtSize
 	}
-	out := make([]byte, 26+ext+len(raw)+trailer)
+	out := make([]byte, 26+ext+len(raw)+4)
 	binary.BigEndian.PutUint64(out[0:], uint64(seg.Start))
 	binary.BigEndian.PutUint64(out[8:], math.Float64bits(seg.SampleRate))
 	binary.BigEndian.PutUint64(out[16:], math.Float64bits(scale))
-	out[24] = byte(sc.Format)
+	out[24] = formatCU8
 	out[25] = flag
 	if ext != 0 {
 		binary.BigEndian.PutUint64(out[26:], seg.Trace)
 		binary.BigEndian.PutUint64(out[34:], seg.Parent)
 	}
 	copy(out[26+ext:], raw)
-	if sc.Checksum {
-		sum := crc32.ChecksumIEEE(out[:26+ext+len(raw)])
-		binary.BigEndian.PutUint32(out[26+ext+len(raw):], sum)
-	}
+	binary.BigEndian.PutUint32(out[26+ext+len(raw):], crc32.ChecksumIEEE(out[:26+ext+len(raw)]))
 	return out, nil
 }
 
-// Decode deserializes a segment payload.
+// DecodeSegment deserializes a segment payload. It accepts only the one
+// encoding SegmentCodec writes: cu8 samples behind a CRC-32 trailer.
 func DecodeSegment(payload []byte) (Segment, error) {
-	if len(payload) < 26 {
+	if len(payload) < 30 {
 		return Segment{}, fmt.Errorf("backhaul: segment payload too short")
 	}
 	flags := payload[25]
 	if flags&^(flagFlate|flagCRC|flagTrace) != 0 {
 		return Segment{}, fmt.Errorf("backhaul: unknown segment flags %#02x", flags)
 	}
-	if flags&flagCRC != 0 {
-		if len(payload) < 30 {
-			return Segment{}, fmt.Errorf("backhaul: segment payload too short for checksum")
-		}
-		body := payload[:len(payload)-4]
-		want := binary.BigEndian.Uint32(payload[len(payload)-4:])
-		if got := crc32.ChecksumIEEE(body); got != want {
-			return Segment{}, fmt.Errorf("backhaul: segment checksum mismatch (got %#08x want %#08x)", got, want)
-		}
-		payload = body
+	if flags&flagCRC == 0 {
+		return Segment{}, fmt.Errorf("backhaul: segment lacks its CRC-32 trailer")
+	}
+	body := payload[:len(payload)-4]
+	want := binary.BigEndian.Uint32(payload[len(payload)-4:])
+	if got := crc32.ChecksumIEEE(body); got != want {
+		return Segment{}, fmt.Errorf("backhaul: segment checksum mismatch (got %#08x want %#08x)", got, want)
+	}
+	payload = body
+	if payload[24] != formatCU8 {
+		return Segment{}, fmt.Errorf("backhaul: segment sample format %d is not cu8", payload[24])
 	}
 	start := int64(binary.BigEndian.Uint64(payload[0:]))
 	rate := math.Float64frombits(binary.BigEndian.Uint64(payload[8:]))
@@ -371,8 +364,6 @@ func DecodeSegment(payload []byte) (Segment, error) {
 	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
 		return Segment{}, fmt.Errorf("backhaul: invalid segment scale %v", scale)
 	}
-	format := iq.Format(payload[24])
-	compressed := flags&flagFlate != 0
 	var trace, parent uint64
 	data := payload[26:]
 	if flags&flagTrace != 0 {
@@ -383,7 +374,7 @@ func DecodeSegment(payload []byte) (Segment, error) {
 		parent = binary.BigEndian.Uint64(data[8:])
 		data = data[traceExtSize:]
 	}
-	if compressed {
+	if flags&flagFlate != 0 {
 		r := flate.NewReader(bytes.NewReader(data))
 		defer r.Close()
 		raw, err := io.ReadAll(io.LimitReader(r, MaxMessageSize))
@@ -392,7 +383,7 @@ func DecodeSegment(payload []byte) (Segment, error) {
 		}
 		data = raw
 	}
-	samples, err := iq.Decode(data, format)
+	samples, err := iq.Decode(data)
 	if err != nil {
 		return Segment{}, err
 	}
@@ -404,8 +395,8 @@ func DecodeSegment(payload []byte) (Segment, error) {
 }
 
 // SendSegmentSeq encodes and writes a sequence-numbered segment.
-func (c *Conn) SendSegmentSeq(sc SegmentCodec, seq uint64, seg Segment) (wireBytes int, err error) {
-	payload, err := sc.Encode(seg)
+func (c *Conn) SendSegmentSeq(seq uint64, seg Segment) (wireBytes int, err error) {
+	payload, err := DefaultCodec.Encode(seg)
 	if err != nil {
 		return 0, err
 	}

@@ -2,9 +2,13 @@ package backhaul
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"hash/crc32"
 	"io"
 	"math"
 	"net"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -102,35 +106,23 @@ func TestSegmentCodecRoundTrip(t *testing.T) {
 	for i := range samples {
 		samples[i] = complex(gen.NormFloat64()*0.2, gen.NormFloat64()*0.2)
 	}
-	for _, sc := range []SegmentCodec{
-		{Format: iq.CU8, Compress: false},
-		{Format: iq.CU8, Compress: true},
-		{Format: iq.CS16, Compress: true},
-		{Format: iq.CF32, Compress: false},
-		{Format: iq.CU8, Compress: true, Checksum: true},
-		{Format: iq.CS16, Compress: false, Checksum: true},
-	} {
-		seg := Segment{Start: 123456, SampleRate: 1e6, Samples: samples}
-		payload, err := sc.Encode(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeSegment(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Start != 123456 || got.SampleRate != 1e6 || len(got.Samples) != 5000 {
-			t.Fatalf("%v: meta %d %v %d", sc, got.Start, got.SampleRate, len(got.Samples))
-		}
-		// quantization error bounded by the format
-		tol := 2.0 / 127.5
-		if sc.Format != iq.CU8 {
-			tol = 1e-3
-		}
-		for i := range samples {
-			if d := got.Samples[i] - samples[i]; math.Abs(real(d)) > tol || math.Abs(imag(d)) > tol {
-				t.Fatalf("%v: sample %d error %v", sc, i, d)
-			}
+	seg := Segment{Start: 123456, SampleRate: 1e6, Samples: samples}
+	payload, err := DefaultCodec.Encode(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeSegment(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Start != 123456 || got.SampleRate != 1e6 || len(got.Samples) != 5000 {
+		t.Fatalf("meta %d %v %d", got.Start, got.SampleRate, len(got.Samples))
+	}
+	// Quantization error is bounded by the 8-bit LSB.
+	const tol = 2.0 / 127.5
+	for i := range samples {
+		if d := got.Samples[i] - samples[i]; math.Abs(real(d)) > tol || math.Abs(imag(d)) > tol {
+			t.Fatalf("sample %d error %v", i, d)
 		}
 	}
 }
@@ -141,16 +133,12 @@ func TestSegmentCompressionWinsOnStructure(t *testing.T) {
 	tone := dsp.Tone(20000, 10e3, 0, 1e6)
 	dsp.Scale(tone, 0.5)
 	seg := Segment{Start: 0, SampleRate: 1e6, Samples: tone}
-	comp, err := SegmentCodec{Format: iq.CU8, Compress: true}.Encode(seg)
+	comp, err := DefaultCodec.Encode(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := SegmentCodec{Format: iq.CU8, Compress: false}.Encode(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comp) >= len(plain) {
-		t.Fatalf("compression did not help: %d vs %d", len(comp), len(plain))
+	if plain := 26 + 2*len(tone) + 4; len(comp) >= plain || comp[25]&flagFlate == 0 {
+		t.Fatalf("compression did not help: %d vs %d uncompressed (flags %#02x)", len(comp), plain, comp[25])
 	}
 	got, err := DecodeSegment(comp)
 	if err != nil || len(got.Samples) != len(tone) {
@@ -180,12 +168,12 @@ func TestSegmentPayloadProperty(t *testing.T) {
 		if len(data)%2 == 1 {
 			data = data[:len(data)-1]
 		}
-		samples, err := iq.Decode(data, iq.CU8)
+		samples, err := iq.Decode(data)
 		if err != nil {
 			return false
 		}
 		seg := Segment{Start: start, SampleRate: 1e6, Samples: samples}
-		payload, err := SegmentCodec{Format: iq.CU8, Compress: true}.Encode(seg)
+		payload, err := DefaultCodec.Encode(seg)
 		if err != nil {
 			return false
 		}
@@ -227,7 +215,7 @@ func TestSegmentSeqRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	c := NewConn(&buf)
-	n, err := c.SendSegmentSeq(DefaultCodec, 41, Segment{Start: 9000, SampleRate: 1e6, Samples: samples})
+	n, err := c.SendSegmentSeq(41, Segment{Start: 9000, SampleRate: 1e6, Samples: samples})
 	if err != nil || n <= 13 {
 		t.Fatalf("send: %d %v", n, err)
 	}
@@ -316,7 +304,7 @@ func TestOverTCPLikePipe(t *testing.T) {
 			done <- err
 			return
 		}
-		if _, err := c.SendSegmentSeq(DefaultCodec, 9, Segment{Start: 42, SampleRate: 1e6, Samples: samples}); err != nil {
+		if _, err := c.SendSegmentSeq(9, Segment{Start: 42, SampleRate: 1e6, Samples: samples}); err != nil {
 			done <- err
 			return
 		}
@@ -350,8 +338,7 @@ func TestSegmentChecksumDetectsCorruption(t *testing.T) {
 	for i := range samples {
 		samples[i] = complex(gen.NormFloat64()*0.2, gen.NormFloat64()*0.2)
 	}
-	sc := SegmentCodec{Format: iq.CU8, Compress: true, Checksum: true}
-	payload, err := sc.Encode(Segment{Start: 7, SampleRate: 1e6, Samples: samples})
+	payload, err := DefaultCodec.Encode(Segment{Start: 7, SampleRate: 1e6, Samples: samples})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,15 +358,92 @@ func TestSegmentChecksumDetectsCorruption(t *testing.T) {
 	}
 }
 
+// resum recomputes a segment payload's CRC-32 trailer after an edit, so a
+// test reaches the check behind the checksum.
+func resum(payload []byte) {
+	body := payload[:len(payload)-4]
+	binary.BigEndian.PutUint32(payload[len(body):], crc32.ChecksumIEEE(body))
+}
+
 func TestSegmentUnknownFlagsRejected(t *testing.T) {
-	sc := SegmentCodec{Format: iq.CU8}
-	payload, err := sc.Encode(Segment{Start: 1, SampleRate: 1e6, Samples: make([]complex128, 64)})
+	payload, err := DefaultCodec.Encode(Segment{Start: 1, SampleRate: 1e6, Samples: make([]complex128, 64)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload[25] |= 0x80
-	if _, err := DecodeSegment(payload); err == nil {
-		t.Fatal("unknown flag bits should be rejected")
+	resum(payload)
+	if _, err := DecodeSegment(payload); err == nil || !strings.Contains(err.Error(), "unknown segment flags") {
+		t.Fatalf("unknown flag bits should be rejected, got %v", err)
+	}
+}
+
+// TestSegmentRejectsNonCU8Format: a checksum-clean payload whose format
+// byte is not cu8 is refused.
+func TestSegmentRejectsNonCU8Format(t *testing.T) {
+	payload, err := DefaultCodec.Encode(Segment{Start: 1, SampleRate: 1e6, Samples: make([]complex128, 64)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload[24] = 1
+	resum(payload)
+	if _, err := DecodeSegment(payload); err == nil || !strings.Contains(err.Error(), "not cu8") {
+		t.Fatalf("format byte 1 should be rejected, got %v", err)
+	}
+}
+
+// TestSegmentRejectsMissingCRC: a payload without the CRC-32 trailer (and
+// without its flag bit) is well formed in every other way, yet refused.
+func TestSegmentRejectsMissingCRC(t *testing.T) {
+	gen := rng.New(8)
+	samples := make([]complex128, 64)
+	for i := range samples {
+		samples[i] = complex(gen.NormFloat64()*0.2, gen.NormFloat64()*0.2)
+	}
+	payload, err := DefaultCodec.Encode(Segment{Start: 1, SampleRate: 1e6, Samples: samples})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := append([]byte(nil), payload[:len(payload)-4]...)
+	bare[25] &^= flagCRC
+	if _, err := DecodeSegment(bare); err == nil || !strings.Contains(err.Error(), "lacks its CRC-32 trailer") {
+		t.Fatalf("payload without CRC should be rejected, got %v", err)
+	}
+}
+
+// TestSegmentGoldenBytes pins DefaultCodec's wire bytes: an incompressible
+// noise segment (CRC only), a compressible tone with trace context (DEFLATE,
+// CRC and trace extension) and an empty segment.
+func TestSegmentGoldenBytes(t *testing.T) {
+	r := rng.New(7)
+	noise := make([]complex128, 48)
+	for i := range noise {
+		noise[i] = complex(r.NormFloat64()*0.3, r.NormFloat64()*0.3)
+	}
+	tone := make([]complex128, 256)
+	for i := range tone {
+		s, c := math.Sincos(2 * math.Pi * float64(i) / 16)
+		tone[i] = complex(0.5*c, 0.5*s)
+	}
+	cases := []struct {
+		name string
+		seg  Segment
+		want string
+	}{
+		{"noise", Segment{Start: 1000, SampleRate: 1e6, Samples: noise},
+			"00000000000003e8412e8480000000003ff0b67f47b34b0d0002a65573548cc43cd53d765693a54f8e696b834b7c9f7a55b68c76894d8571969daa9c8faa90ae5a815c877b8e5bbf728b4a6094d0b9975d5545dfb765805b71668d6f4f8b7a9ab894879090b084947696779e2f0342368869a2c76d5742718390a6a79f71"},
+		{"traced tone", Segment{Start: 123456, SampleRate: 2e6, Samples: tone, Trace: 0x0123456789abcdef, Parent: 0xfedcba9876543210},
+			"000000000001e240413e8480000000003fff5c28f5c28f5c00070123456789abcdeffedcba9876543210bc91b109c05008440b5bf7701d37d28d6e9ddbe35a8bf40149209fd48fa7e29b1648a8271574587b46a497c119caa933bc1ee61fe3f5f1fe9ffcdefe7bdfbff459fd97fddae00ce5150000ffffd5fb9dd8"},
+		{"empty", Segment{Start: 5, SampleRate: 1e6},
+			"0000000000000005412e8480000000003ff000000000000000028c7515ae"},
+	}
+	for _, c := range cases {
+		got, err := DefaultCodec.Encode(c.seg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if h := hex.EncodeToString(got); h != c.want {
+			t.Errorf("%s: wire bytes changed\n got %s\nwant %s", c.name, h, c.want)
+		}
 	}
 }
 
@@ -389,29 +453,28 @@ func TestSegmentTraceContextRoundTrip(t *testing.T) {
 	for i := range samples {
 		samples[i] = complex(gen.NormFloat64()*0.2, gen.NormFloat64()*0.2)
 	}
-	for _, sc := range []SegmentCodec{
-		{Format: iq.CU8},
-		{Format: iq.CU8, Compress: true},
-		{Format: iq.CU8, Compress: true, Checksum: true},
-		{Format: iq.CS16, Checksum: true},
-	} {
-		seg := Segment{Start: 555, SampleRate: 1e6, Samples: samples, Trace: 0xCAFEF00DBEEF1234, Parent: 0x42}
-		payload, err := sc.Encode(seg)
+	tone := dsp.Tone(len(samples), 10e3, 0, 1e6)
+	dsp.Scale(tone, 0.5)
+	// Noise ships uncompressed, the tone compressed: the extension sits
+	// in front of either body.
+	for _, body := range [][]complex128{samples, tone} {
+		seg := Segment{Start: 555, SampleRate: 1e6, Samples: body, Trace: 0xCAFEF00DBEEF1234, Parent: 0x42}
+		payload, err := DefaultCodec.Encode(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if payload[25]&(1<<2) == 0 {
-			t.Fatalf("%v: trace flag bit not set", sc)
+			t.Fatalf("flags %#02x: trace flag bit not set", payload[25])
 		}
 		got, err := DecodeSegment(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Trace != seg.Trace || got.Parent != seg.Parent {
-			t.Fatalf("%v: trace context lost: %#x/%#x", sc, got.Trace, got.Parent)
+			t.Fatalf("flags %#02x: trace context lost: %#x/%#x", payload[25], got.Trace, got.Parent)
 		}
 		if got.Start != 555 || len(got.Samples) != 1500 {
-			t.Fatalf("%v: segment body damaged: %d/%d", sc, got.Start, len(got.Samples))
+			t.Fatalf("flags %#02x: segment body damaged: %d/%d", payload[25], got.Start, len(got.Samples))
 		}
 	}
 }

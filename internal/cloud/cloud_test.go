@@ -38,7 +38,7 @@ func makeSegment(t *testing.T, seed uint64) (backhaul.Segment, []byte) {
 // shipOne is the client side of a one-segment exchange on an established
 // session (see helloV2): ship seg under seq, read the frames report back.
 func shipOne(conn *backhaul.Conn, seq uint64, seg backhaul.Segment) (backhaul.FramesReport, error) {
-	if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, seq, seg); err != nil {
+	if _, err := conn.SendSegmentSeq(seq, seg); err != nil {
 		return backhaul.FramesReport{}, err
 	}
 	typ, data, err := conn.ReadMessage()
@@ -246,7 +246,7 @@ func TestServeConnRefusesHostileSampleRates(t *testing.T) {
 		}
 		bad := seg
 		bad.SampleRate = rate
-		if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, 0, bad); err != nil {
+		if _, err := conn.SendSegmentSeq(0, bad); err != nil {
 			t.Fatal(err)
 		}
 		if err := <-errCh; err == nil || !strings.Contains(err.Error(), "bad segment") {

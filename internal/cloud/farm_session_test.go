@@ -103,7 +103,7 @@ func TestFarmPipelinedSession(t *testing.T) {
 	for i := 0; i < segments; i++ {
 		seg, payload := makeSegment(t, uint64(20+i))
 		payloads[i] = payload
-		if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, uint64(i), seg); err != nil {
+		if _, err := conn.SendSegmentSeq(uint64(i), seg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,14 +157,14 @@ func TestFarmBusyReject(t *testing.T) {
 	// empty again), segment 1 the only queue slot; their replies are parked
 	// behind the gate, so nothing is written yet and the busy reject for
 	// segment 2 queues in the sequencer behind them.
-	if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, 0, tiny); err != nil {
+	if _, err := conn.SendSegmentSeq(0, tiny); err != nil {
 		t.Fatal(err)
 	}
 	<-dispatched
-	if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, 1, tiny); err != nil {
+	if _, err := conn.SendSegmentSeq(1, tiny); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, 2, tiny); err != nil {
+	if _, err := conn.SendSegmentSeq(2, tiny); err != nil {
 		t.Fatal(err)
 	}
 	// The write above returns once the session has read segment 2, which is
@@ -239,7 +239,7 @@ func TestFarmConcurrentGatewaysRace(t *testing.T) {
 				for i := 0; i < segments; i++ {
 					seg, payload := makeSegment(t, uint64(100+10*g+i))
 					payloads[i] = payload
-					if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, uint64(i), seg); err != nil {
+					if _, err := conn.SendSegmentSeq(uint64(i), seg); err != nil {
 						return err
 					}
 				}
@@ -308,7 +308,7 @@ func TestFarmDrainOnServerClose(t *testing.T) {
 	const segments = 3
 	tiny := backhaul.Segment{Start: 0, SampleRate: fs, Samples: make([]complex128, 16)}
 	for i := 0; i < segments; i++ {
-		if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, uint64(i), tiny); err != nil {
+		if _, err := conn.SendSegmentSeq(uint64(i), tiny); err != nil {
 			t.Fatal(err)
 		}
 	}

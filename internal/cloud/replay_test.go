@@ -53,7 +53,7 @@ func TestReplayedSegmentNotDoubleCounted(t *testing.T) {
 		{Dir: faults.DirRead, Op: faults.OpClose, Offset: 1},
 	}})
 	fconn := backhaul.NewConn(fc)
-	if _, err := fconn.SendSegmentSeq(backhaul.DefaultCodec, 0, seg); err != nil {
+	if _, err := fconn.SendSegmentSeq(0, seg); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := fconn.ReadMessage(); err == nil {
@@ -81,7 +81,7 @@ func TestReplayedSegmentNotDoubleCounted(t *testing.T) {
 	go func() { done2 <- svc.ServeConn(b2) }()
 	conn2 := backhaul.NewConn(a2)
 	helloEpoch(t, conn2, "gw-replay", 7)
-	if _, err := conn2.SendSegmentSeq(backhaul.DefaultCodec, 1, seg); err != nil {
+	if _, err := conn2.SendSegmentSeq(1, seg); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := conn2.ReadMessage()

@@ -61,7 +61,7 @@ func TestDedupAnswersReplayFromCache(t *testing.T) {
 	// 0 is on the wire the replay must hit the cache.
 	var replies []sessionReply
 	for seq := uint64(0); seq < 2; seq++ {
-		if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, seq, seg); err != nil {
+		if _, err := conn.SendSegmentSeq(seq, seg); err != nil {
 			t.Fatal(err)
 		}
 		typ, payload, err := conn.ReadMessage()
@@ -133,7 +133,7 @@ func TestInlineDedupRepliesInOrder(t *testing.T) {
 			readErr <- err
 		}()
 		for i, seg := range segs {
-			if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, uint64(i), seg); err != nil {
+			if _, err := conn.SendSegmentSeq(uint64(i), seg); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -192,7 +192,7 @@ func TestDedupDisabledWithoutEpoch(t *testing.T) {
 	}()
 	seg := backhaul.Segment{Start: 4200, SampleRate: fs, Samples: make([]complex128, 64)}
 	for seq := uint64(0); seq < 2; seq++ {
-		if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, seq, seg); err != nil {
+		if _, err := conn.SendSegmentSeq(seq, seg); err != nil {
 			t.Fatal(err)
 		}
 	}

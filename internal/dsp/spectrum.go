@@ -2,109 +2,6 @@ package dsp
 
 import "math"
 
-// Window designs the named window of length n with coefficients in [0, 1].
-type Window int
-
-// Supported window shapes.
-const (
-	Rectangular Window = iota
-	Hann
-	Hamming
-	Blackman
-)
-
-// Coefficients returns the window's n coefficients.
-func (w Window) Coefficients(n int) []float64 {
-	out := make([]float64, n)
-	if n == 1 {
-		out[0] = 1
-		return out
-	}
-	for i := range out {
-		x := 2 * math.Pi * float64(i) / float64(n-1)
-		switch w {
-		case Hann:
-			out[i] = 0.5 - 0.5*math.Cos(x)
-		case Hamming:
-			out[i] = 0.54 - 0.46*math.Cos(x)
-		case Blackman:
-			out[i] = 0.42 - 0.5*math.Cos(x) + 0.08*math.Cos(2*x)
-		default:
-			out[i] = 1
-		}
-	}
-	return out
-}
-
-// String returns the window's name.
-func (w Window) String() string {
-	switch w {
-	case Hann:
-		return "hann"
-	case Hamming:
-		return "hamming"
-	case Blackman:
-		return "blackman"
-	default:
-		return "rectangular"
-	}
-}
-
-// Periodogram returns the windowed power spectral density estimate of x:
-// |FFT(w·x)|²/(n·Σw²). Bin k corresponds to frequency k·fs/n (wrapping to
-// negative frequencies above n/2).
-func Periodogram(x []complex128, w Window) []float64 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	coeff := w.Coefficients(n)
-	buf := make([]complex128, n)
-	var wss float64
-	for i, v := range x {
-		buf[i] = v * complex(coeff[i], 0)
-		wss += coeff[i] * coeff[i]
-	}
-	FFTInPlace(buf)
-	out := make([]float64, n)
-	norm := 1 / (wss * float64(n))
-	for i, v := range buf {
-		out[i] = (real(v)*real(v) + imag(v)*imag(v)) * norm
-	}
-	return out
-}
-
-// WelchPSD averages periodograms over 50%-overlapping segments of the given
-// length, reducing estimator variance. segLen is clamped to len(x).
-func WelchPSD(x []complex128, segLen int, w Window) []float64 {
-	if segLen <= 0 || segLen > len(x) {
-		segLen = len(x)
-	}
-	if segLen == 0 {
-		return nil
-	}
-	hop := segLen / 2
-	if hop == 0 {
-		hop = 1
-	}
-	acc := make([]float64, segLen)
-	count := 0
-	for start := 0; start+segLen <= len(x); start += hop {
-		p := Periodogram(x[start:start+segLen], w)
-		for i, v := range p {
-			acc[i] += v
-		}
-		count++
-	}
-	if count == 0 {
-		return Periodogram(x[:segLen], w)
-	}
-	for i := range acc {
-		acc[i] /= float64(count)
-	}
-	return acc
-}
-
 // Goertzel evaluates the DFT of x at a single frequency (Hz) given the
 // sample rate, in O(n) time — useful for probing the discrete FSK tone
 // locations without a full FFT.

@@ -86,7 +86,7 @@ func shipOver(capture []complex128, edgeDecode bool, w io.Writer) (shipment, err
 	}{nil, w})
 	out := shipment{segments: len(shipped), resolved: gw.Stats().SegmentsResolved}
 	for seq, seg := range shipped {
-		n, err := conn.SendSegmentSeq(backhaul.DefaultCodec, uint64(seq), seg)
+		n, err := conn.SendSegmentSeq(uint64(seq), seg)
 		if err != nil {
 			return shipment{}, err
 		}

@@ -154,7 +154,7 @@ func dialRaw(addr, id string, epoch uint64) (*backhaul.Conn, net.Conn, error) {
 // were answered with frames and how many were busy-rejected.
 func shipRaw(conn *backhaul.Conn, segs []backhaul.Segment) (answered, busy int, err error) {
 	for i, seg := range segs {
-		if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, uint64(i), seg); err != nil {
+		if _, err := conn.SendSegmentSeq(uint64(i), seg); err != nil {
 			return 0, 0, err
 		}
 	}

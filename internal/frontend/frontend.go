@@ -101,7 +101,7 @@ func (r *Receiver) Capture(antenna []complex128) []complex128 {
 			gain = math.Sqrt(dsp.FromDB(c.AGCTargetDB) / p)
 			dsp.Scale(out, gain)
 		}
-		out = iq.Quantize(out, iq.CU8)
+		out = iq.Quantize(out)
 		// Undo the AGC gain so downstream algorithms see calibrated power
 		// levels (the quantization noise remains, as in hardware with a
 		// known gain setting).

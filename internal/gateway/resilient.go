@@ -618,7 +618,7 @@ func (r *resilientRun) session(rw io.ReadWriter) (finished bool, err error) {
 			itsp.Stage("replay", 0, float64(len(c.it.Seg.Samples)))
 		}
 		tShip := itsp.Now()
-		n, err := conn.SendSegmentSeq(backhaul.DefaultCodec, seq, c.it.Seg)
+		n, err := conn.SendSegmentSeq(seq, c.it.Seg)
 		if err != nil {
 			// End an ephemeral replay span even on failure: the write may
 			// have reached the cloud before the connection died, and its

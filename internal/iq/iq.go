@@ -1,6 +1,6 @@
-// Package iq handles interchange of complex-baseband sample blocks in the
-// wire formats used by software radios: cu8 (the RTL-SDR's native unsigned
-// 8-bit interleaved I/Q), cs16 (signed 16-bit), and cf32 (32-bit float).
+// Package iq handles interchange of complex-baseband sample blocks in cu8,
+// the RTL-SDR's native unsigned 8-bit interleaved I/Q format: the one
+// format the system captures, ships, journals and replays.
 //
 // The 8-bit path matters for fidelity of the reproduction: the paper's $20
 // RTL-SDR front-end quantizes to 8 bits, and the gateway ships quantized
@@ -9,49 +9,13 @@
 package iq
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 )
 
-// Format identifies a sample interchange format.
-type Format uint8
-
-// Supported sample formats.
-const (
-	CU8  Format = iota // unsigned 8-bit I/Q, zero at 127.5 (RTL-SDR native)
-	CS16               // signed 16-bit little-endian I/Q
-	CF32               // float32 little-endian I/Q
-)
-
-// String returns the conventional name of the format.
-func (f Format) String() string {
-	switch f {
-	case CU8:
-		return "cu8"
-	case CS16:
-		return "cs16"
-	case CF32:
-		return "cf32"
-	default:
-		return fmt.Sprintf("format(%d)", uint8(f))
-	}
-}
-
-// BytesPerSample returns the encoded size of one complex sample.
-func (f Format) BytesPerSample() int {
-	switch f {
-	case CU8:
-		return 2
-	case CS16:
-		return 4
-	case CF32:
-		return 8
-	default:
-		return 0
-	}
-}
+// bytesPerSample is the encoded size of one complex cu8 sample.
+const bytesPerSample = 2
 
 // clamp limits v to [-1, 1].
 func clamp(v float64) float64 {
@@ -64,65 +28,27 @@ func clamp(v float64) float64 {
 	return v
 }
 
-// Encode serializes samples (nominal full scale ±1.0) into the given
-// format. Out-of-range values are clipped, exactly as an ADC would.
-func Encode(samples []complex128, f Format) ([]byte, error) {
-	switch f {
-	case CU8:
-		out := make([]byte, 2*len(samples))
-		for i, s := range samples {
-			out[2*i] = toU8(real(s))
-			out[2*i+1] = toU8(imag(s))
-		}
-		return out, nil
-	case CS16:
-		out := make([]byte, 4*len(samples))
-		for i, s := range samples {
-			binary.LittleEndian.PutUint16(out[4*i:], uint16(toS16(real(s))))
-			binary.LittleEndian.PutUint16(out[4*i+2:], uint16(toS16(imag(s))))
-		}
-		return out, nil
-	case CF32:
-		out := make([]byte, 8*len(samples))
-		for i, s := range samples {
-			binary.LittleEndian.PutUint32(out[8*i:], math.Float32bits(float32(real(s))))
-			binary.LittleEndian.PutUint32(out[8*i+4:], math.Float32bits(float32(imag(s))))
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("iq: unknown format %v", f)
+// Encode serializes samples (nominal full scale ±1.0) as cu8.
+// Out-of-range values are clipped, exactly as an ADC would.
+func Encode(samples []complex128) []byte {
+	out := make([]byte, bytesPerSample*len(samples))
+	for i, s := range samples {
+		out[2*i] = toU8(real(s))
+		out[2*i+1] = toU8(imag(s))
 	}
+	return out
 }
 
-// Decode deserializes data in the given format back to complex samples.
-// The byte length must be a multiple of the sample size.
-func Decode(data []byte, f Format) ([]complex128, error) {
-	bps := f.BytesPerSample()
-	if bps == 0 {
-		return nil, fmt.Errorf("iq: unknown format %v", f)
+// Decode deserializes cu8 data back to complex samples. The byte length
+// must be even.
+func Decode(data []byte) ([]complex128, error) {
+	if len(data)%bytesPerSample != 0 {
+		return nil, fmt.Errorf("iq: %d bytes is not a multiple of %d-byte cu8 samples", len(data), bytesPerSample)
 	}
-	if len(data)%bps != 0 {
-		return nil, fmt.Errorf("iq: %d bytes is not a multiple of %d-byte %v samples", len(data), bps, f)
-	}
-	n := len(data) / bps
+	n := len(data) / bytesPerSample
 	out := make([]complex128, n)
-	switch f {
-	case CU8:
-		for i := 0; i < n; i++ {
-			out[i] = complex(fromU8(data[2*i]), fromU8(data[2*i+1]))
-		}
-	case CS16:
-		for i := 0; i < n; i++ {
-			re := int16(binary.LittleEndian.Uint16(data[4*i:]))
-			im := int16(binary.LittleEndian.Uint16(data[4*i+2:]))
-			out[i] = complex(float64(re)/32767, float64(im)/32767)
-		}
-	case CF32:
-		for i := 0; i < n; i++ {
-			re := math.Float32frombits(binary.LittleEndian.Uint32(data[8*i:]))
-			im := math.Float32frombits(binary.LittleEndian.Uint32(data[8*i+4:]))
-			out[i] = complex(float64(re), float64(im))
-		}
+	for i := 0; i < n; i++ {
+		out[i] = complex(fromU8(data[2*i]), fromU8(data[2*i+1]))
 	}
 	return out, nil
 }
@@ -137,83 +63,40 @@ func fromU8(b byte) float64 {
 	return (float64(b) - 127.5) / 127.5
 }
 
-func toS16(v float64) int16 {
-	return int16(math.Round(clamp(v) * 32767))
-}
-
-// Quantize passes samples through an encode/decode cycle in the given
-// format, modeling ADC quantization (and clipping) without serialization
-// overhead for the caller.
-func Quantize(samples []complex128, f Format) []complex128 {
-	data, err := Encode(samples, f)
-	if err != nil {
-		out := make([]complex128, len(samples))
-		copy(out, samples)
-		return out
-	}
-	out, _ := Decode(data, f)
+// Quantize passes samples through a cu8 encode/decode cycle, modeling ADC
+// quantization (and clipping) without serialization overhead for the
+// caller.
+func Quantize(samples []complex128) []complex128 {
+	out, _ := Decode(Encode(samples))
 	return out
 }
 
-// Writer streams encoded sample blocks to an io.Writer.
-type Writer struct {
-	w      io.Writer
-	format Format
-}
-
-// NewWriter returns a Writer emitting the given format.
-func NewWriter(w io.Writer, f Format) *Writer {
-	return &Writer{w: w, format: f}
-}
-
-// Write encodes and writes the samples, returning the number of samples
-// consumed.
-func (w *Writer) Write(samples []complex128) (int, error) {
-	data, err := Encode(samples, w.format)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := w.w.Write(data); err != nil {
-		return 0, err
-	}
-	return len(samples), nil
-}
-
-// Reader streams decoded sample blocks from an io.Reader.
+// Reader streams decoded sample blocks from a cu8 io.Reader.
 type Reader struct {
-	r      io.Reader
-	format Format
-	buf    []byte
+	r   io.Reader
+	buf []byte
 }
 
-// NewReader returns a Reader consuming the given format.
-func NewReader(r io.Reader, f Format) *Reader {
-	return &Reader{r: r, format: f}
+// NewReader returns a Reader consuming cu8.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{r: r}
 }
 
 // Read fills dst with decoded samples, returning the number of complete
 // samples read. It returns io.EOF when the stream is exhausted.
 func (r *Reader) Read(dst []complex128) (int, error) {
-	bps := r.format.BytesPerSample()
-	if bps == 0 {
-		return 0, fmt.Errorf("iq: unknown format %v", r.format)
-	}
-	need := len(dst) * bps
+	need := len(dst) * bytesPerSample
 	if cap(r.buf) < need {
 		r.buf = make([]byte, need)
 	}
 	buf := r.buf[:need]
 	n, err := io.ReadFull(r.r, buf)
-	n -= n % bps
-	if n > 0 {
-		samples, derr := Decode(buf[:n], r.format)
-		if derr != nil {
-			return 0, derr
-		}
-		copy(dst, samples)
+	n -= n % bytesPerSample
+	for i := 0; i < n/bytesPerSample; i++ {
+		dst[i] = complex(fromU8(buf[2*i]), fromU8(buf[2*i+1]))
 	}
 	if err == io.ErrUnexpectedEOF {
 		err = io.EOF
 	}
-	return n / bps, err
+	return n / bytesPerSample, err
 }

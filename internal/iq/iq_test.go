@@ -18,60 +18,23 @@ func randSamples(r *rng.Rand, n int, scale float64) []complex128 {
 	return out
 }
 
-func TestFormatMeta(t *testing.T) {
-	cases := []struct {
-		f    Format
-		name string
-		bps  int
-	}{{CU8, "cu8", 2}, {CS16, "cs16", 4}, {CF32, "cf32", 8}}
-	for _, c := range cases {
-		if c.f.String() != c.name {
-			t.Fatalf("%v name", c.f)
-		}
-		if c.f.BytesPerSample() != c.bps {
-			t.Fatalf("%v bps", c.f)
-		}
-	}
-	if Format(99).BytesPerSample() != 0 {
-		t.Fatal("unknown format bps should be 0")
-	}
-}
-
 func TestEncodeDecodeSizes(t *testing.T) {
-	s := make([]complex128, 10)
-	for _, f := range []Format{CU8, CS16, CF32} {
-		data, err := Encode(s, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(data) != 10*f.BytesPerSample() {
-			t.Fatalf("%v encoded %d bytes", f, len(data))
-		}
-		back, err := Decode(data, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(back) != 10 {
-			t.Fatalf("%v decoded %d samples", f, len(back))
-		}
+	data := Encode(make([]complex128, 10))
+	if len(data) != 20 {
+		t.Fatalf("encoded %d bytes", len(data))
+	}
+	back, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != 10 {
+		t.Fatalf("decoded %d samples", len(back))
 	}
 }
 
 func TestDecodeRejectsPartialSample(t *testing.T) {
-	if _, err := Decode(make([]byte, 3), CU8); err == nil {
+	if _, err := Decode(make([]byte, 3)); err == nil {
 		t.Fatal("partial cu8 sample should error")
-	}
-	if _, err := Decode(make([]byte, 6), CS16); err == nil {
-		t.Fatal("partial cs16 sample should error")
-	}
-}
-
-func TestUnknownFormatErrors(t *testing.T) {
-	if _, err := Encode(nil, Format(9)); err == nil {
-		t.Fatal("encode unknown format")
-	}
-	if _, err := Decode(nil, Format(9)); err == nil {
-		t.Fatal("decode unknown format")
 	}
 }
 
@@ -82,31 +45,20 @@ func TestQuantizationErrorBounds(t *testing.T) {
 		// uniform in [-0.9, 0.9] so no sample clips
 		x[i] = complex(1.8*r.Float64()-0.9, 1.8*r.Float64()-0.9)
 	}
-	cases := []struct {
-		f   Format
-		tol float64
-	}{
-		{CU8, 1.0 / 127.5}, // half an LSB each side, plus rounding
-		{CS16, 1.0 / 32767},
-		{CF32, 1e-6},
-	}
-	for _, c := range cases {
-		q := Quantize(x, c.f)
-		for i := range x {
-			if math.Abs(real(q[i])-real(x[i])) > c.tol || math.Abs(imag(q[i])-imag(x[i])) > c.tol {
-				t.Fatalf("%v sample %d error %v exceeds %v", c.f, i, q[i]-x[i], c.tol)
-			}
+	const tol = 1.0 / 127.5 // half an LSB each side, plus rounding
+	q := Quantize(x)
+	for i := range x {
+		if math.Abs(real(q[i])-real(x[i])) > tol || math.Abs(imag(q[i])-imag(x[i])) > tol {
+			t.Fatalf("sample %d error %v exceeds %v", i, q[i]-x[i], tol)
 		}
 	}
 }
 
 func TestClipping(t *testing.T) {
 	x := []complex128{complex(2, -3)}
-	for _, f := range []Format{CU8, CS16} {
-		q := Quantize(x, f)
-		if math.Abs(real(q[0])-1) > 0.01 || math.Abs(imag(q[0])+1) > 0.01 {
-			t.Fatalf("%v clip got %v", f, q[0])
-		}
+	q := Quantize(x)
+	if math.Abs(real(q[0])-1) > 0.01 || math.Abs(imag(q[0])+1) > 0.01 {
+		t.Fatalf("clip got %v", q[0])
 	}
 }
 
@@ -117,60 +69,57 @@ func TestCU8RoundTripProperty(t *testing.T) {
 		if len(data)%2 == 1 {
 			data = data[:len(data)-1]
 		}
-		s, err := Decode(data, CU8)
+		s, err := Decode(data)
 		if err != nil {
 			return false
 		}
-		back, err := Encode(s, CU8)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(back, data)
+		return bytes.Equal(Encode(s), data)
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestZeroMapsNearMidpoint(t *testing.T) {
-	data, _ := Encode([]complex128{0}, CU8)
+	data := Encode([]complex128{0})
 	if data[0] != 127 && data[0] != 128 {
 		t.Fatalf("zero encodes to %d", data[0])
 	}
-	s, _ := Decode(data, CU8)
+	s, _ := Decode(data)
 	if math.Abs(real(s[0])) > 0.005 {
 		t.Fatalf("zero decodes to %v", s[0])
 	}
 }
 
+// TestWriterReaderStream streams Encode's bytes back through a Reader,
+// split across two reads.
 func TestWriterReaderStream(t *testing.T) {
 	r := rng.New(2)
 	x := randSamples(r, 1000, 0.3)
-	for _, f := range []Format{CU8, CS16, CF32} {
-		var buf bytes.Buffer
-		w := NewWriter(&buf, f)
-		if n, err := w.Write(x); err != nil || n != len(x) {
-			t.Fatalf("%v write n=%d err=%v", f, n, err)
-		}
-		rd := NewReader(&buf, f)
-		got := make([]complex128, 600)
-		n, err := rd.Read(got)
-		if err != nil || n != 600 {
-			t.Fatalf("%v first read n=%d err=%v", f, n, err)
-		}
-		n, err = rd.Read(got)
-		if n != 400 || (err != nil && err != io.EOF) {
-			t.Fatalf("%v second read n=%d err=%v", f, n, err)
-		}
-		n, err = rd.Read(got)
-		if n != 0 || err != io.EOF {
-			t.Fatalf("%v third read n=%d err=%v", f, n, err)
-		}
+	rd := NewReader(bytes.NewReader(Encode(x)))
+	got := make([]complex128, 600)
+	n, err := rd.Read(got)
+	if err != nil || n != 600 {
+		t.Fatalf("first read n=%d err=%v", n, err)
+	}
+	if q := Quantize(x[:600]); !equal(got, q) {
+		t.Fatal("first read does not match the quantized input")
+	}
+	n, err = rd.Read(got)
+	if n != 400 || (err != nil && err != io.EOF) {
+		t.Fatalf("second read n=%d err=%v", n, err)
+	}
+	if q := Quantize(x[600:]); !equal(got[:400], q) {
+		t.Fatal("second read does not match the quantized input")
+	}
+	n, err = rd.Read(got)
+	if n != 0 || err != io.EOF {
+		t.Fatalf("third read n=%d err=%v", n, err)
 	}
 }
 
 func TestReaderPartialTail(t *testing.T) {
 	// A truncated stream (odd byte) must not produce a phantom sample.
-	rd := NewReader(bytes.NewReader([]byte{1, 2, 3}), CU8)
+	rd := NewReader(bytes.NewReader([]byte{1, 2, 3}))
 	got := make([]complex128, 4)
 	n, err := rd.Read(got)
 	if n != 1 {
@@ -179,4 +128,16 @@ func TestReaderPartialTail(t *testing.T) {
 	if err != io.EOF {
 		t.Fatalf("err = %v", err)
 	}
+}
+
+func equal(a, b []complex128) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

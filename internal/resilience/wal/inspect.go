@@ -1,12 +1,9 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"path/filepath"
 	"sort"
 
-	"repro/internal/backhaul"
 	"repro/internal/faults"
 )
 
@@ -55,75 +52,36 @@ type Report struct {
 }
 
 // Inspect reads a WAL directory without opening it for writing: it parses
-// every record the same way recovery does (same framing, same checksums,
+// every record with recovery's own scanner (same framing, same checksums,
 // same first-bad-frame cut) but mutates nothing — no truncation, no
-// compaction, no append target. fs nil means the real filesystem. The
-// error covers only directory-level failures; corrupt contents are
-// reported, not failed on.
-func Inspect(dir string, fs faults.Filesystem) (*Report, error) {
+// compaction, no append target. The error covers only directory-level
+// failures; corrupt contents are reported, not failed on.
+func Inspect(dir string) (*Report, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("wal: inspect: empty dir")
 	}
-	if fs == nil {
-		fs = faults.OS()
-	}
-	names, err := fs.List(dir)
+	scanned, name, err := scanDir(faults.OS(), dir)
 	if err != nil {
-		return nil, fmt.Errorf("wal: inspect %s: %w", dir, err)
-	}
-	seqs := make([]uint64, 0, len(names))
-	for _, name := range names {
-		if seq, ok := parseFileName(name); ok {
-			seqs = append(seqs, seq)
+		if name == "" {
+			name = dir
 		}
+		return nil, fmt.Errorf("wal: inspect %s: %w", name, err)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 
 	rep := &Report{Dir: dir}
 	acked := make(map[uint64]struct{})
 	var live []RecordInfo
-	for _, seq := range seqs {
-		name := fileName(seq)
-		raw, err := fs.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("wal: inspect %s: %w", name, err)
-		}
-		fr := FileReport{Name: name, Bytes: int64(len(raw))}
-		off := 0
-		for off < len(raw) {
-			kind, payload, next, ok := parseRecord(raw, off)
-			if ok && kind == recData {
-				id, seg, err := backhaul.DecodeSegmentSeq(payload)
-				if err != nil {
-					ok = false
-				} else {
-					info := RecordInfo{
-						Kind:       "data",
-						ID:         id,
-						SegStart:   seg.Start,
-						SegSamples: len(seg.Samples),
-						TraceID:    seg.Trace,
-					}
-					fr.Records = append(fr.Records, info)
-					fr.Data++
-					live = append(live, info)
-				}
+	for _, sf := range scanned {
+		fr := FileReport{Name: sf.name, Bytes: sf.size, TornBytes: sf.size - sf.good}
+		for _, r := range sf.recs {
+			fr.Records = append(fr.Records, r.RecordInfo)
+			if r.Kind == "ack" {
+				fr.Acks++
+				acked[r.ID] = struct{}{}
+				continue
 			}
-			if ok && kind == recAck {
-				if len(payload) != 8 {
-					ok = false
-				} else {
-					id := binary.BigEndian.Uint64(payload)
-					fr.Records = append(fr.Records, RecordInfo{Kind: "ack", ID: id})
-					fr.Acks++
-					acked[id] = struct{}{}
-				}
-			}
-			if !ok {
-				fr.TornBytes = int64(len(raw) - off)
-				break
-			}
-			off = next
+			fr.Data++
+			live = append(live, r.RecordInfo)
 		}
 		rep.DataRecords += fr.Data
 		rep.AckRecords += fr.Acks

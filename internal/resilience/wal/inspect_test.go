@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/backhaul"
 	"repro/internal/obs"
 )
 
@@ -34,7 +33,7 @@ func TestInspectReportsLiveAndTraced(t *testing.T) {
 	l.Ack(id2)
 	l.Abandon() // leave the files exactly as a crash would
 
-	rep, err := Inspect(dir, nil)
+	rep, err := Inspect(dir)
 	if err != nil {
 		t.Fatalf("inspect: %v", err)
 	}
@@ -93,7 +92,7 @@ func TestInspectTornTail(t *testing.T) {
 		t.Fatalf("read: %v", err)
 	}
 
-	rep, err := Inspect(dir, nil)
+	rep, err := Inspect(dir)
 	if err != nil {
 		t.Fatalf("inspect: %v", err)
 	}
@@ -112,19 +111,19 @@ func TestInspectTornTail(t *testing.T) {
 	}
 }
 
-// TestInspectSurvivesCodecVariants checks data records written with a
-// checksummed codec still inspect cleanly (the segment codec trailer rides
-// inside the WAL frame).
+// TestInspectSurvivesCodecVariants checks a traced data record inspects
+// cleanly with its trace and sample count (the segment codec's CRC trailer
+// rides inside the WAL frame).
 func TestInspectSurvivesCodecVariants(t *testing.T) {
 	dir := t.TempDir()
-	l, _, _ := openTest(t, Options{Dir: dir, Codec: backhaul.SegmentCodec{Checksum: true}})
+	l, _, _ := openTest(t, Options{Dir: dir})
 	seg := testSeg(500, 32)
 	seg.Trace = 7
 	if _, err := l.Append(seg); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	l.Abandon()
-	rep, err := Inspect(dir, nil)
+	rep, err := Inspect(dir)
 	if err != nil {
 		t.Fatalf("inspect: %v", err)
 	}

@@ -123,9 +123,6 @@ type Options struct {
 	Sync SyncPolicy
 	// SyncEvery is the batched cadence (default DefaultSyncEvery).
 	SyncEvery int
-	// Codec encodes segments into data records. The zero value means
-	// backhaul.DefaultCodec, what the gateway also ships on the wire.
-	Codec backhaul.SegmentCodec
 	// FS is the filesystem seam (default the real OS). Tests inject
 	// faults.NewFS here.
 	FS faults.Filesystem
@@ -224,6 +221,75 @@ func parseRecord(data []byte, off int) (kind byte, payload []byte, next int, ok 
 	return kind, body[recHeader:], off + recHeader + n + recTrailer, true
 }
 
+// scannedRecord is one checksum-clean record as Inspect reports it, plus a
+// data record's decoded segment for recovery to replay.
+type scannedRecord struct {
+	RecordInfo
+	seg backhaul.Segment
+}
+
+// scannedFile is one WAL file parsed up to its first bad frame.
+type scannedFile struct {
+	seq  uint64
+	name string
+	// size is the file's length on disk; good is the length of its clean
+	// prefix. Recovery truncates the file to good.
+	size, good int64
+	recs       []scannedRecord
+}
+
+// scanDir is the one reader of the on-disk format, shared by recovery and
+// Inspect. It lists dir's wal files in sequence order and parses each up to
+// its first bad frame: a torn or checksum-failing frame, a data record
+// whose segment does not decode, or an ack that is not 8 bytes. It mutates
+// nothing. On error, name is the file that could not be read ("" when the
+// directory listing failed).
+func scanDir(fs faults.Filesystem, dir string) (files []scannedFile, name string, err error) {
+	names, err := fs.List(dir)
+	if err != nil {
+		return nil, "", err
+	}
+	seqs := make([]uint64, 0, len(names))
+	for _, n := range names {
+		if seq, ok := parseFileName(n); ok {
+			seqs = append(seqs, seq)
+		}
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	for _, seq := range seqs {
+		f := scannedFile{seq: seq, name: fileName(seq)}
+		raw, err := fs.ReadFile(filepath.Join(dir, f.name))
+		if err != nil {
+			return nil, f.name, err
+		}
+		f.size = int64(len(raw))
+		off := 0
+		for off < len(raw) {
+			kind, payload, next, ok := parseRecord(raw, off)
+			if !ok {
+				break
+			}
+			r := scannedRecord{RecordInfo: RecordInfo{Kind: "ack"}}
+			if kind == recData {
+				id, seg, err := backhaul.DecodeSegmentSeq(payload)
+				if err != nil {
+					break // the frame CRC held but the segment does not decode
+				}
+				r = scannedRecord{RecordInfo{Kind: "data", ID: id, SegStart: seg.Start, SegSamples: len(seg.Samples), TraceID: seg.Trace}, seg}
+			} else if len(payload) == 8 {
+				r.ID = binary.BigEndian.Uint64(payload)
+			} else {
+				break // an ack record is exactly the 8-byte id it retires
+			}
+			f.recs = append(f.recs, r)
+			off = next
+		}
+		f.good = int64(off)
+		files = append(files, f)
+	}
+	return files, "", nil
+}
+
 // Open opens (creating if needed) the WAL in opts.Dir, runs recovery, and
 // returns the log plus every unacknowledged entry oldest-first. Recovery
 // truncates each file at its first bad frame (counting the cut on
@@ -243,104 +309,65 @@ func Open(opts Options) (*Log, []Entry, error) {
 	if opts.SyncEvery <= 0 {
 		opts.SyncEvery = DefaultSyncEvery
 	}
-	if opts.Codec == (backhaul.SegmentCodec{}) {
-		opts.Codec = backhaul.DefaultCodec
-	}
 	if opts.Metrics == nil {
 		opts.Metrics = &Metrics{}
 	}
 	if err := opts.FS.MkdirAll(opts.Dir); err != nil {
 		return nil, nil, fmt.Errorf("wal: create dir: %w", err)
 	}
-	names, err := opts.FS.List(opts.Dir)
+	scanned, name, err := scanDir(opts.FS, opts.Dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("wal: list dir: %w", err)
+		if name == "" {
+			return nil, nil, fmt.Errorf("wal: list dir: %w", err)
+		}
+		return nil, nil, fmt.Errorf("wal: recover %s: %w", filepath.Join(opts.Dir, name), err)
 	}
 
+	// Retire acked records as they are replayed, then drop files with
+	// nothing live. The newest file is kept as the append target only if
+	// it is still under the rotation cap; recovery of a full directory
+	// otherwise starts fresh.
+	acks := make(map[uint64]struct{})
+	for _, sf := range scanned {
+		for _, r := range sf.recs {
+			if r.Kind == "ack" {
+				acks[r.ID] = struct{}{}
+			}
+		}
+	}
 	l := &Log{opts: opts, nextID: 1, nextSeq: 1, loc: make(map[uint64]*walFile)}
-	type rec struct {
-		id   uint64
-		seg  backhaul.Segment
-		file *walFile
-	}
-	var (
-		data     []rec
-		acks     = make(map[uint64]struct{})
-		hadFiles bool
-	)
-	seqs := make([]uint64, 0, len(names))
-	for _, name := range names {
-		if seq, ok := parseFileName(name); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		hadFiles = true
-		path := filepath.Join(opts.Dir, fileName(seq))
-		raw, err := opts.FS.ReadFile(path)
-		if err != nil {
-			return nil, nil, fmt.Errorf("wal: recover %s: %w", path, err)
-		}
-		f := &walFile{seq: seq, path: path, unacked: make(map[uint64]struct{})}
-		off := 0
-		for off < len(raw) {
-			kind, payload, next, ok := parseRecord(raw, off)
-			if ok && kind == recData {
-				id, seg, err := backhaul.DecodeSegmentSeq(payload)
-				if err != nil {
-					// The frame CRC held but the segment inside is not
-					// decodable: treat it as the first bad frame too.
-					ok = false
-				} else {
-					data = append(data, rec{id: id, seg: seg, file: f})
-					f.unacked[id] = struct{}{}
-					if id >= l.nextID {
-						l.nextID = id + 1
-					}
-				}
+	var entries []Entry
+	for _, sf := range scanned {
+		f := &walFile{seq: sf.seq, path: filepath.Join(opts.Dir, sf.name), size: sf.good, unacked: make(map[uint64]struct{})}
+		if cut := sf.size - sf.good; cut > 0 {
+			// First bad frame: cut the file there. Everything after is
+			// indistinguishable from garbage, so it is one truncation
+			// event covering the whole tail.
+			if err := opts.FS.Truncate(f.path, sf.good); err != nil {
+				return nil, nil, fmt.Errorf("wal: truncate torn tail of %s: %w", f.path, err)
 			}
-			if ok && kind == recAck {
-				if len(payload) != 8 {
-					ok = false
-				} else {
-					acks[binary.BigEndian.Uint64(payload)] = struct{}{}
-				}
-			}
-			if !ok {
-				// First bad frame: cut the file here. Everything after is
-				// indistinguishable from garbage, so it is one truncation
-				// event covering len(raw)-off bytes.
-				cut := int64(len(raw) - off)
-				if err := opts.FS.Truncate(path, int64(off)); err != nil {
-					return nil, nil, fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
-				}
-				raw = raw[:off]
-				opts.Metrics.TruncatedRec.Inc()
-				opts.Metrics.TruncatedB.Add(uint64(cut))
-				opts.Journal.Record("wal_tail_truncate", cut)
-				break
-			}
-			off = next
+			opts.Metrics.TruncatedRec.Inc()
+			opts.Metrics.TruncatedB.Add(uint64(cut))
+			opts.Journal.Record("wal_tail_truncate", cut)
 		}
-		f.size = int64(len(raw))
-		if seq >= l.nextSeq {
-			l.nextSeq = seq + 1
+		for _, r := range sf.recs {
+			if r.Kind != "data" {
+				continue
+			}
+			if r.ID >= l.nextID {
+				l.nextID = r.ID + 1
+			}
+			if _, ok := acks[r.ID]; ok {
+				continue
+			}
+			entries = append(entries, Entry{ID: r.ID, Seg: r.seg})
+			f.unacked[r.ID] = struct{}{}
+			l.loc[r.ID] = f
+		}
+		if sf.seq >= l.nextSeq {
+			l.nextSeq = sf.seq + 1
 		}
 		l.files = append(l.files, f)
-	}
-
-	// Retire acked records, then drop files with nothing live. The newest
-	// file is kept as the append target only if it is still under the
-	// rotation cap; recovery of a full directory otherwise starts fresh.
-	var entries []Entry
-	for _, r := range data {
-		if _, ok := acks[r.id]; ok {
-			delete(r.file.unacked, r.id)
-			continue
-		}
-		entries = append(entries, Entry{ID: r.id, Seg: r.seg})
-		l.loc[r.id] = r.file
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
 	kept := l.files[:0]
@@ -364,7 +391,7 @@ func Open(opts Options) (*Log, []Entry, error) {
 	}
 	opts.Metrics.LiveBytes.Set(l.live)
 	opts.Metrics.Replayed.Add(uint64(len(entries)))
-	if hadFiles {
+	if len(scanned) > 0 {
 		l.opts.Journal.Record("wal_window_recover", int64(len(entries)))
 	}
 	return l, entries, nil
@@ -516,7 +543,7 @@ func (l *Log) Append(seg backhaul.Segment) (uint64, error) {
 	if l.wedgeErr != nil {
 		return 0, l.wedgeErr
 	}
-	encoded, err := l.opts.Codec.Encode(seg)
+	encoded, err := backhaul.DefaultCodec.Encode(seg)
 	if err != nil {
 		l.opts.Metrics.AppendErrors.Inc()
 		return 0, fmt.Errorf("wal: encode: %w", err)
