@@ -39,7 +39,6 @@ func main() {
 		queue          = flag.Int("queue", 64, "decode-farm admission queue depth per shard; beyond it gateways get busy rejects")
 		shards         = flag.Int("shards", 1, "decode-plane shard count (sessions routed by consistent hash of gateway and epoch)")
 		sessionTimeout = flag.Duration("session-timeout", 0, "reap sessions idle for this long (0 = never)")
-		dedupTTL       = flag.Duration("dedup-ttl", 0, "evict replay-dedup cache entries older than this (0 = count-bound only)")
 		obsAddr        = flag.String("obs-addr", "", "serve /metrics, /trace/tree, /trace/slowest, /events/recent, /healthz, /readyz and pprof on this address (empty = off)")
 	)
 	flag.Parse()
@@ -74,8 +73,6 @@ func main() {
 		Techs:      techs,
 		Obs:        reg,
 		Tracer:     tracer,
-		Clock:      clock,
-		DedupTTL:   *dedupTTL,
 		Journal:    journal,
 		Health:     health,
 	}

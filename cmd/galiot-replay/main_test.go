@@ -1,25 +1,28 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestRecordReplayAgainstTruth records one second of seed-1 air with the
-// galiot-record binary, replays it in process and scores the replayed
-// frames against the .truth sidecar as a (tech, payload) multiset.
+// TestRecordReplayAgainstTruth records seeded air with the galiot-record
+// binary, replays each capture in process and scores the replayed frames
+// against the .truth sidecar as a (tech, payload) multiset.
 //
-// The pins are what the pipeline recovers today: the capture detects as one
-// segment, so 23 of 34 packets are lost to segmentation (ROADMAP items 5
+// The pins are what the pipeline recovers today: each capture detects as
+// one segment, so most packets are lost to segmentation (ROADMAP items 5
 // and 13). This pins that loss rather than hiding it; the fix for item 5
-// moves the pin.
+// moves the pins. Besides -seconds and -seed, every capture uses
+// galiot-record's default flags.
 func TestRecordReplayAgainstTruth(t *testing.T) {
 	if raceEnabled {
-		t.Skip("~5 s of decode; the non-race test step runs it")
+		t.Skip("~20 s of decode; the non-race test step runs it")
 	}
 	goTool, err := exec.LookPath("go")
 	if err != nil {
@@ -30,17 +33,44 @@ func TestRecordReplayAgainstTruth(t *testing.T) {
 	if out, err := exec.Command(goTool, "build", "-o", record, "repro/cmd/galiot-record").CombinedOutput(); err != nil {
 		t.Fatalf("build galiot-record: %v\n%s", err, out)
 	}
-	capPath := filepath.Join(dir, "cap.cu8")
-	if out, err := exec.Command(record, "-seconds", "1", "-seed", "1", "-out", capPath).CombinedOutput(); err != nil {
-		t.Fatalf("galiot-record: %v\n%s", err, out)
-	}
 
+	for _, tc := range []struct {
+		seconds                           string
+		seed                              int
+		packets, matched, spurious, segms int
+	}{
+		{"1", 1, 34, 11, 0, 1},
+		{"2", 1, 63, 8, 0, 1},
+		{"2", 2, 55, 6, 0, 1},
+		{"2", 3, 55, 8, 0, 1},
+	} {
+		name := fmt.Sprintf("seconds=%s/seed=%d", tc.seconds, tc.seed)
+		t.Run(name, func(t *testing.T) {
+			capPath := filepath.Join(dir, fmt.Sprintf("cap-%s-%d.cu8", tc.seconds, tc.seed))
+			args := []string{"-seconds", tc.seconds, "-seed", fmt.Sprint(tc.seed), "-out", capPath}
+			if out, err := exec.Command(record, args...).CombinedOutput(); err != nil {
+				t.Fatalf("galiot-record: %v\n%s", err, out)
+			}
+			packets, matched, spurious, segments, out := replayScore(t, capPath)
+			if packets != tc.packets || matched != tc.matched || spurious != tc.spurious || segments != tc.segms {
+				t.Fatalf("packets %d, matched %d, spurious %d, segments %d; want %d, %d, %d, %d\n%s",
+					packets, matched, spurious, segments, tc.packets, tc.matched, tc.spurious, tc.segms, out)
+			}
+		})
+	}
+}
+
+// replayScore replays capPath and scores its frames against the capture's
+// .truth sidecar. It returns the sidecar's packet count, the frames that
+// match a sent (tech, payload) once each, the frames that match none, the
+// replay's segment count and its output.
+func replayScore(t *testing.T, capPath string) (packets, matched, spurious, segments int, out string) {
+	t.Helper()
 	truth, err := os.ReadFile(capPath + ".truth")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sent := map[string]int{} // "tech payload_hex" -> transmissions
-	packets := 0
 	for _, line := range strings.Split(strings.TrimSpace(string(truth)), "\n") {
 		f := strings.Fields(line)
 		if len(f) != 5 || f[0] == "#" {
@@ -50,13 +80,13 @@ func TestRecordReplayAgainstTruth(t *testing.T) {
 		packets++
 	}
 
-	var out strings.Builder
-	if code := run([]string{"-in", capPath}, &out); code != 0 {
-		t.Fatalf("replay exit %d:\n%s", code, out.String())
+	var b strings.Builder
+	if code := run([]string{"-in", capPath}, &b); code != 0 {
+		t.Fatalf("replay exit %d:\n%s", code, b.String())
 	}
+	out = b.String()
 	frameLine := regexp.MustCompile(`^(edge|cloud)\s+(\S+)\s+@\d+\s+crc=\S+\s+payload=([0-9a-f]*)$`)
-	matched, spurious := 0, 0
-	for _, line := range strings.Split(out.String(), "\n") {
+	for _, line := range strings.Split(out, "\n") {
 		m := frameLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
@@ -68,15 +98,20 @@ func TestRecordReplayAgainstTruth(t *testing.T) {
 			spurious++
 		}
 	}
-	summary := regexp.MustCompile(`: (\d+) segments, (\d+) frames recovered`).FindStringSubmatch(out.String())
+	summary := regexp.MustCompile(`: (\d+) segments, (\d+) frames recovered`).FindStringSubmatch(out)
 	if summary == nil {
-		t.Fatalf("no summary line in:\n%s", out.String())
+		t.Fatalf("no summary line in:\n%s", out)
 	}
-	if packets != 34 || matched != 11 || spurious != 0 || summary[1] != "1" {
-		t.Fatalf("packets %d, matched %d, spurious %d, segments %s; want 34, 11, 0, 1\n%s",
-			packets, matched, spurious, summary[1], out.String())
+	segments, err = strconv.Atoi(summary[1])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if summary[2] != "11" {
-		t.Fatalf("summary counts %s frames, but %d lines scored", summary[2], matched+spurious)
+	frames, err := strconv.Atoi(summary[2])
+	if err != nil {
+		t.Fatal(err)
 	}
+	if frames != matched+spurious {
+		t.Fatalf("summary counts %d frames, but %d lines scored", frames, matched+spurious)
+	}
+	return packets, matched, spurious, segments, out
 }

@@ -1,8 +1,10 @@
 package galiot
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/cancel"
 	"repro/internal/channel"
 	"repro/internal/rng"
 )
@@ -72,11 +74,15 @@ func TestDetectorConstructors(t *testing.T) {
 	if _, err := NewUniversalDetector(Technologies(), 0.08); err != nil {
 		t.Fatal(err)
 	}
-	if NewSICBaseline(Technologies()).UseKillFilters {
-		t.Fatal("SIC baseline must not use kill filters")
+	techs := Technologies()
+	if !reflect.DeepEqual(NewSICBaseline(techs), cancel.NewSIC(techs, SampleRate)) {
+		t.Fatal("SIC baseline is not cancel.NewSIC")
 	}
-	if !NewCollisionDecoder(Technologies()).UseKillFilters {
-		t.Fatal("collision decoder must use kill filters")
+	if !reflect.DeepEqual(NewCollisionDecoder(techs), cancel.NewDecoder(techs, SampleRate)) {
+		t.Fatal("collision decoder is not cancel.NewDecoder")
+	}
+	if reflect.DeepEqual(NewSICBaseline(techs), NewCollisionDecoder(techs)) {
+		t.Fatal("SIC baseline must not use kill filters")
 	}
 	if DefaultFrontend().SampleRate() != SampleRate || IdealFrontend().SampleRate() != SampleRate {
 		t.Fatal("frontends")

@@ -45,12 +45,10 @@ func (s *Stats) Add(other Stats) {
 type Decoder struct {
 	Techs []phy.Technology
 	FS    float64
-	// MinScore is the preamble correlation below which a technology is not
-	// considered present (default 0.05).
-	MinScore float64
-	// UseKillFilters enables the Algorithm-1 kill-filter fallback; when
-	// false the decoder is the plain SIC baseline.
-	UseKillFilters bool
+	// useKillFilters enables the Algorithm-1 kill-filter fallback; when
+	// false the decoder is the plain SIC baseline. NewDecoder sets it and
+	// NewSIC clears it.
+	useKillFilters bool
 	// DisabledFilters suppresses individual kill-filter classes, for
 	// ablation studies; a class mapped to true behaves as if no filter
 	// existed for it.
@@ -63,18 +61,18 @@ type Decoder struct {
 
 // NewDecoder returns a CloudDecode decoder (kill filters enabled).
 func NewDecoder(techs []phy.Technology, fs float64) *Decoder {
-	return &Decoder{Techs: techs, FS: fs, MinScore: 0.05, UseKillFilters: true}
+	return &Decoder{Techs: techs, FS: fs, useKillFilters: true}
 }
 
 // NewSIC returns the plain successive-interference-cancellation baseline.
 func NewSIC(techs []phy.Technology, fs float64) *Decoder {
 	d := NewDecoder(techs, fs)
-	d.UseKillFilters = false
+	d.useKillFilters = false
 	return d
 }
 
 // Classify correlates each technology's preamble against the capture and
-// returns the candidates above MinScore, strongest estimated power first.
+// returns the candidates above minScore, strongest estimated power first.
 // The capture is transformed once for the whole preamble bank.
 func (d *Decoder) Classify(rx []complex128) []Candidate {
 	pres := make([][]complex128, len(d.Techs))
@@ -87,7 +85,7 @@ func (d *Decoder) Classify(rx []complex128) []Candidate {
 	for i, metric := range dsp.NormalizedCorrelateAll(rx, pres...) {
 		t, pre := d.Techs[i], pres[i]
 		pk := dsp.MaxPeak(metric)
-		if pk.Index < 0 || pk.Value < d.MinScore {
+		if pk.Index < 0 || pk.Value < minScore {
 			continue
 		}
 		// Estimated candidate power: correlation square times the local
@@ -114,6 +112,10 @@ func tryDecode(t phy.Technology, rx []complex128, fs float64) (*phy.Frame, bool)
 	}
 	return frame, true
 }
+
+// minScore is the preamble correlation below which a technology is not
+// considered present.
+const minScore = 0.05
 
 // collisionScore is the preamble correlation above which a second
 // technology in a segment marks it a suspected collision: the edge does not
@@ -247,7 +249,7 @@ func (d *Decoder) killTech(rx []complex128, j phy.Technology, stats *Stats) []co
 	case phy.ClassDSSS:
 		if cd, ok := j.(phy.CodedTechnology); ok {
 			stats.KillCodes++
-			return KillCodes(rx, cd, d.FS, d.MinScore)
+			return KillCodes(rx, cd, d.FS, minScore)
 		}
 	}
 	return rx
@@ -255,7 +257,7 @@ func (d *Decoder) killTech(rx []complex128, j phy.Technology, stats *Stats) []co
 
 // Decode runs the configured strategy on a capture and returns every frame
 // recovered (CRC-valid only), in the order they were decoded, along with
-// statistics. This is Algorithm 1 of the paper when UseKillFilters is set:
+// statistics. This is Algorithm 1 of the paper when useKillFilters is set:
 //
 //  1. classify the residual and pick the strongest candidate S_i;
 //  2. try to decode S_i directly; on success cancel it (SIC) and repeat;
@@ -327,7 +329,7 @@ func (d *Decoder) DecodeTraced(rx []complex128, sp *obs.Span) ([]*phy.Frame, Sta
 				break
 			}
 			stats.FailedDecode++
-			if !d.UseKillFilters {
+			if !d.useKillFilters {
 				// Strict SIC (Weber et al., the paper's baseline): decoding
 				// proceeds in decreasing power order and terminates the
 				// moment the strongest remaining signal cannot be decoded —

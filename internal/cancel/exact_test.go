@@ -26,7 +26,7 @@ func oldClassify(d *Decoder, rx []complex128) []Candidate {
 		}
 		metric := dsp.NormalizedCorrelate(rx, pre)
 		pk := dsp.MaxPeak(metric)
-		if pk.Index < 0 || pk.Value < d.MinScore {
+		if pk.Index < 0 || pk.Value < minScore {
 			continue
 		}
 		winPower := dsp.Power(rx[pk.Index:min(pk.Index+len(pre), len(rx))])

@@ -19,7 +19,6 @@ import (
 	"io"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/backhaul"
 	"repro/internal/cancel"
@@ -45,8 +44,7 @@ type Service struct {
 }
 
 // cloudMetrics is the service's registry-backed counter set; decodeSegment
-// bumps these instead of a mutex-guarded totals struct, and Totals
-// reconstructs the legacy views from them.
+// bumps these instead of a mutex-guarded totals struct.
 type cloudMetrics struct {
 	segments   *obs.Counter            // cloud_segments_decoded_total
 	frames     *obs.Counter            // cloud_frames_decoded_total
@@ -57,7 +55,6 @@ type cloudMetrics struct {
 	failed     *obs.Counter            // cloud_failed_decode_total
 	duplicates *obs.Counter            // cloud_duplicates_total
 	deduped    *obs.Counter            // cloud_segments_deduped_total
-	dedupEvict *obs.Counter            // cloud_dedup_evictions_total (age-based)
 	dedupSuper *obs.Counter            // cloud_dedup_superseded_total (epoch-superseded)
 	techFrames map[string]*obs.Counter // per-technology decoded frames
 }
@@ -73,7 +70,6 @@ func newCloudMetrics(reg *obs.Registry, techs []phy.Technology) cloudMetrics {
 		failed:     reg.Counter("cloud_failed_decode_total"),
 		duplicates: reg.Counter("cloud_duplicates_total"),
 		deduped:    reg.Counter("cloud_segments_deduped_total"),
-		dedupEvict: reg.Counter("cloud_dedup_evictions_total"),
 		dedupSuper: reg.Counter("cloud_dedup_superseded_total"),
 		techFrames: make(map[string]*obs.Counter, len(techs)),
 	}
@@ -89,7 +85,6 @@ func NewService(techs []phy.Technology) *Service {
 	s := &Service{Techs: techs}
 	s.reg = obs.NewRegistry()
 	s.m = newCloudMetrics(s.reg, techs)
-	s.dedup.setEvictions(s.m.dedupEvict)
 	return s
 }
 
@@ -101,18 +96,8 @@ func (s *Service) UseObs(reg *obs.Registry, tr *obs.Tracer) {
 	if reg != nil {
 		s.reg = reg
 		s.m = newCloudMetrics(reg, s.Techs)
-		s.dedup.setEvictions(s.m.dedupEvict)
 	}
 	s.tracer = tr
-}
-
-// SetDedupTTL age-bounds the replay dedup cache: entries older than ttl
-// are evicted lazily and counted on cloud_dedup_evictions_total. The clock
-// is injected (wall nanoseconds, the same source farm.Config.Clock takes;
-// the service never reads the wall clock itself). A zero ttl or nil clock
-// leaves the cache purely count-bound.
-func (s *Service) SetDedupTTL(ttl time.Duration, now func() int64) {
-	s.dedup.setTTL(ttl, now, s.m.dedupEvict)
 }
 
 // Registry exposes the service's metric registry (the private one, or
@@ -201,26 +186,6 @@ func (s *Service) decodeSegment(ctx context.Context, seg backhaul.Segment) (back
 			seg.Start, len(seg.Samples), len(frames), stats)
 	}
 	return report, stats, nil
-}
-
-// Totals returns the cumulative frame count, decoder statistics, and a
-// snapshot of the decode farm (zero when no farm is attached). The values
-// are reconstructed from the metric registry, so Totals, /metrics and the
-// shutdown dump always agree.
-func (s *Service) Totals() (int, cancel.Stats, farm.Stats) {
-	var fs farm.Stats
-	if f := s.Farm(); f != nil {
-		fs = f.Snapshot()
-	}
-	st := cancel.Stats{
-		SICRounds:    int(s.m.sicRounds.Value()),
-		KillFreq:     int(s.m.killFreq.Value()),
-		KillCSS:      int(s.m.killCSS.Value()),
-		KillCodes:    int(s.m.killCodes.Value()),
-		FailedDecode: int(s.m.failed.Value()),
-		Duplicates:   int(s.m.duplicates.Value()),
-	}
-	return int(s.m.frames.Value()), st, fs
 }
 
 // session carries the per-connection state of one ServeConn call.

@@ -35,6 +35,11 @@ func makeSegment(t *testing.T, seed uint64) (backhaul.Segment, []byte) {
 	return backhaul.Segment{Start: 1_000_000, SampleRate: fs, Samples: samples}, payload
 }
 
+// framesDecoded reads the service's cloud_frames_decoded_total counter.
+func framesDecoded(svc *Service) int {
+	return int(svc.Registry().Counter("cloud_frames_decoded_total").Value())
+}
+
 // shipOne is the client side of a one-segment exchange on an established
 // session (see helloV2): ship seg under seq, read the frames report back.
 func shipOne(conn *backhaul.Conn, seq uint64, seg backhaul.Segment) (backhaul.FramesReport, error) {
@@ -65,7 +70,7 @@ func TestDecodeSegment(t *testing.T) {
 	if f.Offset < 1_000_000+7990 || f.Offset > 1_000_000+8010 {
 		t.Fatalf("absolute offset %d", f.Offset)
 	}
-	if n, _, _ := svc.Totals(); n != 1 {
+	if n := framesDecoded(svc); n != 1 {
 		t.Fatalf("totals %d", n)
 	}
 }
@@ -254,7 +259,7 @@ func TestServeConnRefusesHostileSampleRates(t *testing.T) {
 		}
 		done()
 	}
-	if n, _, _ := svc.Totals(); n != 0 {
+	if n := framesDecoded(svc); n != 0 {
 		t.Fatalf("hostile segments decoded into %d frames", n)
 	}
 
@@ -296,7 +301,7 @@ func TestServeConnRejectsRetiredSegmentType(t *testing.T) {
 	if err := <-errCh; err == nil || !strings.Contains(err.Error(), "unexpected message type 2") {
 		t.Fatalf("type-2 message: err = %v, want unexpected-type error", err)
 	}
-	if n, _, _ := svc.Totals(); n != 0 {
+	if n := framesDecoded(svc); n != 0 {
 		t.Fatalf("retired segment type was decoded (%d frames)", n)
 	}
 }
@@ -357,7 +362,7 @@ func TestTCPServerConcurrentGateways(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, _, _ := svc.Totals(); n != gateways {
+	if n := framesDecoded(svc); n != gateways {
 		t.Fatalf("decoded %d frames across %d gateways", n, gateways)
 	}
 }

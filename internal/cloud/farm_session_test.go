@@ -125,7 +125,7 @@ func TestFarmPipelinedSession(t *testing.T) {
 			t.Fatalf("reply %d report %+v", i, r.report)
 		}
 	}
-	if n, _, fst := svc.Totals(); n != segments || fst.Admitted != segments || fst.Completed != segments || fst.Rejected != 0 {
+	if n, fst := framesDecoded(svc), svc.Farm().Snapshot(); n != segments || fst.Admitted != segments || fst.Completed != segments || fst.Rejected != 0 {
 		t.Fatalf("totals n=%d farm=%+v", n, fst)
 	}
 }
@@ -170,7 +170,7 @@ func TestFarmBusyReject(t *testing.T) {
 	// The write above returns once the session has read segment 2, which is
 	// before it reaches TrySubmit: hold the gate until the reject is
 	// counted, or the freed worker could admit it.
-	waitGauge(t, func() int64 { _, _, fst := svc.Totals(); return int64(fst.Rejected) }, 1)
+	waitGauge(t, func() int64 { return int64(svc.Farm().Snapshot().Rejected) }, 1)
 	close(gate)
 	if err := conn.SendBye(); err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestFarmBusyReject(t *testing.T) {
 	if replies[0].busy || replies[1].busy || !replies[2].busy {
 		t.Fatalf("busy pattern %+v", replies)
 	}
-	if _, _, fst := svc.Totals(); fst.Rejected != 1 || fst.Admitted != 2 || fst.Completed != 2 {
+	if fst := svc.Farm().Snapshot(); fst.Rejected != 1 || fst.Admitted != 2 || fst.Completed != 2 {
 		t.Fatalf("farm stats %+v", fst)
 	}
 }
@@ -270,7 +270,7 @@ func TestFarmConcurrentGatewaysRace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, _, fst := svc.Totals()
+	n, fst := framesDecoded(svc), svc.Farm().Snapshot()
 	if n != gateways*segments {
 		t.Fatalf("decoded %d frames, want %d", n, gateways*segments)
 	}
@@ -335,7 +335,7 @@ func TestFarmDrainOnServerClose(t *testing.T) {
 			t.Fatalf("reply %d: %+v", i, r)
 		}
 	}
-	if _, _, fst := svc.Totals(); fst.Completed != segments {
+	if fst := svc.Farm().Snapshot(); fst.Completed != segments {
 		t.Fatalf("farm stats %+v", fst)
 	}
 }

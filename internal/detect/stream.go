@@ -1,39 +1,5 @@
 package detect
 
-import "repro/internal/obs"
-
-// StreamMetrics is the observability hook of a Stream: counters for
-// samples in and segments out, a gauge tracking the sliding buffer, and an
-// optional per-Push duration timer. The zero value (all nil) records
-// nothing — every update is a nil-safe atomic op, so the hot path carries
-// no branches or locks of its own.
-type StreamMetrics struct {
-	SamplesIn *obs.Counter    // detect_samples_pushed_total
-	Segments  *obs.Counter    // detect_segments_emitted_total
-	Pending   *obs.Gauge      // detect_stream_pending_samples
-	PushTime  *obs.StageTimer // detect_push_duration_nanos (nil unless timed)
-}
-
-// NewStreamMetrics wires stream metrics onto a registry. The PushTime
-// timer stays nil — durations need a clock the library must not choose
-// (determinism rules); use NewStreamMetricsTimed when the caller has one.
-func NewStreamMetrics(r *obs.Registry) StreamMetrics {
-	return StreamMetrics{
-		SamplesIn: r.Counter("detect_samples_pushed_total"),
-		Segments:  r.Counter("detect_segments_emitted_total"),
-		Pending:   r.Gauge("detect_stream_pending_samples"),
-	}
-}
-
-// NewStreamMetricsTimed wires stream metrics plus a detect_push_duration_nanos
-// histogram fed from the injected clock (commands pass time.Now().UnixNano;
-// the perf harness passes its own wall clock).
-func NewStreamMetricsTimed(r *obs.Registry, clock func() int64) StreamMetrics {
-	m := NewStreamMetrics(r)
-	m.PushTime = obs.NewStageTimer(r, "detect_push_duration_nanos", 0, clock)
-	return m
-}
-
 // Stream runs a Detector continuously over an unbounded sample stream,
 // handling packets that straddle capture boundaries. Captures pushed into
 // the stream are concatenated in a sliding buffer; detections whose
@@ -47,8 +13,6 @@ type Stream struct {
 	buf     []complex128
 	base    int64 // absolute index of buf[0]
 	emitted int64 // absolute high-water mark of emitted segment ends
-
-	m StreamMetrics
 }
 
 // StreamSegment is a segment with an absolute start index.
@@ -71,14 +35,9 @@ func NewStream(det Detector, maxPacket int) *Stream {
 // back until the next Push (or Flush), because the packet they cover may
 // extend into samples not yet seen.
 func (s *Stream) Push(capture []complex128) []StreamSegment {
-	t := s.m.PushTime.Start()
 	s.buf = append(s.buf, capture...)
-	s.m.SamplesIn.Add(uint64(len(capture)))
 	out := s.collect(false)
 	s.trim()
-	s.m.Segments.Add(uint64(len(out)))
-	s.m.Pending.Set(int64(len(s.buf)))
-	s.m.PushTime.Stop(t)
 	return out
 }
 
@@ -88,14 +47,8 @@ func (s *Stream) Flush() []StreamSegment {
 	out := s.collect(true)
 	s.base += int64(len(s.buf))
 	s.buf = nil
-	s.m.Segments.Add(uint64(len(out)))
-	s.m.Pending.Set(0)
 	return out
 }
-
-// SetMetrics attaches observability counters (see NewStreamMetrics). Call
-// before the stream is shared; the zero StreamMetrics detaches.
-func (s *Stream) SetMetrics(m StreamMetrics) { s.m = m }
 
 // collect runs detection over the current buffer and emits segments; when
 // final is false, segments touching the last maxPacket/2 samples are
@@ -150,6 +103,5 @@ func (s *Stream) trim() {
 	s.base += int64(drop)
 }
 
-// Pending returns the number of samples currently buffered (for tests and
-// monitoring).
+// Pending returns the number of samples currently buffered.
 func (s *Stream) Pending() int { return len(s.buf) }

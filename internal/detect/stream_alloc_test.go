@@ -1,10 +1,6 @@
 package detect
 
-import (
-	"testing"
-
-	"repro/internal/obs"
-)
+import "testing"
 
 // quietDetector is a Detector that never fires, isolating the Stream's own
 // buffer management: with no segments to emit, a warmed-up Push must not
@@ -19,13 +15,10 @@ func (quietDetector) Detect(rx []complex128) []Detection { return nil }
 // allocation-free steady state: once the sliding buffer has grown to its
 // working capacity (2×maxPacket carried over plus one capture), trim's
 // append-into-prefix reuses the backing array and Push performs zero heap
-// allocations per capture. Metrics are attached to show the nil-safe
-// atomic counters are free too.
+// allocations per capture.
 func TestStreamSteadyStateAllocFree(t *testing.T) {
 	const maxPacket = 2048
-	reg := obs.NewRegistry()
 	s := NewStream(quietDetector{}, maxPacket)
-	s.SetMetrics(NewStreamMetrics(reg))
 	capture := make([]complex128, 1024)
 
 	// Warm up: let the buffer reach its trim plateau.

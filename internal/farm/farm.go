@@ -57,12 +57,6 @@ type Config struct {
 	// farm_queue_wait_samples histogram). Nil creates a private registry so
 	// Snapshot keeps working standalone.
 	Obs *obs.Registry
-	// Clock, when set, feeds a farm_decode_duration_nanos histogram with
-	// the wall time each decode takes. The farm never reads the wall clock
-	// itself (determinism rules) — commands inject time.Now().UnixNano.
-	// Nil means decode durations are simply not recorded; the sample-clock
-	// queue-wait accounting is unaffected either way.
-	Clock func() int64
 }
 
 // Sentinel errors returned by the admission path.
@@ -118,12 +112,11 @@ type Farm struct {
 	deadline  *obs.Counter
 	queuedG   *obs.Gauge
 	inFlightG *obs.Gauge
-	waitH     *obs.Histogram  // recent queue waits, in samples
-	decodeT   *obs.StageTimer // per-decode wall time, nil without Config.Clock
+	waitH     *obs.Histogram // recent queue waits, in samples
 }
 
 // Stats is a point-in-time snapshot of the farm, exposed through
-// cloud.Service.Totals and the galiot-cloud shutdown log.
+// Snapshot, fleet.Front.Stats and the galiot-cloud shutdown log.
 type Stats struct {
 	Workers    int // configured worker count
 	QueueDepth int // configured admission bound
@@ -167,7 +160,6 @@ func New(cfg Config) *Farm {
 		queuedG:   reg.Gauge("farm_jobs_queued_count"),
 		inFlightG: reg.Gauge("farm_jobs_inflight_count"),
 		waitH:     reg.Histogram("farm_queue_wait_samples", waitWindow),
-		decodeT:   obs.NewStageTimer(reg, "farm_decode_duration_nanos", 0, cfg.Clock),
 	}
 	f.work = sync.NewCond(&f.mu)
 	f.space = sync.NewCond(&f.mu)
@@ -269,9 +261,7 @@ func (f *Farm) run() {
 			res.Err = err
 			f.deadline.Inc()
 		} else {
-			t := f.decodeT.Start()
 			res.Report, res.Stats, res.Err = f.cfg.Decode(j.ctx, j.seg)
-			f.decodeT.Stop(t)
 		}
 		f.inFlightG.Add(-1)
 		f.completed.Inc()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/backhaul"
 	"repro/internal/cloud"
@@ -19,11 +18,13 @@ type Config struct {
 	// cloud.Service with its own decode farm and its own replay dedup
 	// cache — shared-nothing by construction.
 	Shards int
-	// Workers is each shard's decode-farm worker count (default 2).
+	// Workers is each shard's decode-farm worker count (zero takes the
+	// farm's default).
 	Workers int
-	// QueueDepth is each shard's admission-queue bound (default 64). The
-	// plane's aggregate capacity — Shards × QueueDepth — is advertised to
-	// gateways in the hello ack.
+	// QueueDepth is each shard's admission-queue bound (zero takes the
+	// farm's default). The plane's aggregate capacity — the sum of the
+	// shard farms' queue depths — is advertised to gateways in the hello
+	// ack.
 	QueueDepth int
 	// Techs is the technology set every shard decodes. Required.
 	Techs []phy.Technology
@@ -35,20 +36,12 @@ type Config struct {
 	// Tracer receives per-segment decode spans from every shard (nil
 	// disables tracing).
 	Tracer *obs.Tracer
-	// Clock supplies wall nanoseconds to each shard farm's decode-duration
-	// histogram (see farm.Config.Clock) and to the dedup caches' age bound
-	// (DedupTTL). Nil skips those readings and leaves the caches purely
-	// count-bound.
-	Clock func() int64
 	// Logf receives front and shard diagnostics; nil silences them.
 	Logf func(format string, args ...any)
 	// WrapDecode, when set, wraps each shard's real collision decoder: the
 	// test seam for the fleet tests, which count decodes per shard, catch
 	// cross-shard duplicates and substitute synthetic work here.
 	WrapDecode func(shard int, next farm.DecodeFunc) farm.DecodeFunc
-	// DedupTTL age-bounds each shard's replay dedup cache against Clock.
-	// Zero keeps the caches purely count-bound.
-	DedupTTL time.Duration
 	// Journal records shard lifecycle events: fleet_shard_attach as each
 	// shard comes up in New, fleet_shard_detach as Close drains it. Nil
 	// disables event recording.
@@ -80,7 +73,7 @@ type Front struct {
 	reg  *obs.Registry
 
 	shards   []*shard
-	capacity int // Shards × QueueDepth, the hello-ack aggregate hint
+	capacity int // sum of the shard farms' queue depths, the hello-ack aggregate hint
 
 	sessionsTotal *obs.Counter // cloud_fleet_sessions_total
 	shardsGauge   *obs.Gauge   // cloud_fleet_shards_count
@@ -95,12 +88,6 @@ func New(cfg Config) (*Front, error) {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -109,7 +96,6 @@ func New(cfg Config) (*Front, error) {
 		cfg:           cfg,
 		ring:          NewRing(cfg.Shards, DefaultVNodes),
 		reg:           reg,
-		capacity:      cfg.Shards * cfg.QueueDepth,
 		sessionsTotal: reg.Counter("cloud_fleet_sessions_total"),
 		shardsGauge:   reg.Gauge("cloud_fleet_shards_count"),
 	}
@@ -123,7 +109,6 @@ func New(cfg Config) (*Front, error) {
 				cfg.Logf("shard %d: "+format, append([]any{idx}, args...)...)
 			}
 		}
-		svc.SetDedupTTL(cfg.DedupTTL, cfg.Clock)
 		dec := svc.DecodeFunc()
 		if cfg.WrapDecode != nil {
 			dec = cfg.WrapDecode(i, dec)
@@ -136,9 +121,9 @@ func New(cfg Config) (*Front, error) {
 			Workers:    cfg.Workers,
 			QueueDepth: cfg.QueueDepth,
 			Obs:        reg.Prefixed(p),
-			Clock:      cfg.Clock,
 			Decode:     dec,
 		})
+		f.capacity += fm.Snapshot().QueueDepth
 		sh := &shard{
 			svc:      svc,
 			farm:     fm,
@@ -170,7 +155,7 @@ func (f *Front) Ring() *Ring { return f.ring }
 func (f *Front) Shards() int { return len(f.shards) }
 
 // Capacity returns the plane's aggregate admission capacity (the hello-ack
-// hint): shard count × per-shard queue depth.
+// hint): the sum of the shard farms' queue depths.
 func (f *Front) Capacity() int { return f.capacity }
 
 // HandleConn serves one gateway connection: read the hello, route the

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/backhaul"
+	"repro/internal/cancel"
 	"repro/internal/channel"
 	"repro/internal/cloud"
 	"repro/internal/farm"
@@ -223,6 +225,31 @@ func TestFrontHelloAckCapacity(t *testing.T) {
 		a.Close()
 		b.Close()
 		front.Close()
+	}
+}
+
+// TestFrontZeroConfigTakesFarmDefaults: zero Workers and QueueDepth reach
+// each shard farm as zero, so the farm's defaults apply, and the advertised
+// capacity is the sum of the farms' resolved queue depths.
+func TestFrontZeroConfigTakesFarmDefaults(t *testing.T) {
+	front, err := New(Config{Shards: 2, Techs: testTechs()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer front.Close()
+	want := farm.New(farm.Config{Decode: func(context.Context, backhaul.Segment) (backhaul.FramesReport, cancel.Stats, error) {
+		return backhaul.FramesReport{}, cancel.Stats{}, nil
+	}})
+	defer want.Close()
+	ws := want.Snapshot()
+	for _, st := range front.Stats() {
+		if st.Farm.Workers != ws.Workers || st.Farm.QueueDepth != ws.QueueDepth {
+			t.Fatalf("shard %d farm runs %d workers, queue %d; farm defaults are %d and %d",
+				st.Shard, st.Farm.Workers, st.Farm.QueueDepth, ws.Workers, ws.QueueDepth)
+		}
+	}
+	if got := front.Capacity(); got != 2*ws.QueueDepth {
+		t.Fatalf("capacity %d, want 2 x %d", got, ws.QueueDepth)
 	}
 }
 

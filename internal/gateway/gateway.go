@@ -158,11 +158,9 @@ func New(cfg Config) (*Gateway, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	stream := detect.NewStream(det, maxPacket)
-	stream.SetMetrics(detect.NewStreamMetrics(reg))
 	return &Gateway{
 		cfg:    cfg,
-		stream: stream,
+		stream: detect.NewStream(det, maxPacket),
 		edge:   cancel.NewDecoder(cfg.Techs, fs), // only ever asked for EdgeDecode
 		reg:    reg,
 		m:      newMetrics(reg, cfg.Techs),

@@ -187,7 +187,7 @@ func TestEndToEndGatewayCloud(t *testing.T) {
 	if !bytes.Equal(got["lora"], payloadL) || !bytes.Equal(got["xbee"], payloadX) {
 		t.Fatalf("cloud reports incomplete: %+v", got)
 	}
-	if n, _, _ := svc.Totals(); n < 2 {
+	if n := svc.Registry().Counter("cloud_frames_decoded_total").Value(); n < 2 {
 		t.Fatalf("cloud totals %d", n)
 	}
 	if g.Stats().WireBytes == 0 {

@@ -92,7 +92,7 @@ func TestRunWindowedPipelineWithFarm(t *testing.T) {
 	if st.BusyRejects != 0 || st.BadReports != 0 {
 		t.Fatalf("stats %+v", st)
 	}
-	if _, _, fst := svc.Totals(); int(fst.Admitted) != st.SegmentsShipped || fst.Rejected != 0 {
+	if fst := svc.Farm().Snapshot(); int(fst.Admitted) != st.SegmentsShipped || fst.Rejected != 0 {
 		t.Fatalf("farm stats %+v vs shipped %d", fst, st.SegmentsShipped)
 	}
 }

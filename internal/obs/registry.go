@@ -34,8 +34,9 @@ import (
 // Keep in sync with the obsnames rule's documentation. "millis" is for
 // human-scale durations surfaced on dashboards (backoff delays); "state"
 // is for small discrete enumerations (0/1 connectivity flags) where
-// neither count nor ratio reads honestly.
-var MetricUnits = []string{"bytes", "count", "millis", "nanos", "ratio", "samples", "state", "total"}
+// neither count nor ratio reads honestly. There is no nanosecond unit: how
+// long a stage took is a span stage (Span.Stage), not a metric.
+var MetricUnits = []string{"bytes", "count", "millis", "ratio", "samples", "state", "total"}
 
 // ValidMetricName reports whether name follows the subsystem_name_unit
 // scheme: lowercase snake_case, at least three segments, no empty or
@@ -80,7 +81,7 @@ func ValidMetricName(name string) bool {
 // lint rule cannot see. A bad name is a programming error, surfaced loudly.
 func mustValidName(name string) {
 	if !ValidMetricName(name) {
-		panic("obs: metric name " + name + " does not follow subsystem_name_unit (lowercase snake_case, >=3 segments, unit in {bytes,count,millis,nanos,ratio,samples,state,total})")
+		panic("obs: metric name " + name + " does not follow subsystem_name_unit (lowercase snake_case, >=3 segments, unit in {bytes,count,millis,ratio,samples,state,total})")
 	}
 }
 

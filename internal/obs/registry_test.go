@@ -40,6 +40,15 @@ func TestValidMetricName(t *testing.T) {
 	}
 }
 
+func TestNewMetricUnitsAccepted(t *testing.T) {
+	t.Parallel()
+	for _, name := range []string{"gateway_backoff_current_millis", "gateway_connected_state"} {
+		if !ValidMetricName(name) {
+			t.Errorf("ValidMetricName(%q) = false, want true", name)
+		}
+	}
+}
+
 func TestRegistryPanicsOnBadName(t *testing.T) {
 	t.Parallel()
 	defer func() {

@@ -161,9 +161,6 @@ func buildDetectStream(b *workbench) (*runner, error) {
 		}
 	}
 	stream := detect.NewStream(det, maxPacket)
-	// A private registry: Push is timed with its metrics attached, as the
-	// gateway runs it; frames_total already pins what they would count.
-	stream.SetMetrics(detect.NewStreamMetricsTimed(obs.NewRegistry(), b.opts.Clock))
 	capture := scen.Capture
 	return &runner{
 		samplesPerIter: len(capture),
