@@ -117,8 +117,8 @@ func main() {
 	}
 	front.Close() // drain every shard farm after the sessions are done
 	for _, st := range front.Stats() {
-		log.Printf("shard %d: %d sessions routed, farm %d admitted, %d completed, %d rejected, %d deadline-exceeded, queue wait p50=%d p99=%d samples",
-			st.Shard, st.Sessions, st.Farm.Admitted, st.Farm.Completed, st.Farm.Rejected, st.Farm.DeadlineExceeded, st.Farm.P50QueueWait, st.Farm.P99QueueWait)
+		log.Printf("shard %d: %d sessions routed, farm %d admitted, %d completed, %d rejected, %d deadline-exceeded",
+			st.Shard, st.Sessions, st.Farm.Admitted, st.Farm.Completed, st.Farm.Rejected, st.Farm.DeadlineExceeded)
 	}
 	if data, err := json.Marshal(reg.Snapshot()); err == nil {
 		log.Printf("metrics: %s", data)

@@ -39,16 +39,25 @@ func run(args []string, stdout io.Writer) int {
 		return 1
 	}
 	defer f.Close()
+	if err := replay(f, *rate, *edge, 1<<18, stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "galiot-replay:", err)
+		return 1
+	}
+	return 0
+}
 
+// replay runs the pipeline over the cu8 stream src captured at rate,
+// handing a native-rate capture to the gateway chunk samples per Process
+// call, and prints every recovered frame and a summary to stdout.
+func replay(src io.Reader, rate float64, edge bool, chunk int, stdout io.Writer) error {
 	techs := galiot.Technologies()
 	gw, err := galiot.NewGateway(galiot.GatewayConfig{
 		ID:         "replay",
 		Techs:      techs,
-		EdgeDecode: *edge,
+		EdgeDecode: edge,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "galiot-replay:", err)
-		return 1
+		return err
 	}
 	svc := galiot.NewCloud(techs...)
 
@@ -73,10 +82,10 @@ func run(args []string, stdout io.Writer) int {
 	// A non-native capture rate (e.g. rtl_sdr's customary 2.048 MHz) is
 	// read whole and resampled into the 1 MHz pipeline; a native one
 	// streams through the gateway block by block.
-	native := dsp.ApproxEqual(*rate, galiot.SampleRate, 1e-6)
-	reader := iq.NewReader(f)
+	native := dsp.ApproxEqual(rate, galiot.SampleRate, 1e-6)
+	reader := iq.NewReader(src)
 	var all []complex128
-	buf := make([]complex128, 1<<18)
+	buf := make([]complex128, chunk)
 	for {
 		n, err := reader.Read(buf)
 		if n > 0 && native {
@@ -88,15 +97,13 @@ func run(args []string, stdout io.Writer) int {
 			break
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "galiot-replay:", err)
-			return 1
+			return err
 		}
 	}
 	if !native {
-		converted, err := dsp.Resample(all, *rate, galiot.SampleRate)
+		converted, err := dsp.Resample(all, rate, galiot.SampleRate)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "galiot-replay: resample:", err)
-			return 1
+			return fmt.Errorf("resample: %w", err)
 		}
 		handle(gw.Process(converted))
 	}
@@ -104,6 +111,6 @@ func run(args []string, stdout io.Writer) int {
 
 	st := gw.Stats()
 	_, _ = fmt.Fprintf(stdout, "\nreplayed %.2f s (capture rate %.0f Hz): %d segments, %d frames recovered\n",
-		float64(st.RawBytes/2)/galiot.SampleRate, *rate, st.SegmentsShipped+st.SegmentsResolved, decoded)
-	return 0
+		float64(st.RawBytes/2)/galiot.SampleRate, rate, st.SegmentsShipped+st.SegmentsResolved, decoded)
+	return nil
 }

@@ -9,17 +9,24 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/galiot"
 )
 
 // TestRecordReplayAgainstTruth records seeded air with the galiot-record
 // binary, replays each capture in process and scores the replayed frames
 // against the .truth sidecar as a (tech, payload) multiset.
 //
-// The pins are what the pipeline recovers today: each capture detects as
-// one segment, so most packets are lost to segmentation (ROADMAP items 5
-// and 13). This pins that loss rather than hiding it; the fix for item 5
-// moves the pins. Besides -seconds and -seed, every capture uses
-// galiot-record's default flags.
+// The pins are what the pipeline recovers today: each default-gap capture
+// detects as one segment, so most packets are lost to segmentation
+// (ROADMAP items 5 and 13). This pins that loss rather than hiding it; the
+// fix for item 5 moves the pins. Besides -seconds, -seed and -gap, every
+// capture uses galiot-record's default flags.
+//
+// The sparse -gap 1.0 capture is replayed twice: through run, in the
+// command's 2^18-sample chunks, and as one whole-capture Process call.
+// The difference is the frames lost where a packet straddles a chunk
+// boundary (ROADMAP 13(a)).
 func TestRecordReplayAgainstTruth(t *testing.T) {
 	if raceEnabled {
 		t.Skip("~20 s of decode; the non-race test step runs it")
@@ -37,21 +44,36 @@ func TestRecordReplayAgainstTruth(t *testing.T) {
 	for _, tc := range []struct {
 		seconds                           string
 		seed                              int
+		gap                               string // "" keeps galiot-record's default
+		whole                             bool   // one Process call instead of run's chunks
 		packets, matched, spurious, segms int
 	}{
-		{"1", 1, 34, 11, 0, 1},
-		{"2", 1, 63, 8, 0, 1},
-		{"2", 2, 55, 6, 0, 1},
-		{"2", 3, 55, 8, 0, 1},
+		{"1", 1, "", false, 34, 11, 0, 1},
+		{"2", 1, "", false, 63, 8, 0, 1},
+		{"2", 2, "", false, 55, 6, 0, 1},
+		{"2", 3, "", false, 55, 8, 0, 1},
+		{"4", 1, "1.0", false, 8, 5, 0, 4},
+		{"4", 1, "1.0", true, 8, 8, 0, 4},
 	} {
 		name := fmt.Sprintf("seconds=%s/seed=%d", tc.seconds, tc.seed)
-		t.Run(name, func(t *testing.T) {
-			capPath := filepath.Join(dir, fmt.Sprintf("cap-%s-%d.cu8", tc.seconds, tc.seed))
-			args := []string{"-seconds", tc.seconds, "-seed", fmt.Sprint(tc.seed), "-out", capPath}
-			if out, err := exec.Command(record, args...).CombinedOutput(); err != nil {
-				t.Fatalf("galiot-record: %v\n%s", err, out)
+		args := []string{"-seconds", tc.seconds, "-seed", fmt.Sprint(tc.seed)}
+		if tc.gap != "" {
+			name += "/gap=" + tc.gap
+			args = append(args, "-gap", tc.gap)
+			if tc.whole {
+				name += "/chunk=whole"
+			} else {
+				name += "/chunk=262144"
 			}
-			packets, matched, spurious, segments, out := replayScore(t, capPath)
+		}
+		t.Run(name, func(t *testing.T) {
+			capPath := filepath.Join(dir, fmt.Sprintf("cap-%s-%d-%s.cu8", tc.seconds, tc.seed, tc.gap))
+			if _, err := os.Stat(capPath); err != nil {
+				if out, err := exec.Command(record, append(args, "-out", capPath)...).CombinedOutput(); err != nil {
+					t.Fatalf("galiot-record: %v\n%s", err, out)
+				}
+			}
+			packets, matched, spurious, segments, out := replayScore(t, capPath, tc.whole)
 			if packets != tc.packets || matched != tc.matched || spurious != tc.spurious || segments != tc.segms {
 				t.Fatalf("packets %d, matched %d, spurious %d, segments %d; want %d, %d, %d, %d\n%s",
 					packets, matched, spurious, segments, tc.packets, tc.matched, tc.spurious, tc.segms, out)
@@ -60,11 +82,12 @@ func TestRecordReplayAgainstTruth(t *testing.T) {
 	}
 }
 
-// replayScore replays capPath and scores its frames against the capture's
-// .truth sidecar. It returns the sidecar's packet count, the frames that
-// match a sent (tech, payload) once each, the frames that match none, the
-// replay's segment count and its output.
-func replayScore(t *testing.T, capPath string) (packets, matched, spurious, segments int, out string) {
+// replayScore replays capPath — through run, or with whole set as one
+// Process call over every sample in the file — and scores its frames
+// against the capture's .truth sidecar. It returns the sidecar's packet
+// count, the frames that match a sent (tech, payload) once each, the
+// frames that match none, the replay's segment count and its output.
+func replayScore(t *testing.T, capPath string, whole bool) (packets, matched, spurious, segments int, out string) {
 	t.Helper()
 	truth, err := os.ReadFile(capPath + ".truth")
 	if err != nil {
@@ -81,7 +104,20 @@ func replayScore(t *testing.T, capPath string) (packets, matched, spurious, segm
 	}
 
 	var b strings.Builder
-	if code := run([]string{"-in", capPath}, &b); code != 0 {
+	if whole {
+		f, err := os.Open(capPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		fi, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := replay(f, galiot.SampleRate, true, int(fi.Size()/2), &b); err != nil {
+			t.Fatalf("replay: %v\n%s", err, b.String())
+		}
+	} else if code := run([]string{"-in", capPath}, &b); code != 0 {
 		t.Fatalf("replay exit %d:\n%s", code, b.String())
 	}
 	out = b.String()

@@ -88,18 +88,14 @@ func parseAsserts(spec string) ([]assertion, error) {
 }
 
 // resolveSeries reads the asserted value of one series from the
-// snapshot: counters and gauges gate on their value, histograms on the
-// observation count. The second return is false when the process does not
-// register the series.
+// snapshot: counters and gauges gate on their value. The second return is
+// false when the process does not register the series.
 func resolveSeries(snap *galiot.ObsSnapshot, name string) (int64, bool) {
 	if c, ok := snap.Counters[name]; ok {
 		return int64(c), true
 	}
 	if g, ok := snap.Gauges[name]; ok {
 		return g, true
-	}
-	if h, ok := snap.Histograms[name]; ok {
-		return int64(h.Count), true
 	}
 	return 0, false
 }

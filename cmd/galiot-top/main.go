@@ -14,11 +14,11 @@
 //
 // With -assert the dashboard becomes a scriptable gate: each
 // comma-separated `series op value` expression is checked against the
-// /metrics snapshot (counters and gauges gate on their value, histograms
-// on their observation count) and the process exits non-zero when any
-// fails. -metrics evaluates a saved /metrics body, or a log holding
-// galiot-cloud's `metrics: {...}` shutdown line, instead of scraping, so
-// the same gate runs against CI artifacts:
+// /metrics snapshot (counters and gauges gate on their value) and the
+// process exits non-zero when any fails. -metrics evaluates a saved
+// /metrics body, or a log holding galiot-cloud's `metrics: {...}`
+// shutdown line, instead of scraping, so the same gate runs against CI
+// artifacts:
 //
 //	galiot-top -addr 127.0.0.1:9900 -assert 'gateway_spool_dropped_total==0,wal_live_bytes<=1048576'
 //	galiot-top -metrics cloud.log -assert 'cloud_shard0_farm_jobs_admitted_total>0'
@@ -161,7 +161,7 @@ func emit(v *view, asJSON bool, maxEvents int, base string) {
 }
 
 // render formats the text dashboard: health verdicts, the metrics
-// (counters, gauges, histogram quantiles) and the event tail.
+// (counters and gauges) and the event tail.
 func render(v *view, maxEvents int, base string) string {
 	var w strings.Builder
 	fmt.Fprintf(&w, "galiot-top %s\n", base)
@@ -185,19 +185,6 @@ func render(v *view, maxEvents int, base string) string {
 		fmt.Fprintf(&w, "gauges:\n")
 		for _, name := range sortedKeys(m.Gauges) {
 			fmt.Fprintf(&w, "  %-44s %12d\n", name, m.Gauges[name])
-		}
-	}
-	if len(m.Histograms) > 0 {
-		fmt.Fprintf(&w, "histograms:\n")
-		for _, name := range sortedKeys(m.Histograms) {
-			h := m.Histograms[name]
-			fmt.Fprintf(&w, "  %-44s count=%-10d p50=%-8d p99=%d", name, h.Count, h.P50, h.P99)
-			if h.Exemplar != nil {
-				// The high-watermark observation's trace: feed it to
-				// galiot-trace -id to see where the time went.
-				fmt.Fprintf(&w, "  ex=%d trace=0x%016x", h.Exemplar.Value, h.Exemplar.TraceID)
-			}
-			fmt.Fprintf(&w, "\n")
 		}
 	}
 

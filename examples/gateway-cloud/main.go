@@ -59,7 +59,7 @@ func main() {
 	}
 
 	// Cloud side: TCP server on a loopback port, decoding through the farm
-	// so the queue-wait histogram fills in.
+	// so each cloud span carries a farm_queue stage.
 	svc := galiot.NewCloud(techs...)
 	svc.UseObs(reg, tracer)
 	svc.StartFarm(galiot.FarmConfig{Workers: 2})

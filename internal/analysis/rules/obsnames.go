@@ -11,7 +11,7 @@ import (
 )
 
 // ObsNames enforces the observability naming vocabulary on string-literal
-// registrations: metric names (Registry.Counter/Gauge/Histogram) must be
+// registrations: metric names (Registry.Counter/Gauge) must be
 // subsystem_name_unit with a unit from obs.MetricUnits, event names
 // (Journal.Record) must be subsystem_subject_verb with a verb from
 // obs.EventVerbs, and health-check names (Health.Register /
@@ -38,7 +38,7 @@ type obsNameCheck struct {
 var obsNameChecks = []obsNameCheck{
 	{
 		recv:    "Registry",
-		methods: map[string]bool{"Counter": true, "Gauge": true, "Histogram": true},
+		methods: map[string]bool{"Counter": true, "Gauge": true},
 		valid:   obs.ValidMetricName,
 		kind:    "metric name",
 		scheme:  "subsystem_name_unit: lowercase snake_case, >= 3 segments, unit one of",

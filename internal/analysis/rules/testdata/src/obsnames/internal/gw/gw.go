@@ -6,16 +6,16 @@ import "obsnames/internal/obs"
 func good(r *obs.Registry) {
 	_ = r.Counter("gateway_segments_shipped_total")
 	_ = r.Gauge("farm_jobs_queued_count")
-	_ = r.Histogram("farm_queue_wait_samples", 1024)
 	_ = r.Counter("backhaul_bytes_sent_bytes")
 }
 
 func bad(r *obs.Registry) {
-	_ = r.Counter("GatewaySegments")          // want "metric name \\\"GatewaySegments\\\" does not follow subsystem_name_unit"
-	_ = r.Counter("gateway_total")            // want "metric name \\\"gateway_total\\\" does not follow subsystem_name_unit"
-	_ = r.Gauge("gateway_shipped_segments")   // want "metric name \\\"gateway_shipped_segments\\\" does not follow subsystem_name_unit"
-	_ = r.Histogram("farm__wait_samples", 64) // want "metric name \\\"farm__wait_samples\\\" does not follow subsystem_name_unit"
-	_ = r.Counter("1gateway_segments_total")  // want "metric name \\\"1gateway_segments_total\\\" does not follow subsystem_name_unit"
+	_ = r.Counter("GatewaySegments")         // want "metric name \\\"GatewaySegments\\\" does not follow subsystem_name_unit"
+	_ = r.Counter("gateway_total")           // want "metric name \\\"gateway_total\\\" does not follow subsystem_name_unit"
+	_ = r.Gauge("gateway_shipped_segments")  // want "metric name \\\"gateway_shipped_segments\\\" does not follow subsystem_name_unit"
+	_ = r.Counter("farm__wait_total")        // want "metric name \\\"farm__wait_total\\\" does not follow subsystem_name_unit"
+	_ = r.Counter("farm_jobs_wait_samples")  // want "metric name \\\"farm_jobs_wait_samples\\\" does not follow subsystem_name_unit"
+	_ = r.Counter("1gateway_segments_total") // want "metric name \\\"1gateway_segments_total\\\" does not follow subsystem_name_unit"
 }
 
 // Event names: subsystem_subject_verb, verb from the closed vocabulary.

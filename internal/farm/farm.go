@@ -23,10 +23,9 @@
 //   - Graceful drain: Close stops intake, lets the workers finish every
 //     admitted job (each job's done callback runs exactly once), and only
 //     then returns. No admitted segment is ever dropped.
-//   - Sample-clock accounting: queue wait is measured in samples admitted
-//     while the job sat in the queue, not wall-clock time, so the numbers
-//     are meaningful under the repository's determinism rules and scale
-//     with offered load rather than host speed.
+//   - Queue wait is a span stage: a traced job's farm_queue stage is the
+//     time from admission to dispatch on its span's tracer clock, the same
+//     clock every other stage uses. The farm keeps no clock of its own.
 package farm
 
 import (
@@ -53,9 +52,9 @@ type Config struct {
 	QueueDepth int
 	// Decode runs one segment. Required.
 	Decode DecodeFunc
-	// Obs receives the farm's metrics (farm_jobs_* counters/gauges and the
-	// farm_queue_wait_samples histogram). Nil creates a private registry so
-	// Snapshot keeps working standalone.
+	// Obs receives the farm's metrics (the farm_jobs_* counters and
+	// gauges). Nil creates a private registry so Snapshot keeps working
+	// standalone.
 	Obs *obs.Registry
 }
 
@@ -80,15 +79,11 @@ type Result struct {
 
 // job is one admitted segment waiting for a worker.
 type job struct {
-	ctx        context.Context
-	seg        backhaul.Segment
-	done       func(Result)
-	admitClock int64 // farm sample clock at admission
+	ctx      context.Context
+	seg      backhaul.Segment
+	done     func(Result)
+	admitted int64 // the span's tracer clock at admission (0 untraced)
 }
-
-// waitWindow is how many recent queue waits the quantile histogram keeps
-// (the window of the farm_queue_wait_samples metric).
-const waitWindow = obs.DefaultHistogramWindow
 
 // Farm is the shared decode farm. Create with New, stop with Close.
 type Farm struct {
@@ -102,7 +97,6 @@ type Farm struct {
 	wg    sync.WaitGroup
 
 	closed bool
-	clock  int64 // total samples admitted so far (the sample clock)
 
 	// Metrics live on the registry (Config.Obs or a private one) so the
 	// same numbers feed Snapshot, /metrics, and the shutdown dump.
@@ -112,7 +106,6 @@ type Farm struct {
 	deadline  *obs.Counter
 	queuedG   *obs.Gauge
 	inFlightG *obs.Gauge
-	waitH     *obs.Histogram // recent queue waits, in samples
 }
 
 // Stats is a point-in-time snapshot of the farm, exposed through
@@ -128,12 +121,6 @@ type Stats struct {
 	Completed        uint64 // done callbacks run (decoded or skipped)
 	Rejected         uint64 // TrySubmit calls answered ErrBusy
 	DeadlineExceeded uint64 // jobs skipped because their context was done
-
-	// Queue-wait quantiles over the last waitWindow dispatches, measured
-	// on the sample clock: how many samples of newer work were admitted
-	// while the job waited. 0 when nothing has been dispatched yet.
-	P50QueueWait int64
-	P99QueueWait int64
 }
 
 // New builds the farm and starts its workers. cfg.Decode must be set.
@@ -159,7 +146,6 @@ func New(cfg Config) *Farm {
 		deadline:  reg.Counter("farm_jobs_deadline_total"),
 		queuedG:   reg.Gauge("farm_jobs_queued_count"),
 		inFlightG: reg.Gauge("farm_jobs_inflight_count"),
-		waitH:     reg.Histogram("farm_queue_wait_samples", waitWindow),
 	}
 	f.work = sync.NewCond(&f.mu)
 	f.space = sync.NewCond(&f.mu)
@@ -204,8 +190,7 @@ func (f *Farm) admit(ctx context.Context, seg backhaul.Segment, done func(Result
 		}
 		f.space.Wait()
 	}
-	f.queue = append(f.queue, job{ctx: ctx, seg: seg, done: done, admitClock: f.clock})
-	f.clock += int64(len(seg.Samples))
+	f.queue = append(f.queue, job{ctx: ctx, seg: seg, done: done, admitted: obs.SpanFromContext(ctx).Now()})
 	f.admitted.Inc()
 	f.queuedG.Add(1)
 	f.work.Signal()
@@ -241,18 +226,11 @@ func (f *Farm) run() {
 			return
 		}
 		j := f.pop()
-		wait := f.clock - j.admitClock
 		f.mu.Unlock()
 		f.queuedG.Add(-1)
 		f.inFlightG.Add(1)
-		// The queue-wait observation carries the segment's trace ID as an
-		// exemplar: a p99 spike on farm_queue_wait_samples links straight to
-		// the trace tree of the segment that set the high watermark.
 		if sp := obs.SpanFromContext(j.ctx); sp != nil {
-			f.waitH.ObserveExemplar(wait, sp.TraceID())
-			sp.Stage("farm_queue", wait, float64(len(j.seg.Samples)))
-		} else {
-			f.waitH.Observe(wait)
+			sp.Stage("farm_queue", sp.Now()-j.admitted, float64(len(j.seg.Samples)))
 		}
 		f.space.Signal()
 
@@ -303,11 +281,10 @@ func (f *Farm) Close() {
 	f.wg.Wait()
 }
 
-// Snapshot returns current counters and queue-wait quantiles. The numbers
-// are read from the farm's registry metrics, so Snapshot, /metrics and the
-// shutdown dump can never disagree.
+// Snapshot returns the current counters and gauges. The numbers are read
+// from the farm's registry metrics, so Snapshot, /metrics and the shutdown
+// dump can never disagree.
 func (f *Farm) Snapshot() Stats {
-	hs := f.waitH.Snapshot()
 	return Stats{
 		Workers:          f.cfg.Workers,
 		QueueDepth:       f.cfg.QueueDepth,
@@ -317,7 +294,5 @@ func (f *Farm) Snapshot() Stats {
 		Completed:        f.completed.Value(),
 		Rejected:         f.rejected.Value(),
 		DeadlineExceeded: f.deadline.Value(),
-		P50QueueWait:     hs.P50,
-		P99QueueWait:     hs.P99,
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/backhaul"
 	"repro/internal/cancel"
+	"repro/internal/obs"
 )
 
 // echoDecode is a stub decode that reports the segment's start back, so
@@ -139,7 +140,26 @@ func TestCancelledJobSkipped(t *testing.T) {
 	}
 }
 
-func TestQueueWaitSampleClock(t *testing.T) {
+// TestFarmQueueStageOnTracerClock pins farm_queue to the span's tracer
+// clock: a job dispatched at once waits 0 ticks, and a job held behind a
+// pinned worker waits exactly the ticks that passed while it sat in the
+// queue, whatever the segments' lengths.
+func TestFarmQueueStageOnTracerClock(t *testing.T) {
+	var ticks atomic.Int64
+	var mu sync.Mutex
+	waits := make(map[uint64][]int64) // trace ID -> farm_queue durations
+	tr := obs.NewTracer()
+	tr.SetClock(ticks.Load)
+	tr.SetSink(func(sn obs.SpanSnapshot) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, st := range sn.Stages {
+			if st.Name == "farm_queue" {
+				waits[sn.TraceID] = append(waits[sn.TraceID], st.Dur)
+			}
+		}
+	})
+
 	gate := make(chan struct{})
 	dispatched := make(chan struct{}, 8)
 	blocked := func(ctx context.Context, s backhaul.Segment) (backhaul.FramesReport, cancel.Stats, error) {
@@ -149,26 +169,32 @@ func TestQueueWaitSampleClock(t *testing.T) {
 	}
 	f := New(Config{Workers: 1, QueueDepth: 8, Decode: blocked})
 	var wg sync.WaitGroup
-	submit := func(n int) {
+	submit := func(trace uint64, n int) {
+		sp := tr.Start("cloud", trace)
 		wg.Add(1)
-		if err := f.Submit(context.Background(), seg(0, n), func(Result) { wg.Done() }); err != nil {
+		if err := f.Submit(obs.ContextWithSpan(context.Background(), sp), seg(0, n), func(Result) {
+			sp.End()
+			wg.Done()
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	submit(0) // 0-sample gate job occupies the worker without advancing the clock
+	ticks.Store(1000)
+	submit(1, 10) // dispatched at once: the worker is idle
 	<-dispatched
-	// Admitted while the worker is pinned: clock advances 100+200+300.
-	submit(100)
-	submit(200)
-	submit(300)
+	submit(2, 100) // queued behind the pinned worker
+	ticks.Add(250)
 	close(gate)
 	wg.Wait()
 	f.Close()
-	// Waits on the sample clock: 600-0, 600-100, 600-300 (plus the gate
-	// job's 0) -> sorted [0, 300, 500, 600].
-	st := f.Snapshot()
-	if st.P50QueueWait != 500 || st.P99QueueWait != 600 {
-		t.Fatalf("queue-wait quantiles %+v", st)
+
+	mu.Lock()
+	defer mu.Unlock()
+	if w := waits[1]; len(w) != 1 || w[0] != 0 {
+		t.Errorf("idle-farm job farm_queue = %v, want [0]", w)
+	}
+	if w := waits[2]; len(w) != 1 || w[0] != 250 {
+		t.Errorf("queued job farm_queue = %v, want [250]", w)
 	}
 }
 

@@ -34,9 +34,9 @@ type Config struct {
 	// Window bounds the unacknowledged segments a session pipelines
 	// (default DefaultWindow). The cloud's hello ack may shrink it.
 	Window int
-	// Obs receives the gateway's metrics (gateway_*, detect_* and, with a
-	// WAL, wal_* series). Nil creates a private registry; Stats reads from
-	// it either way.
+	// Obs receives the gateway's metrics (gateway_* and, with a WAL, wal_*
+	// series). Nil creates a private registry; Stats reads from it either
+	// way.
 	Obs *obs.Registry
 	// Tracer enables per-segment trace spans (detect, edge decode, window
 	// wait, encode+ship stages). Nil disables tracing at the cost of one

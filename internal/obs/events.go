@@ -123,11 +123,10 @@ type Journal struct {
 
 	mu    sync.Mutex
 	ring  []Event
-	next  int // slot the next new entry lands in
-	total uint64
-	seq   uint64
-	steps int64 // deterministic default clock
-	last  int   // ring index of the most recent entry, -1 when empty
+	next  int    // slot the next new entry lands in
+	seq   uint64 // entries ever appended (the next entry's Seq)
+	steps int64  // deterministic default clock
+	last  int    // ring index of the most recent entry, -1 when empty
 }
 
 // NewJournal builds a journal whose ring keeps the last ringSize entries
@@ -170,7 +169,6 @@ func (j *Journal) Record(name string, value int64) {
 	j.last = j.next
 	j.next = (j.next + 1) % len(j.ring)
 	j.seq++
-	j.total++
 	j.mu.Unlock()
 }
 
@@ -191,14 +189,14 @@ func (j *Journal) Recent() []Event {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	n := int(j.total)
-	if j.total > uint64(len(j.ring)) {
+	n := int(j.seq)
+	if j.seq > uint64(len(j.ring)) {
 		n = len(j.ring)
 	}
 	out := make([]Event, 0, n)
 	for i := 0; i < n; i++ {
 		idx := i
-		if j.total > uint64(len(j.ring)) {
+		if j.seq > uint64(len(j.ring)) {
 			idx = (j.next + i) % len(j.ring)
 		}
 		out = append(out, j.ring[idx])

@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the GalioT pipeline: a
-// registry of named counters, gauges and windowed histograms, per-segment
-// trace spans (a Tracer times them and sinks each finished one into a
-// TraceStore, the one place a process keeps spans), and an HTTP
+// registry of named counters and gauges, per-segment trace spans (a
+// Tracer times them and sinks each finished one into a TraceStore, the
+// one place a process keeps spans), and an HTTP
 // introspection server (/metrics, /trace/tree, /trace/slowest,
 // /debug/pprof). It is stdlib-only and obeys the repository's determinism
 // and hot-path rules (DESIGN.md §10):
@@ -9,11 +9,6 @@
 //   - Counters and gauges are single atomics; incrementing one from the
 //     detect or decode hot path is a handful of nanoseconds and never
 //     allocates or takes a lock.
-//   - Histograms are lock-free windowed rings of atomics; Observe is one
-//     atomic add plus one atomic store. Quantiles are computed at snapshot
-//     time, off the hot path, with the same integer index math the farm's
-//     private estimator used (sorted[n*p/100]) so migrated outputs are
-//     bit-identical.
 //   - Nothing in this package reads the wall clock; trace durations come
 //     from an injectable clock that defaults to a deterministic step
 //     counter (commands inject time.Now, libraries stay replayable).
@@ -25,7 +20,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -34,9 +28,10 @@ import (
 // Keep in sync with the obsnames rule's documentation. "millis" is for
 // human-scale durations surfaced on dashboards (backoff delays); "state"
 // is for small discrete enumerations (0/1 connectivity flags) where
-// neither count nor ratio reads honestly. There is no nanosecond unit: how
-// long a stage took is a span stage (Span.Stage), not a metric.
-var MetricUnits = []string{"bytes", "count", "millis", "ratio", "samples", "state", "total"}
+// neither count nor ratio reads honestly. There is no nanosecond or
+// sample unit: how long a stage took, or waited, is a span stage
+// (Span.Stage) on the tracer clock, not a metric.
+var MetricUnits = []string{"bytes", "count", "millis", "ratio", "state", "total"}
 
 // ValidMetricName reports whether name follows the subsystem_name_unit
 // scheme: lowercase snake_case, at least three segments, no empty or
@@ -81,7 +76,7 @@ func ValidMetricName(name string) bool {
 // lint rule cannot see. A bad name is a programming error, surfaced loudly.
 func mustValidName(name string) {
 	if !ValidMetricName(name) {
-		panic("obs: metric name " + name + " does not follow subsystem_name_unit (lowercase snake_case, >=3 segments, unit in {bytes,count,millis,ratio,samples,state,total})")
+		panic("obs: metric name " + name + " does not follow subsystem_name_unit (lowercase snake_case, >=3 segments, unit in {bytes,count,millis,ratio,state,total})")
 	}
 }
 
@@ -161,104 +156,6 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// DefaultHistogramWindow is the observation window when Registry.Histogram
-// is called with window <= 0. It matches the farm's historical estimator.
-const DefaultHistogramWindow = 1024
-
-// Histogram keeps the last window observations in a lock-free ring and
-// computes quantiles over them at snapshot time. Observe is wait-free: one
-// atomic add to claim a slot, one atomic store to fill it. A concurrent
-// snapshot may see a slot mid-overwrite as either the old or the new value
-// — both were real observations, so quantiles stay meaningful.
-type Histogram struct {
-	window int
-	count  atomic.Uint64
-	ring   []atomic.Int64
-	ex     atomic.Pointer[Exemplar]
-}
-
-// Exemplar links a histogram's high-watermark observation to the trace
-// that produced it, so a dashboard can jump from a p99 bucket straight
-// to the trace tree behind it.
-type Exemplar struct {
-	Value   int64  `json:"value"`
-	TraceID uint64 `json:"trace_id"`
-}
-
-// NewHistogram builds a standalone histogram (Registry.Histogram is the
-// usual constructor).
-func NewHistogram(window int) *Histogram {
-	if window <= 0 {
-		window = DefaultHistogramWindow
-	}
-	return &Histogram{window: window, ring: make([]atomic.Int64, window)}
-}
-
-// Observe records one value. Nil-safe.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	i := h.count.Add(1) - 1
-	h.ring[i%uint64(h.window)].Store(v)
-}
-
-// ObserveExemplar records one value and, when it sets a new high
-// watermark, remembers the trace that produced it. The exemplar only
-// allocates on a new maximum — rare by construction — so the hot path
-// stays one atomic add, one store and one load.
-func (h *Histogram) ObserveExemplar(v int64, trace uint64) {
-	h.Observe(v)
-	if h == nil || trace == 0 {
-		return
-	}
-	for {
-		cur := h.ex.Load()
-		if cur != nil && v < cur.Value {
-			return
-		}
-		if h.ex.CompareAndSwap(cur, &Exemplar{Value: v, TraceID: trace}) {
-			return
-		}
-	}
-}
-
-// HistogramSnapshot is a point-in-time summary of a Histogram.
-type HistogramSnapshot struct {
-	Count  uint64 `json:"count"`  // observations ever recorded
-	Window int    `json:"window"` // ring capacity the quantiles cover
-	P50    int64  `json:"p50"`
-	P99    int64  `json:"p99"`
-	// Exemplar is the high-watermark observation's trace link, when the
-	// histogram was fed through ObserveExemplar.
-	Exemplar *Exemplar `json:"exemplar,omitempty"`
-}
-
-// Snapshot sorts a copy of the ring and summarizes it. The quantile index
-// math (sorted[n*p/100]) is deliberately identical to the estimator it
-// replaced in internal/farm, so existing outputs and tests carry over.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
-	s := HistogramSnapshot{Count: h.count.Load(), Window: h.window, Exemplar: h.ex.Load()}
-	n := int(s.Count)
-	if s.Count > uint64(h.window) {
-		n = h.window
-	}
-	if n == 0 {
-		return s
-	}
-	sorted := make([]int64, n)
-	for i := 0; i < n; i++ {
-		sorted[i] = h.ring[i].Load()
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	s.P50 = sorted[n*50/100]
-	s.P99 = sorted[n*99/100]
-	return s
-}
-
 // Registry is a concurrent-safe namespace of metrics. Getters create on
 // first use and return the same instance afterwards, so independently
 // wired subsystems sharing a registry converge on the same counters.
@@ -266,12 +163,10 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 	// Registration-ordered names, so snapshots never iterate a map
 	// (iteration order would vary run to run).
 	counterNames []string
 	gaugeNames   []string
-	histNames    []string
 
 	// root is set on a view (see Prefixed): the view owns no metrics and
 	// registers every name as prefix+name on root.
@@ -284,7 +179,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
 	}
 }
 
@@ -333,31 +227,11 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given window
-// on first use (window <= 0 means DefaultHistogramWindow). Later calls
-// return the existing histogram regardless of window.
-func (r *Registry) Histogram(name string, window int) *Histogram {
-	mustValidName(name)
-	if r.root != nil {
-		return r.root.Histogram(r.prefix+name, window)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	h := NewHistogram(window)
-	r.hists[name] = h
-	r.histNames = append(r.histNames, name)
-	return h
-}
-
 // Snapshot is a point-in-time copy of every metric in a registry. JSON
 // encoding sorts map keys, so the serialized form is deterministic.
 type Snapshot struct {
-	Counters   map[string]uint64            `json:"counters"`
-	Gauges     map[string]int64             `json:"gauges"`
-	Histograms map[string]HistogramSnapshot `json:"histograms"`
+	Counters map[string]uint64 `json:"counters"`
+	Gauges   map[string]int64  `json:"gauges"`
 }
 
 // Snapshot reads every metric. Safe to call concurrently with writers; the
@@ -375,10 +249,6 @@ func (r *Registry) Snapshot() Snapshot {
 		name string
 		g    *Gauge
 	}
-	type histRef struct {
-		name string
-		h    *Histogram
-	}
 	r.mu.Lock()
 	counters := make([]counterRef, len(r.counterNames))
 	for i, name := range r.counterNames {
@@ -388,25 +258,17 @@ func (r *Registry) Snapshot() Snapshot {
 	for i, name := range r.gaugeNames {
 		gauges[i] = gaugeRef{name, r.gauges[name]}
 	}
-	hists := make([]histRef, len(r.histNames))
-	for i, name := range r.histNames {
-		hists[i] = histRef{name, r.hists[name]}
-	}
 	r.mu.Unlock()
 
 	snap := Snapshot{
-		Counters:   make(map[string]uint64, len(counters)),
-		Gauges:     make(map[string]int64, len(gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(hists)),
+		Counters: make(map[string]uint64, len(counters)),
+		Gauges:   make(map[string]int64, len(gauges)),
 	}
 	for _, ref := range counters {
 		snap.Counters[ref.name] = ref.c.Value()
 	}
 	for _, ref := range gauges {
 		snap.Gauges[ref.name] = ref.g.Value()
-	}
-	for _, ref := range hists {
-		snap.Histograms[ref.name] = ref.h.Snapshot()
 	}
 	return snap
 }

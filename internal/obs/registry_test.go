@@ -10,11 +10,9 @@ func TestValidMetricName(t *testing.T) {
 	t.Parallel()
 	valid := []string{
 		"gateway_segments_shipped_total",
-		"farm_queue_wait_samples",
 		"cloud_frames_lora_total",
 		"farm_jobs_queued_count",
 		"backhaul_bytes_sent_total",
-		"detect_stream_pending_samples",
 		"a_b2_ratio",
 	}
 	for _, name := range valid {
@@ -32,6 +30,7 @@ func TestValidMetricName(t *testing.T) {
 		"gateway_shipped_total_",   // trailing underscore
 		"2gw_shipped_total",        // leading digit
 		"gateway_ship-count_total", // dash
+		"farm_jobs_wait_samples",   // samples is not a unit: waits are span stages
 	}
 	for _, name := range invalid {
 		if ValidMetricName(name) {
@@ -89,11 +88,6 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	if g.Value() != 0 {
 		t.Fatal("nil gauge value")
 	}
-	var h *Histogram
-	h.Observe(7)
-	if s := h.Snapshot(); s.Count != 0 || s.P50 != 0 {
-		t.Fatal("nil histogram snapshot")
-	}
 }
 
 func TestRegistryGetOrCreate(t *testing.T) {
@@ -107,11 +101,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	c1.Add(3)
 	if c2.Value() != 3 {
 		t.Fatal("counter instances not shared")
-	}
-	h1 := r.Histogram("farm_queue_wait_samples", 8)
-	h2 := r.Histogram("farm_queue_wait_samples", 9999)
-	if h1 != h2 {
-		t.Fatal("same name returned distinct histograms")
 	}
 }
 
@@ -127,7 +116,6 @@ func TestRegistryPrefixedView(t *testing.T) {
 	r.Prefixed("cloud_shard0_").Counter("farm_jobs_admitted_total").Inc()
 	s1.Counter("farm_jobs_admitted_total").Add(5)
 	s0.Gauge("farm_jobs_queued_count").Set(4)
-	s1.Histogram("farm_queue_wait_samples", 8).Observe(9)
 	r.Prefixed("cloud_").Prefixed("shard1_").Counter("farm_jobs_rejected_total").Inc()
 
 	snap := s0.Snapshot() // a view reads the whole root
@@ -143,8 +131,8 @@ func TestRegistryPrefixedView(t *testing.T) {
 	if len(snap.Counters) != 3 {
 		t.Errorf("counters = %v, want exactly the three prefixed series", snap.Counters)
 	}
-	if snap.Gauges["cloud_shard0_farm_jobs_queued_count"] != 4 || snap.Histograms["cloud_shard1_farm_queue_wait_samples"].Count != 1 {
-		t.Errorf("gauges = %v, histograms = %v", snap.Gauges, snap.Histograms)
+	if snap.Gauges["cloud_shard0_farm_jobs_queued_count"] != 4 {
+		t.Errorf("gauges = %v", snap.Gauges)
 	}
 	defer func() {
 		if recover() == nil {
@@ -152,42 +140,6 @@ func TestRegistryPrefixedView(t *testing.T) {
 		}
 	}()
 	r.Prefixed("cloud_shard0_").Counter("total")
-}
-
-// TestHistogramQuantilesMatchFarmEstimator pins the quantile index math to
-// the estimator this histogram replaced in internal/farm: four waits
-// [0, 300, 500, 600] must yield p50 = sorted[4/2] = 500 and
-// p99 = sorted[4*99/100] = sorted[3] = 600, exactly what
-// farm.TestQueueWaitSampleClock asserts through Stats.
-func TestHistogramQuantilesMatchFarmEstimator(t *testing.T) {
-	t.Parallel()
-	h := NewHistogram(1024)
-	for _, v := range []int64{600, 0, 500, 300} {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	if s.Count != 4 || s.Window != 1024 {
-		t.Fatalf("snapshot meta = %+v", s)
-	}
-	if s.P50 != 500 || s.P99 != 600 {
-		t.Fatalf("quantiles p50=%d p99=%d, want 500/600", s.P50, s.P99)
-	}
-}
-
-func TestHistogramWindowWraps(t *testing.T) {
-	t.Parallel()
-	h := NewHistogram(4)
-	for v := int64(1); v <= 100; v++ {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	if s.Count != 100 {
-		t.Fatalf("count = %d", s.Count)
-	}
-	// Ring holds the last 4 observations {97..100} in some slot order.
-	if s.P50 < 97 || s.P50 > 100 || s.P99 < 97 || s.P99 > 100 {
-		t.Fatalf("wrapped quantiles p50=%d p99=%d outside window", s.P50, s.P99)
-	}
 }
 
 // TestRegistryTorture hammers one registry from parallel writers while
@@ -224,18 +176,16 @@ func TestRegistryTorture(t *testing.T) {
 	var writerWG sync.WaitGroup
 	for i := 0; i < writers; i++ {
 		writerWG.Add(1)
-		go func(id int) {
+		go func() {
 			defer writerWG.Done()
 			c := r.Counter("torture_ops_done_total")
 			g := r.Gauge("torture_workers_live_count")
-			h := r.Histogram("torture_op_cost_samples", 64)
 			g.Add(1)
 			for n := 0; n < perW; n++ {
 				c.Inc()
-				h.Observe(int64(id*perW + n))
 			}
 			g.Add(-1)
-		}(i)
+		}()
 	}
 	writerWG.Wait()
 	close(stop)
@@ -248,10 +198,6 @@ func TestRegistryTorture(t *testing.T) {
 	if got := snap.Gauges["torture_workers_live_count"]; got != 0 {
 		t.Fatalf("gauge = %d, want 0", got)
 	}
-	hs := snap.Histograms["torture_op_cost_samples"]
-	if hs.Count != writers*perW || hs.Window != 64 {
-		t.Fatalf("histogram meta = %+v", hs)
-	}
 }
 
 func TestSnapshotJSONDeterministic(t *testing.T) {
@@ -261,7 +207,6 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 		r.Counter("alpha_things_seen_total").Add(1)
 		r.Counter("beta_things_seen_total").Add(2)
 		r.Gauge("alpha_things_live_count").Set(3)
-		r.Histogram("alpha_wait_time_samples", 16).Observe(9)
 		data, err := json.Marshal(r.Snapshot())
 		if err != nil {
 			t.Fatalf("marshal: %v", err)

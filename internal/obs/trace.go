@@ -12,9 +12,8 @@ import (
 // grown.
 const MaxStages = 24
 
-// Stage is one timed step of a span. Dur is measured on the clock of
-// whichever subsystem recorded it (the tracer clock for timed stages, the
-// farm's sample clock for queue waits — see DESIGN.md §10 for the per-stage
+// Stage is one timed step of a span. Dur is measured on the span's tracer
+// clock, whatever the stage (see DESIGN.md §10 for the per-stage
 // contract); Value carries a stage-specific magnitude such as residual
 // energy after a SIC round or bytes put on the wire.
 type Stage struct {
