@@ -174,11 +174,7 @@ func subtractFrame(rx []complex128, t phy.Technology, frame *phy.Frame, fs float
 		if off < 0 || off+len(ref) > len(rx) {
 			continue
 		}
-		var proj complex128
-		seg := rx[off : off+len(ref)]
-		for i := range seg {
-			proj += seg[i] * complex(real(ref[i]), -imag(ref[i]))
-		}
+		proj := dsp.Dot(rx[off:off+len(ref)], ref)
 		if m := real(proj)*real(proj) + imag(proj)*imag(proj); m > bestMag {
 			bestMag, bestOff = m, off
 		}
@@ -201,17 +197,11 @@ func subtractFrame(rx []complex128, t phy.Technology, frame *phy.Frame, fs float
 		if to > len(seg) {
 			to = len(seg)
 		}
-		var proj complex128
-		var e float64
-		for i := from; i < to; i++ {
-			r := ref[i]
-			proj += seg[i] * complex(real(r), -imag(r))
-			e += real(r)*real(r) + imag(r)*imag(r)
-		}
+		e := dsp.Energy(ref[from:to])
 		if e == 0 {
 			continue
 		}
-		g := proj / complex(e, 0)
+		g := dsp.Dot(seg[from:to], ref[from:to]) / complex(e, 0)
 		for i := from; i < to; i++ {
 			seg[i] -= g * ref[i]
 		}
@@ -239,7 +229,7 @@ func (d *Decoder) killTech(rx []complex128, j phy.Technology, stats *Stats) []co
 	case phy.ClassPSK:
 		if nb, ok := j.(phy.NarrowbandTechnology); ok {
 			stats.KillFreq++
-			return KillNarrowband(rx, nb.Center(), nb.OccupiedBandwidth(), d.FS)
+			return KillFrequency(rx, []float64{nb.Center()}, nb.OccupiedBandwidth(), d.FS)
 		}
 	case phy.ClassCSS:
 		if ct, ok := j.(phy.ChirpTechnology); ok {
@@ -299,14 +289,22 @@ func (d *Decoder) DecodeTraced(rx []complex128, sp *obs.Span) ([]*phy.Frame, Sta
 	if maxRounds <= 0 {
 		maxRounds = 32
 	}
-	// Same tech and payload anywhere in one capture is treated as a
-	// residual re-decode: independent retransmissions with identical
-	// payloads inside a single shipped segment are far rarer than
-	// imperfect cancellation.
-	isDuplicate := func(f *phy.Frame) bool {
-		return slices.ContainsFunc(decoded, func(prev *phy.Frame) bool {
+	// accept cancels a decoded frame from the unfiltered residual, so the
+	// technologies a kill filter removed stay recoverable, and keeps it
+	// unless it is a re-decode. Same tech and payload anywhere in one
+	// capture is treated as a residual re-decode: independent
+	// retransmissions with identical payloads inside a single shipped
+	// segment are far rarer than imperfect cancellation.
+	accept := func(t phy.Technology, f *phy.Frame) {
+		subtractFrame(residual, t, f, d.FS, 4)
+		if slices.ContainsFunc(decoded, func(prev *phy.Frame) bool {
 			return prev.Tech == f.Tech && bytes.Equal(prev.Payload, f.Payload)
-		})
+		}) {
+			stats.Duplicates++
+			return
+		}
+		decoded = append(decoded, f)
+		stats.SICRounds++
 	}
 	var others []Candidate // kill-filter scratch, reused across retries
 	for round := 0; round < maxRounds; round++ {
@@ -318,13 +316,7 @@ func (d *Decoder) DecodeTraced(rx []complex128, sp *obs.Span) ([]*phy.Frame, Sta
 		progress := false
 		for ci, c := range cands {
 			if frame, ok := tryDecode(c.Tech, residual, d.FS); ok {
-				subtractFrame(residual, c.Tech, frame, d.FS, 4)
-				if isDuplicate(frame) {
-					stats.Duplicates++
-				} else {
-					decoded = append(decoded, frame)
-					stats.SICRounds++
-				}
+				accept(c.Tech, frame)
 				progress = true
 				break
 			}
@@ -354,15 +346,7 @@ func (d *Decoder) DecodeTraced(rx []complex128, sp *obs.Span) ([]*phy.Frame, Sta
 					sp.Stage(killStageName(o.Tech.Class()), sp.Now()-tKill, dsp.Energy(filtered))
 				}
 				if frame, ok := tryDecode(c.Tech, filtered, d.FS); ok {
-					// Cancel from the unfiltered residual so the killed
-					// technologies remain recoverable.
-					subtractFrame(residual, c.Tech, frame, d.FS, 4)
-					if isDuplicate(frame) {
-						stats.Duplicates++
-					} else {
-						decoded = append(decoded, frame)
-						stats.SICRounds++
-					}
+					accept(c.Tech, frame)
 					progress = true
 					break
 				}

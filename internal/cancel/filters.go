@@ -62,12 +62,6 @@ func KillFrequency(rx []complex128, tones []float64, width, fs float64) []comple
 // bandwidth separation stay safe.
 func FSKKillWidth(bitRate float64) float64 { return 0.3 * bitRate }
 
-// KillNarrowband removes a band of the given width centered at offset Hz —
-// the PSK variant of KILL-FREQUENCY.
-func KillNarrowband(rx []complex128, center, width, fs float64) []complex128 {
-	return KillFrequency(rx, []float64{center}, width, fs)
-}
-
 // CSSKiller removes chirp-spread-spectrum energy. It multiplies the capture
 // by a free-running train of base downchirps, which collapses any CSS
 // symbol energy (whatever its data value or alignment) onto at most two
@@ -245,10 +239,7 @@ func KillCodes(rx []complex128, tech phy.CodedTechnology, fs float64, minQuality
 		bestIdx := -1
 		bestFrac := 0.0
 		for ci, w := range waves {
-			var proj complex128
-			for i := range seg {
-				proj += seg[i] * complex(real(w[i]), -imag(w[i]))
-			}
+			proj := dsp.Dot(seg, w)
 			wE := dsp.Energy(w)
 			if wE == 0 {
 				continue

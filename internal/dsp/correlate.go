@@ -86,15 +86,9 @@ func correlateEach(x []complex128, refs [][]complex128, use func(i int, corr []c
 // path for short inputs.
 func correlateDirect(x, ref []complex128) []complex128 {
 	k := len(ref)
-	outLen := len(x) - k + 1
-	out := make([]complex128, outLen)
-	for i := 0; i < outLen; i++ {
-		var acc complex128
-		seg := x[i : i+k]
-		for j, r := range ref {
-			acc += seg[j] * complex(real(r), -imag(r))
-		}
-		out[i] = acc
+	out := make([]complex128, len(x)-k+1)
+	for i := range out {
+		out[i] = Dot(x[i:i+k], ref)
 	}
 	return out
 }

@@ -11,6 +11,18 @@ func Energy(x []complex128) float64 {
 	return e
 }
 
+// Dot returns the inner product Σ x[i]·conj(y[i]) over the shorter of the
+// two lengths: the unnormalised projection of x onto y.
+func Dot(x, y []complex128) complex128 {
+	y = y[:min(len(x), len(y))]
+	x = x[:len(y)]
+	var acc complex128
+	for i, v := range y {
+		acc += x[i] * complex(real(v), -imag(v))
+	}
+	return acc
+}
+
 // Power returns the mean of |x[i]|² (average power). It returns 0 for an
 // empty vector.
 func Power(x []complex128) float64 {

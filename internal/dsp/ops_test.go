@@ -184,3 +184,22 @@ func TestPhaseRange(t *testing.T) {
 		}
 	}
 }
+
+func TestDotUnequalLengths(t *testing.T) {
+	t.Parallel()
+	x := []complex128{1, 2i, 3, 4}
+	y := []complex128{1i, 1, 2}
+	// Σ x[i]·conj(y[i]) over the first three samples:
+	// 1·(−i) + 2i·1 + 3·2 = 6 + i.
+	want := complex(6, 1)
+	if got := Dot(x, y); got != want {
+		t.Fatalf("Dot(x, y) = %v, want %v", got, want)
+	}
+	// Swapping the operands conjugates the result.
+	if got := Dot(y, x); got != complex(6, -1) {
+		t.Fatalf("Dot(y, x) = %v, want %v", got, complex(6, -1))
+	}
+	if got := Dot(x, nil); got != 0 {
+		t.Fatalf("Dot(x, nil) = %v, want 0", got)
+	}
+}

@@ -46,31 +46,24 @@ func EstimateCFO(x []complex128, sampleRate float64) float64 {
 	if len(x) < 2 {
 		return 0
 	}
-	var acc complex128
-	for i := 1; i < len(x); i++ {
-		acc += x[i] * complex(real(x[i-1]), -imag(x[i-1]))
-	}
+	acc := Dot(x[1:], x)
 	return math.Atan2(imag(acc), real(acc)) * sampleRate / (2 * math.Pi)
 }
 
-// EstimateSNR estimates the signal-to-noise power ratio (linear) of a
-// received vector given a clean reference-aligned template. It projects the
-// received signal onto the template to find the complex gain, then measures
-// residual power. Both inputs must be the same length.
-func EstimateSNR(rx, template []complex128) float64 {
-	n := len(rx)
-	if n == 0 || len(template) != n {
-		return 0
-	}
+// FitGain fits the complex gain that best maps template onto rx in the
+// least-squares sense, gain = <rx, template>/|template|², and returns it with
+// the signal-to-noise power ratio (linear) of that fit: the fitted signal's
+// energy over the residual's. Inputs of unequal length are clipped to the
+// shorter. An empty input or a silent template gives (0, 0); a perfect fit
+// gives +Inf.
+func FitGain(rx, template []complex128) (gain complex128, snr float64) {
+	n := min(len(rx), len(template))
+	rx, template = rx[:n], template[:n]
 	tE := Energy(template)
 	if tE == 0 {
-		return 0
+		return 0, 0
 	}
-	var proj complex128
-	for i := range rx {
-		proj += rx[i] * complex(real(template[i]), -imag(template[i]))
-	}
-	gain := proj / complex(tE, 0)
+	gain = Dot(rx, template) / complex(tE, 0)
 	var sigE, noiseE float64
 	for i := range rx {
 		s := gain * template[i]
@@ -79,7 +72,7 @@ func EstimateSNR(rx, template []complex128) float64 {
 		noiseE += real(d)*real(d) + imag(d)*imag(d)
 	}
 	if noiseE == 0 {
-		return math.Inf(1)
+		return gain, math.Inf(1)
 	}
-	return sigE / noiseE
+	return gain, sigE / noiseE
 }

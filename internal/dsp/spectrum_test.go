@@ -47,7 +47,7 @@ func TestEstimateCFO(t *testing.T) {
 	}
 }
 
-func TestEstimateSNR(t *testing.T) {
+func TestFitGain(t *testing.T) {
 	t.Parallel()
 	r := rng.New(3)
 	tmpl := randomVec(r, 2000)
@@ -58,16 +58,38 @@ func TestEstimateSNR(t *testing.T) {
 		for i := range rx {
 			rx[i] = amp*tmpl[i] + r.Complex()
 		}
-		est := DB(EstimateSNR(rx, tmpl))
-		if math.Abs(est-snrDB) > 1.5 {
+		_, snr := FitGain(rx, tmpl)
+		if est := DB(snr); math.Abs(est-snrDB) > 1.5 {
 			t.Fatalf("snr %v dB estimated as %v dB", snrDB, est)
 		}
 	}
-	if EstimateSNR(nil, nil) != 0 {
+	if _, snr := FitGain(nil, nil); snr != 0 {
 		t.Fatal("degenerate SNR should be 0")
 	}
 	clean := Clone(tmpl)
-	if !math.IsInf(EstimateSNR(clean, tmpl), 1) {
+	if _, snr := FitGain(clean, tmpl); !math.IsInf(snr, 1) {
 		t.Fatal("noiseless SNR should be +Inf")
+	}
+}
+
+func TestFitGainDegenerate(t *testing.T) {
+	t.Parallel()
+	tmpl := []complex128{1, 1i, -1, -1i}
+	if g, snr := FitGain(nil, tmpl); g != 0 || snr != 0 {
+		t.Fatalf("empty rx: gain %v snr %v, want 0 0", g, snr)
+	}
+	if g, snr := FitGain([]complex128{1, 2, 3, 4}, make([]complex128, 4)); g != 0 || snr != 0 {
+		t.Fatalf("silent template: gain %v snr %v, want 0 0", g, snr)
+	}
+	// A scaled, rotated copy is a perfect fit: the gain is recovered
+	// exactly and nothing is left over.
+	want := complex(0, 2)
+	rx := ScaleComplex(Clone(tmpl), want)
+	if g, snr := FitGain(rx, tmpl); g != want || !math.IsInf(snr, 1) {
+		t.Fatalf("perfect fit: gain %v snr %v, want %v +Inf", g, snr, want)
+	}
+	// Unequal lengths fit over the shorter: extra rx samples are ignored.
+	if g, snr := FitGain(append(rx, 5, 5), tmpl); g != want || !math.IsInf(snr, 1) {
+		t.Fatalf("long rx: gain %v snr %v, want %v +Inf", g, snr, want)
 	}
 }

@@ -39,7 +39,7 @@ func Battery(opt Options) (Table, error) {
 				return Table{}, err
 			}
 			for _, v := range variants {
-				out := decodeMatches(scen, v.mk())
+				out := sim.EvaluateDecode(scen, v.mk()).Matched
 				macGen := gen.Split(uint64(ei) ^ 0xF00)
 				for pi, p := range scen.Packets {
 					airtime := float64(p.Length) / fs
@@ -72,13 +72,4 @@ func Battery(opt Options) (Table, error) {
 			100*(perBit[0]-perBit[1])/perBit[0]))
 	}
 	return t, nil
-}
-
-// decodeMatches runs a decoder over a scenario and returns, per ground-
-// truth packet, whether the decoder recovered it on the first attempt.
-func decodeMatches(scen sim.Scenario, dec *cancel.Decoder) []bool {
-	out := make([]bool, len(scen.Packets))
-	res := sim.EvaluateDecodeDetailed(scen, dec)
-	copy(out, res)
-	return out
 }

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -83,6 +86,13 @@ func TestFig3cShape(t *testing.T) {
 	}
 }
 
+// update rewrites the quick sweep's golden tables from this run:
+// go test ./internal/experiments/ -run TestRunAllQuick -update
+var update = flag.Bool("update", false, "rewrite testdata/<id>.golden from this run")
+
+// TestRunAllQuick is the physics gate: the quick sweep's output, split into
+// its tables, must equal testdata/<id>.golden byte for byte. Concatenated
+// in id order the goldens are exactly galiot-sim -exp all -quick.
 func TestRunAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")
@@ -95,11 +105,48 @@ func TestRunAllQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, id := range IDs() {
-		if !strings.Contains(out, "== "+id) {
+	ids := IDs()
+	starts := make([]int, len(ids)+1)
+	for i, id := range ids {
+		at := strings.Index(out, "== "+id+": ")
+		if at < 0 || (i > 0 && at < starts[i-1]) {
 			t.Fatalf("output missing experiment %s", id)
 		}
+		starts[i] = at
 	}
+	starts[len(ids)] = len(out)
+	for i, id := range ids {
+		got := out[starts[i]:starts[i+1]]
+		path := filepath.Join("testdata", id+".golden")
+		if *update {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Errorf("%s: %v (refresh with -update)", id, err)
+			continue
+		}
+		wantLines := strings.Split(string(want), "\n")
+		gotLines := strings.Split(got, "\n")
+		for n := 0; n < max(len(wantLines), len(gotLines)); n++ {
+			w, g := lineAt(wantLines, n), lineAt(gotLines, n)
+			if w != g {
+				t.Errorf("%s: table line %d differs:\nwant %q\n got %q", id, n+1, w, g)
+				break
+			}
+		}
+	}
+}
+
+// lineAt returns lines[n], or a marker past the end.
+func lineAt(lines []string, n int) string {
+	if n < len(lines) {
+		return lines[n]
+	}
+	return "<end of table>"
 }
 
 func TestRunUnknownID(t *testing.T) {

@@ -71,7 +71,6 @@ var (
 // Result is the outcome of one job, delivered to its done callback.
 type Result struct {
 	Report backhaul.FramesReport
-	Stats  cancel.Stats
 	// Err is non-nil when the job was skipped (context cancelled or
 	// deadline exceeded before a worker reached it) or the decode failed.
 	Err error
@@ -239,7 +238,7 @@ func (f *Farm) run() {
 			res.Err = err
 			f.deadline.Inc()
 		} else {
-			res.Report, res.Stats, res.Err = f.cfg.Decode(j.ctx, j.seg)
+			res.Report, _, res.Err = f.cfg.Decode(j.ctx, j.seg)
 		}
 		f.inFlightG.Add(-1)
 		f.completed.Inc()

@@ -561,22 +561,10 @@ func (r *Radio) Demodulate(rx []complex128, fs float64) (*phy.Frame, error) {
 		CFO:       cfo,
 		Corrected: hCorr + bCorr,
 	}
-	// Complex gain estimate: project rx onto the reconstructed waveform.
-	if ref, merr := r.Modulate(payload, fs); merr == nil && crcOK {
-		end := start + len(ref)
-		if end > len(rx) {
-			end = len(rx)
+	if crcOK {
+		if ref, err := r.Modulate(payload, fs); err == nil {
+			frame.Fit(rx, ref)
 		}
-		seg := rx[start:end]
-		refSeg := ref[:len(seg)]
-		var proj complex128
-		for i := range seg {
-			proj += seg[i] * complex(real(refSeg[i]), -imag(refSeg[i]))
-		}
-		if e := dsp.Energy(refSeg); e > 0 {
-			frame.Gain = proj / complex(e, 0)
-		}
-		frame.SNRdB = dsp.DB(dsp.EstimateSNR(seg, refSeg))
 	}
 	return frame, nil
 }

@@ -357,20 +357,7 @@ func (r *Radio) Demodulate(rx []complex128, fs float64) (*phy.Frame, error) {
 	}
 	if crcOK {
 		if ref, merr := r.Modulate(frame.Payload, fs); merr == nil {
-			end := start + len(ref)
-			if end > len(rx) {
-				end = len(rx)
-			}
-			seg := rx[start:end]
-			refSeg := ref[:len(seg)]
-			var proj complex128
-			for i := range seg {
-				proj += seg[i] * complex(real(refSeg[i]), -imag(refSeg[i]))
-			}
-			if e := dsp.Energy(refSeg); e > 0 {
-				frame.Gain = proj / complex(e, 0)
-			}
-			frame.SNRdB = dsp.DB(dsp.EstimateSNR(seg, refSeg))
+			frame.Fit(rx, ref)
 		}
 	}
 	return frame, nil

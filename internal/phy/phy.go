@@ -10,10 +10,15 @@
 // detector-aligned sample window (packet start near the beginning of the
 // window) and returns a decoded Frame carrying fine timing and complex-gain
 // estimates, which the successive-interference-cancellation engine needs to
-// reconstruct and subtract the signal.
+// reconstruct and subtract the signal. Every PHY sets a CRC-clean frame's
+// Gain and SNRdB the same way: Frame.Fit against its own reconstruction.
 package phy
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/dsp"
+)
 
 // Class is a modulation family. The cloud decoder picks its cancellation
 // strategy ("kill" filter) by class, not by technology, which is what lets
@@ -56,6 +61,15 @@ type Frame struct {
 	CFO       float64    // estimated residual carrier offset in Hz (0 if not measured)
 	SNRdB     float64    // estimated post-sync SNR in dB, if available
 	Corrected int        // FEC corrections applied
+}
+
+// Fit sets the frame's Gain and SNRdB from the received window rx and the
+// frame's reconstructed waveform ref: the least-squares gain of ref against
+// rx[f.Offset:], clipped to whichever ends first. Cancellation reuses the
+// gain; the SNR is that of the fit.
+func (f *Frame) Fit(rx, ref []complex128) {
+	gain, snr := dsp.FitGain(rx[f.Offset:], ref)
+	f.Gain, f.SNRdB = gain, dsp.DB(snr)
 }
 
 // Technology is a complete PHY implementation.

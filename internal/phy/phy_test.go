@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -26,5 +27,22 @@ func TestClassString(t *testing.T) {
 	}
 	if !strings.HasPrefix(Class(9).String(), "class(") {
 		t.Fatal("unknown class string")
+	}
+}
+
+func TestFrameFitClipsToWindow(t *testing.T) {
+	// The window ends five samples into an eight-sample reconstruction:
+	// Fit must use rx[Offset:] against ref's head, and ignore the junk
+	// before Offset.
+	ref := []complex128{1, 1i, -1, -1i, 2, 2i, -2, -2i}
+	gain := complex(0.5, -1.5)
+	rx := []complex128{9, -9i, 9}
+	for _, v := range ref[:5] {
+		rx = append(rx, gain*v)
+	}
+	f := &Frame{Offset: 3}
+	f.Fit(rx, ref)
+	if f.Gain != gain || !math.IsInf(f.SNRdB, 1) {
+		t.Fatalf("clipped perfect fit: gain %v SNR %v dB, want %v +Inf", f.Gain, f.SNRdB, gain)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"repro/internal/bits"
-	"repro/internal/dsp"
 	"repro/internal/phy"
 	"repro/internal/phy/fsk"
 )
@@ -153,8 +152,7 @@ func (r *Radio) Demodulate(rx []complex128, fs float64) (*phy.Frame, error) {
 		return nil, err
 	}
 	hdrAirBits := r.headerAirBits()
-	pre := r.Preamble(fs)
-	if len(rx) < len(pre)+r.modem.NumSamples(8*3, fs) {
+	if len(rx) < r.modem.NumSamples(len(hdrAirBits), fs)+r.modem.NumSamples(8*3, fs) {
 		return nil, fmt.Errorf("%w: xbee window too short", phy.ErrNoFrame)
 	}
 	disc := r.modem.Discriminate(rx, fs)
@@ -213,20 +211,7 @@ func (r *Radio) Demodulate(rx []complex128, fs float64) (*phy.Frame, error) {
 	}
 	if crcOK {
 		if ref, err := r.Modulate(payload, fs); err == nil {
-			end := start + len(ref)
-			if end > len(rx) {
-				end = len(rx)
-			}
-			seg := rx[start:end]
-			refSeg := ref[:len(seg)]
-			var proj complex128
-			for i := range seg {
-				proj += seg[i] * complex(real(refSeg[i]), -imag(refSeg[i]))
-			}
-			if e := dsp.Energy(refSeg); e > 0 {
-				frame.Gain = proj / complex(e, 0)
-			}
-			frame.SNRdB = dsp.DB(dsp.EstimateSNR(seg, refSeg))
+			frame.Fit(rx, ref)
 		}
 	}
 	return frame, nil

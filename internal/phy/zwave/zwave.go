@@ -226,24 +226,17 @@ func (r *Radio) Modulate(payload []byte, fs float64) ([]complex128, error) {
 	if len(payload) > r.cfg.MaxPayload {
 		return nil, fmt.Errorf("zwave: payload %d exceeds max %d", len(payload), r.cfg.MaxPayload)
 	}
-	return r.modulateMPDU(r.mpdu(payload, 0xFF), fs)
-}
-
-// modulateMPDU produces the waveform of an already-assembled MPDU; it is
-// used both by Modulate and to reconstruct a received frame bit-exactly
-// (including its original HomeID) for interference cancellation.
-func (r *Radio) modulateMPDU(mpdu []byte, fs float64) ([]complex128, error) {
-	air := append([]byte{}, r.headerAirBits()...)
-	air = append(air, r.lineCode(bits.Unpack(mpdu))...)
-	w, err := r.modem.ModulateBits(air, fs)
+	w, err := r.modulateBaseMPDU(r.mpdu(payload, 0xFF), fs)
 	if err != nil {
 		return nil, err
 	}
 	return dsp.Mix(w, r.cfg.CenterOffset, 0, fs), nil
 }
 
-// modulateBaseMPDU is modulateMPDU without the center-offset shift, used
-// for gain estimation against a downshifted receive window.
+// modulateBaseMPDU produces the waveform of an already-assembled MPDU before
+// the center-offset shift: Modulate shifts it, and Demodulate fits it
+// against its downshifted window, reconstructing the received frame
+// bit-exactly (its original HomeID included).
 func (r *Radio) modulateBaseMPDU(mpdu []byte, fs float64) ([]complex128, error) {
 	air := append([]byte{}, r.headerAirBits()...)
 	air = append(air, r.lineCode(bits.Unpack(mpdu))...)
@@ -265,23 +258,19 @@ func (r *Radio) Demodulate(rx []complex128, fs float64) (*phy.Frame, error) {
 	if r.cfg.CenterOffset != 0 {
 		rx = dsp.Mix(dsp.Clone(rx), -r.cfg.CenterOffset, 0, fs)
 	}
-	pre, err := r.modem.ModulateBits(r.headerAirBits(), fs)
-	if err != nil {
-		return nil, err
-	}
+	hdrAirBits := r.headerAirBits()
 	minMPDU := 10 * 8 * r.airBitsPerLogical()
-	if len(rx) < len(pre)+r.modem.NumSamples(minMPDU, fs) {
+	if len(rx) < r.modem.NumSamples(len(hdrAirBits), fs)+r.modem.NumSamples(minMPDU, fs) {
 		return nil, fmt.Errorf("%w: zwave window too short", phy.ErrNoFrame)
 	}
 	disc := r.modem.Discriminate(rx, fs)
-	start, quality := r.modem.SyncDisc(disc, r.headerAirBits(), fs)
+	start, quality := r.modem.SyncDisc(disc, hdrAirBits, fs)
 	if quality < 0.35 {
 		return nil, fmt.Errorf("%w: zwave preamble not found (quality %.3f)", phy.ErrNoFrame, quality)
 	}
 	cfo := r.modem.EstimateCFO(disc, start, 8*r.cfg.PreambleLen*r.airBitsPerLogical(), fs)
 
-	hdrAir := len(r.headerAirBits())
-	mpduStart := start + r.modem.NumSamples(hdrAir, fs)
+	mpduStart := start + r.modem.NumSamples(len(hdrAirBits), fs)
 	minLen := 4 + 1 + 2 + 1 + 1 + 1
 
 	// parse runs the MPDU state machine over one bit-decision strategy.
@@ -336,20 +325,7 @@ func (r *Radio) Demodulate(rx []complex128, fs float64) (*phy.Frame, error) {
 	if crcOK {
 		// rx is the downshifted view here, so reconstruct at baseband.
 		if ref, err := r.modulateBaseMPDU(mpdu, fs); err == nil {
-			end := start + len(ref)
-			if end > len(rx) {
-				end = len(rx)
-			}
-			seg := rx[start:end]
-			refSeg := ref[:len(seg)]
-			var proj complex128
-			for i := range seg {
-				proj += seg[i] * complex(real(refSeg[i]), -imag(refSeg[i]))
-			}
-			if e := dsp.Energy(refSeg); e > 0 {
-				frame.Gain = proj / complex(e, 0)
-			}
-			frame.SNRdB = dsp.DB(dsp.EstimateSNR(seg, refSeg))
+			frame.Fit(rx, ref)
 		}
 	}
 	return frame, nil

@@ -73,6 +73,7 @@ type DecodeOutcome struct {
 	Bits      int     // payload bits successfully recovered
 	Seconds   float64 // episode airtime
 	Stats     cancel.Stats
+	Matched   []bool // per ground-truth packet: recovered by some frame
 }
 
 // Throughput returns recovered payload bits per second.
@@ -85,18 +86,24 @@ func (o DecodeOutcome) Throughput() float64 {
 
 // EvaluateDecode runs a decoder over the scenario capture and scores the
 // recovered frames against ground truth. A frame matches if technology and
-// payload agree with an unclaimed ground-truth packet.
+// payload agree with an unclaimed ground-truth packet; Matched records which
+// packets were claimed, for consumers that need per-frame outcomes (the MAC
+// retransmission model).
 func EvaluateDecode(s Scenario, dec *cancel.Decoder) DecodeOutcome {
 	frames, stats := dec.Decode(s.Capture)
-	out := DecodeOutcome{Total: len(s.Packets), Seconds: s.AirtimeSeconds(), Stats: stats}
-	claimed := make([]bool, len(s.Packets))
+	out := DecodeOutcome{
+		Total:   len(s.Packets),
+		Seconds: s.AirtimeSeconds(),
+		Stats:   stats,
+		Matched: make([]bool, len(s.Packets)),
+	}
 	for _, f := range frames {
 		matched := false
 		for i, p := range s.Packets {
-			if claimed[i] || f.Tech != p.Tech || !bytes.Equal(f.Payload, p.Payload) {
+			if out.Matched[i] || f.Tech != p.Tech || !bytes.Equal(f.Payload, p.Payload) {
 				continue
 			}
-			claimed[i] = true
+			out.Matched[i] = true
 			matched = true
 			out.Recovered++
 			out.Bits += len(p.Payload) * 8
@@ -104,25 +111,6 @@ func EvaluateDecode(s Scenario, dec *cancel.Decoder) DecodeOutcome {
 		}
 		if !matched {
 			out.Spurious++
-		}
-	}
-	return out
-}
-
-// EvaluateDecodeDetailed runs a decoder over the scenario and returns a
-// per-ground-truth-packet recovery flag (technology and payload matched),
-// for consumers that need per-frame outcomes rather than aggregates (the
-// MAC retransmission model).
-func EvaluateDecodeDetailed(s Scenario, dec *cancel.Decoder) []bool {
-	frames, _ := dec.Decode(s.Capture)
-	out := make([]bool, len(s.Packets))
-	for _, f := range frames {
-		for i, p := range s.Packets {
-			if out[i] || f.Tech != p.Tech || !bytes.Equal(f.Payload, p.Payload) {
-				continue
-			}
-			out[i] = true
-			break
 		}
 	}
 	return out

@@ -142,6 +142,9 @@ func TestEvaluateDecodeRecovers(t *testing.T) {
 	if out.Spurious != 0 {
 		t.Fatalf("spurious frames: %d", out.Spurious)
 	}
+	if len(out.Matched) != 2 || !out.Matched[0] || !out.Matched[1] {
+		t.Fatalf("matched %v, want both packets claimed", out.Matched)
+	}
 }
 
 func TestMaxPacketSamples(t *testing.T) {
