@@ -17,6 +17,7 @@ type Candidate struct {
 	Offset int     // approximate packet start (preamble correlation peak)
 	Score  float64 // normalized preamble correlation in [0, 1]
 	Power  float64 // estimated received power of the candidate (linear)
+	idx    int     // index of Tech in the decoder's technology list
 }
 
 // Stats aggregates what CloudDecode did to resolve a capture.
@@ -41,10 +42,14 @@ func (s *Stats) Add(other Stats) {
 	s.Duplicates += other.Duplicates
 }
 
-// Decoder performs collision decoding over a fixed technology set.
+// Decoder performs collision decoding over a fixed technology set. Every
+// waveform it correlates or filters with is built once, by NewDecoder, and
+// only read afterwards, so one Decoder may serve concurrent decodes.
 type Decoder struct {
-	Techs []phy.Technology
-	FS    float64
+	techs []phy.Technology
+	fs    float64
+	pres  [][]complex128 // pres[i] is techs[i]'s preamble at fs
+	kills []killData     // kills[i] is what techs[i]'s kill filter reads
 	// useKillFilters enables the Algorithm-1 kill-filter fallback; when
 	// false the decoder is the plain SIC baseline. NewDecoder sets it and
 	// NewSIC clears it.
@@ -59,9 +64,47 @@ type Decoder struct {
 	MaxRounds int
 }
 
-// NewDecoder returns a CloudDecode decoder (kill filters enabled).
+// killData is what one technology's kill filter reads: the tones and notch
+// width of KILL-FREQUENCY, the base chirps of KILL-CSS or the code
+// waveforms of KILL-CODES. ok is false when the technology does not
+// implement its class's interface, so there is no filter for it.
+type killData struct {
+	ok       bool
+	tones    []float64
+	width    float64
+	down, up []complex128
+	codes    [][]complex128
+}
+
+// NewDecoder returns a CloudDecode decoder (kill filters enabled) over
+// techs at sample rate fs. It builds every preamble and kill-filter
+// waveform, so it panics where a technology cannot be modulated at fs.
 func NewDecoder(techs []phy.Technology, fs float64) *Decoder {
-	return &Decoder{Techs: techs, FS: fs, useKillFilters: true}
+	d := &Decoder{techs: techs, fs: fs, useKillFilters: true}
+	d.pres, d.kills = make([][]complex128, len(techs)), make([]killData, len(techs))
+	for i, t := range techs {
+		d.pres[i] = t.Preamble(fs)
+		k := &d.kills[i]
+		switch t.Class() {
+		case phy.ClassFSK:
+			if tt, ok := t.(phy.ToneTechnology); ok {
+				k.ok, k.tones, k.width = true, tt.Tones(), FSKKillWidth(t.BitRate())
+			}
+		case phy.ClassPSK:
+			if nb, ok := t.(phy.NarrowbandTechnology); ok {
+				k.ok, k.tones, k.width = true, []float64{nb.Center()}, nb.OccupiedBandwidth()
+			}
+		case phy.ClassCSS:
+			if ct, ok := t.(phy.ChirpTechnology); ok {
+				k.ok, k.down, k.up = true, ct.Chirp(false, fs), ct.Chirp(true, fs)
+			}
+		case phy.ClassDSSS:
+			if cd, ok := t.(phy.CodedTechnology); ok {
+				k.ok, k.codes = true, cd.CodeWaveforms(fs)
+			}
+		}
+	}
+	return d
 }
 
 // NewSIC returns the plain successive-interference-cancellation baseline.
@@ -75,15 +118,10 @@ func NewSIC(techs []phy.Technology, fs float64) *Decoder {
 // returns the candidates above minScore, strongest estimated power first.
 // The capture is transformed once for the whole preamble bank.
 func (d *Decoder) Classify(rx []complex128) []Candidate {
-	pres := make([][]complex128, len(d.Techs))
-	for i, t := range d.Techs {
-		pres[i] = t.Preamble(d.FS)
-	}
 	var out []Candidate
 	// A preamble that is empty or longer than rx has a nil metric, whose
 	// MaxPeak index is -1.
-	for i, metric := range dsp.NormalizedCorrelateAll(rx, pres...) {
-		t, pre := d.Techs[i], pres[i]
+	for i, metric := range dsp.NormalizedCorrelateAll(rx, d.pres...) {
 		pk := dsp.MaxPeak(metric)
 		if pk.Index < 0 || pk.Value < minScore {
 			continue
@@ -91,12 +129,13 @@ func (d *Decoder) Classify(rx []complex128) []Candidate {
 		// Estimated candidate power: correlation square times the local
 		// window power (the fraction of window power explained by the
 		// template).
-		winPower := dsp.Power(rx[pk.Index:min(pk.Index+len(pre), len(rx))])
+		winPower := dsp.Power(rx[pk.Index:min(pk.Index+len(d.pres[i]), len(rx))])
 		out = append(out, Candidate{
-			Tech:   t,
+			Tech:   d.techs[i],
 			Offset: pk.Index,
 			Score:  pk.Value,
 			Power:  pk.Value * pk.Value * winPower,
+			idx:    i,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Power > out[j].Power })
@@ -147,7 +186,7 @@ func (d *Decoder) EdgeDecode(rx []complex128, lastResort bool) *phy.Frame {
 			}
 		}
 	}
-	frame, _ := tryDecode(best.Tech, rx, d.FS)
+	frame, _ := tryDecode(best.Tech, rx, d.fs)
 	return frame
 }
 
@@ -213,34 +252,24 @@ func subtractFrame(rx []complex128, t phy.Technology, frame *phy.Frame, fs float
 	return 1 - after/before
 }
 
-// killTech removes candidate j's technology from rx using the kill filter
-// for its modulation class, returning the filtered copy and which counter
-// to bump.
-func (d *Decoder) killTech(rx []complex128, j phy.Technology, stats *Stats) []complex128 {
-	if d.DisabledFilters[j.Class()] {
+// killTech removes technology i from rx using the kill filter for its
+// modulation class, returning the filtered view and bumping that filter's
+// counter.
+func (d *Decoder) killTech(rx []complex128, i int, stats *Stats) []complex128 {
+	class, k := d.techs[i].Class(), &d.kills[i]
+	if !k.ok || d.DisabledFilters[class] {
 		return rx
 	}
-	switch j.Class() {
-	case phy.ClassFSK:
-		if tt, ok := j.(phy.ToneTechnology); ok {
-			stats.KillFreq++
-			return KillFrequency(rx, tt.Tones(), FSKKillWidth(j.BitRate()), d.FS)
-		}
-	case phy.ClassPSK:
-		if nb, ok := j.(phy.NarrowbandTechnology); ok {
-			stats.KillFreq++
-			return KillFrequency(rx, []float64{nb.Center()}, nb.OccupiedBandwidth(), d.FS)
-		}
+	switch class {
+	case phy.ClassFSK, phy.ClassPSK:
+		stats.KillFreq++
+		return KillFrequency(rx, k.tones, k.width, d.fs)
 	case phy.ClassCSS:
-		if ct, ok := j.(phy.ChirpTechnology); ok {
-			stats.KillCSS++
-			return NewCSSKiller(ct).Apply(rx, d.FS)
-		}
+		stats.KillCSS++
+		return killCSS(rx, k.down, k.up)
 	case phy.ClassDSSS:
-		if cd, ok := j.(phy.CodedTechnology); ok {
-			stats.KillCodes++
-			return KillCodes(rx, cd, d.FS, minScore)
-		}
+		stats.KillCodes++
+		return killCodes(rx, d.pres[i], k.codes, minScore)
 	}
 	return rx
 }
@@ -296,7 +325,7 @@ func (d *Decoder) DecodeTraced(rx []complex128, sp *obs.Span) ([]*phy.Frame, Sta
 	// retransmissions with identical payloads inside a single shipped
 	// segment are far rarer than imperfect cancellation.
 	accept := func(t phy.Technology, f *phy.Frame) {
-		subtractFrame(residual, t, f, d.FS, 4)
+		subtractFrame(residual, t, f, d.fs, 4)
 		if slices.ContainsFunc(decoded, func(prev *phy.Frame) bool {
 			return prev.Tech == f.Tech && bytes.Equal(prev.Payload, f.Payload)
 		}) {
@@ -315,7 +344,7 @@ func (d *Decoder) DecodeTraced(rx []complex128, sp *obs.Span) ([]*phy.Frame, Sta
 		}
 		progress := false
 		for ci, c := range cands {
-			if frame, ok := tryDecode(c.Tech, residual, d.FS); ok {
+			if frame, ok := tryDecode(c.Tech, residual, d.fs); ok {
 				accept(c.Tech, frame)
 				progress = true
 				break
@@ -341,11 +370,11 @@ func (d *Decoder) DecodeTraced(rx []complex128, sp *obs.Span) ([]*phy.Frame, Sta
 			filtered := residual
 			for _, o := range others {
 				tKill := sp.Now()
-				filtered = d.killTech(filtered, o.Tech, &stats)
+				filtered = d.killTech(filtered, o.idx, &stats)
 				if sp != nil {
 					sp.Stage(killStageName(o.Tech.Class()), sp.Now()-tKill, dsp.Energy(filtered))
 				}
-				if frame, ok := tryDecode(c.Tech, filtered, d.FS); ok {
+				if frame, ok := tryDecode(c.Tech, filtered, d.fs); ok {
 					accept(c.Tech, frame)
 					progress = true
 					break

@@ -19,8 +19,8 @@ import (
 // normalized correlation, and so one forward FFT of rx, per technology.
 func oldClassify(d *Decoder, rx []complex128) []Candidate {
 	var out []Candidate
-	for _, t := range d.Techs {
-		pre := t.Preamble(d.FS)
+	for _, t := range d.techs {
+		pre := t.Preamble(d.fs)
 		if len(pre) == 0 || len(rx) < len(pre) {
 			continue
 		}
@@ -73,8 +73,9 @@ func ifft(x []complex128) []complex128 {
 // out of the block loop (an FFT, magnitude, median and IFFT buffer and a
 // hot-bin list allocated per chirp period).
 func oldCSSApply(k *CSSKiller, rx []complex128, fs float64) []complex128 {
-	bw := k.tech.ChirpBandwidth()
-	chips := 1 << uint(k.tech.SpreadingFactor())
+	cfg := k.tech.(*lora.Radio).Config()
+	bw := cfg.Bandwidth
+	chips := 1 << uint(cfg.SF)
 	osr := int(math.Round(fs / bw))
 	if osr < 1 {
 		return dsp.Clone(rx)
@@ -86,7 +87,7 @@ func oldCSSApply(k *CSSKiller, rx []complex128, fs float64) []complex128 {
 	down := baseChirp(false, chips, osr, bw, fs)
 	up := baseChirp(true, chips, osr, bw, fs)
 	out := dsp.Clone(rx)
-	threshold := dsp.FromDB(k.DominanceDB)
+	threshold := dsp.FromDB(cssDominanceDB)
 	for start := 0; start+n <= len(out); start += n {
 		block := out[start : start+n]
 		for i := range block {
@@ -112,8 +113,8 @@ func oldCSSApply(k *CSSKiller, rx []complex128, fs float64) []complex128 {
 		}
 		if len(hot) > 0 {
 			sort.Slice(hot, func(a, b int) bool { return hot[a].mag > hot[b].mag })
-			if len(hot) > k.MaxNotchPerBlock {
-				hot = hot[:k.MaxNotchPerBlock]
+			if len(hot) > cssMaxNotch {
+				hot = hot[:cssMaxNotch]
 			}
 			for _, h := range hot {
 				for d := -1; d <= 1; d++ {
@@ -128,6 +129,51 @@ func oldCSSApply(k *CSSKiller, rx []complex128, fs float64) []complex128 {
 		}
 	}
 	return out
+}
+
+// baseChirp is the chirp KILL-CSS synthesized for itself before it asked
+// the technology for one: one chirp period, fully determined by SF, BW and
+// fs.
+func baseChirp(upDir bool, chips, osr int, bw, fs float64) []complex128 {
+	n := chips * osr
+	out := make([]complex128, n)
+	phase := 0.0
+	for i := 0; i < n; i++ {
+		f := -bw/2 + bw*float64(i%n)/float64(n)
+		if !upDir {
+			f = -f
+		}
+		s, c := math.Sincos(phase)
+		out[i] = complex(c, s)
+		phase += 2 * math.Pi * f / fs
+		if phase > math.Pi {
+			phase -= 2 * math.Pi
+		} else if phase < -math.Pi {
+			phase += 2 * math.Pi
+		}
+	}
+	return out
+}
+
+// TestLoRaChirpMatchesOldBaseChirp: the chirps KILL-CSS now takes from
+// lora are bit for bit the ones it used to synthesize, at three rates and
+// two spreading factors.
+func TestLoRaChirpMatchesOldBaseChirp(t *testing.T) {
+	sf9, err := lora.New(lora.Config{SF: 9, Bandwidth: 125e3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*lora.Radio{lora.Default(), sf9} {
+		cfg := r.Config()
+		for _, rate := range []float64{250e3, 1e6, 2e6} {
+			osr := int(math.Round(rate / cfg.Bandwidth))
+			for _, up := range []bool{false, true} {
+				if !sameSamples(r.Chirp(up, rate), baseChirp(up, 1<<uint(cfg.SF), osr, cfg.Bandwidth, rate)) {
+					t.Fatalf("SF%d at %g Hz, up=%v: lora.Chirp differs from the old base chirp", cfg.SF, rate, up)
+				}
+			}
+		}
+	}
 }
 
 // sameSamples compares bit patterns, so even the sign of a zero counts.

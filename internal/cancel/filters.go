@@ -71,20 +71,21 @@ func FSKKillWidth(bitRate float64) float64 { return 0.3 * bitRate }
 // symbol synchronization and never decodes the LoRa transmission.
 type CSSKiller struct {
 	tech phy.ChirpTechnology
-	// MaxNotchPerBlock bounds how many FFT bins are cleared per chirp
-	// period (each LoRa symbol contributes at most 2 dechirped tones, and
-	// misalignment doubles that; the default 8 leaves headroom for strong
-	// multipath-like leakage).
-	MaxNotchPerBlock int
-	// DominanceDB is how far above the block's median a bin must sit to be
-	// considered CSS energy (default 12 dB).
-	DominanceDB float64
 }
 
 // NewCSSKiller returns a KILL-CSS filter for the given chirp technology.
 func NewCSSKiller(tech phy.ChirpTechnology) *CSSKiller {
-	return &CSSKiller{tech: tech, MaxNotchPerBlock: 8, DominanceDB: 12}
+	return &CSSKiller{tech: tech}
 }
+
+// cssMaxNotch bounds how many FFT bins KILL-CSS clears per chirp period:
+// each LoRa symbol contributes at most 2 dechirped tones and misalignment
+// doubles that; 8 leaves headroom for strong multipath-like leakage.
+const cssMaxNotch = 8
+
+// cssDominanceDB is how far above its block's median a dechirped bin must
+// sit to count as CSS energy.
+const cssDominanceDB = 12
 
 // hotBin is a dechirped FFT bin that KILL-CSS considers CSS energy.
 type hotBin struct {
@@ -100,25 +101,23 @@ func strongestFirst(hot []hotBin) {
 	slices.SortFunc(hot, func(a, b hotBin) int { return cmp.Compare(b.mag, a.mag) })
 }
 
-// Apply runs the filter, returning a new slice. Its allocations are fixed
-// per call (the output, both base chirps and one set of per-block scratch),
-// whatever the capture length.
+// Apply runs the filter at sample rate fs, which must be a rate the
+// technology can modulate at, returning a new slice. It synthesizes the
+// base chirps on every call; a Decoder builds them once.
 func (k *CSSKiller) Apply(rx []complex128, fs float64) []complex128 {
-	bw := k.tech.ChirpBandwidth()
-	chips := 1 << uint(k.tech.SpreadingFactor())
-	osr := int(math.Round(fs / bw))
-	if osr < 1 {
-		return dsp.Clone(rx)
-	}
-	n := chips * osr // samples per chirp period
-	if len(rx) < n {
-		return dsp.Clone(rx)
-	}
-	down := baseChirp(false, chips, osr, bw, fs)
-	up := baseChirp(true, chips, osr, bw, fs)
+	return killCSS(rx, k.tech.Chirp(false, fs), k.tech.Chirp(true, fs))
+}
 
+// killCSS is KILL-CSS with the base downchirp and upchirp given, one chirp
+// period each. Its allocations are fixed per call (the output and one set
+// of per-block scratch), whatever the capture length.
+func killCSS(rx, down, up []complex128) []complex128 {
+	n := len(down) // samples per chirp period
+	if n == 0 || len(rx) < n {
+		return dsp.Clone(rx)
+	}
 	out := dsp.Clone(rx)
-	threshold := dsp.FromDB(k.DominanceDB)
+	threshold := dsp.FromDB(cssDominanceDB)
 	spec := make([]complex128, n)
 	mags := make([]float64, n)
 	sorted := make([]float64, n)
@@ -149,8 +148,8 @@ func (k *CSSKiller) Apply(rx []complex128, fs float64) []complex128 {
 		}
 		if len(hot) > 0 {
 			strongestFirst(hot)
-			if len(hot) > k.MaxNotchPerBlock {
-				hot = hot[:k.MaxNotchPerBlock]
+			if len(hot) > cssMaxNotch {
+				hot = hot[:cssMaxNotch]
 			}
 			for _, h := range hot {
 				// clear the bin and one neighbor each side (fractional
@@ -171,44 +170,22 @@ func (k *CSSKiller) Apply(rx []complex128, fs float64) []complex128 {
 	return out
 }
 
-// baseChirp synthesizes one chirp period (duplicated from the lora package
-// to keep cancel independent of any single PHY implementation; the chirp is
-// fully determined by SF, BW and fs).
-func baseChirp(upDir bool, chips, osr int, bw, fs float64) []complex128 {
-	n := chips * osr
-	out := make([]complex128, n)
-	phase := 0.0
-	for i := 0; i < n; i++ {
-		f := -bw/2 + bw*float64(i%n)/float64(n)
-		if !upDir {
-			f = -f
-		}
-		s, c := math.Sincos(phase)
-		out[i] = complex(c, s)
-		phase += 2 * math.Pi * f / fs
-		if phase > math.Pi {
-			phase -= 2 * math.Pi
-		} else if phase < -math.Pi {
-			phase += 2 * math.Pi
-		}
-	}
-	return out
-}
-
 // KillCodes projects DSSS transmissions out of the capture. The filter
 // synchronizes to the coded technology's preamble, then for every symbol
 // slot projects the received chip-rate samples onto each of the known
 // spreading-code waveforms and subtracts the strongest projection. Because
 // the code waveforms are (quasi-)orthogonal, other technologies lose almost
 // no energy. If the coded technology's preamble is not present above
-// minQuality, rx is returned unchanged.
+// minQuality, rx is returned unchanged. It synthesizes the preamble and the
+// code waveforms on every call; a Decoder builds them once.
 func KillCodes(rx []complex128, tech phy.CodedTechnology, fs float64, minQuality float64) []complex128 {
-	codes := tech.ChipCodes()
-	if len(codes) == 0 {
-		return dsp.Clone(rx)
-	}
-	pre := tech.Preamble(fs)
-	if len(pre) == 0 || len(rx) < len(pre) {
+	return killCodes(rx, tech.Preamble(fs), tech.CodeWaveforms(fs), minQuality)
+}
+
+// killCodes is KILL-CODES with the preamble pre and the per-symbol code
+// waveforms given.
+func killCodes(rx, pre []complex128, waves [][]complex128, minQuality float64) []complex128 {
+	if len(waves) == 0 || len(pre) == 0 || len(rx) < len(pre) {
 		return dsp.Clone(rx)
 	}
 	metric := dsp.NormalizedCorrelate(rx, pre)
@@ -218,11 +195,6 @@ func KillCodes(rx []complex128, tech phy.CodedTechnology, fs float64, minQuality
 	}
 	start := pk.Index
 
-	// Build the 16 per-symbol code waveforms once.
-	waves := codeWaveforms(tech, fs)
-	if len(waves) == 0 {
-		return dsp.Clone(rx)
-	}
 	symLen := len(waves[0])
 	out := dsp.Clone(rx)
 	// Walk symbol slots from the sync point until projections stop finding
@@ -262,47 +234,6 @@ func KillCodes(rx []complex128, tech phy.CodedTechnology, fs float64, minQuality
 		for i := range seg {
 			seg[i] -= bestGain * w[i]
 		}
-	}
-	return out
-}
-
-// codeWaveforms renders each spreading code as a baseband waveform using
-// the technology's own modulator conventions: O-QPSK half-sine, even chips
-// on I, odd on Q. The waveform spans one symbol (32 chips) plus the
-// trailing half-pulse.
-func codeWaveforms(tech phy.CodedTechnology, fs float64) [][]complex128 {
-	codes := tech.ChipCodes()
-	spcF := fs / tech.ChipRate()
-	spc := int(math.Round(spcF))
-	if spc < 2 || math.Abs(spcF-float64(spc)) > 1e-9 {
-		return nil
-	}
-	nChips := len(codes[0])
-	symLen := nChips * spc
-	pulse := make([]float64, 2*spc)
-	for t := range pulse {
-		pulse[t] = math.Sin(math.Pi * float64(t) / float64(2*spc))
-	}
-	out := make([][]complex128, len(codes))
-	for ci, code := range codes {
-		//lint:ignore hotloopalloc one waveform per spreading code, each escaping via the result
-		w := make([]complex128, symLen)
-		for i, chip := range code {
-			d := float64(2*int(chip) - 1)
-			startSample := i * spc
-			for t, p := range pulse {
-				idx := startSample + t
-				if idx >= symLen {
-					break
-				}
-				if i%2 == 0 {
-					w[idx] += complex(d*p, 0)
-				} else {
-					w[idx] += complex(0, d*p)
-				}
-			}
-		}
-		out[ci] = w
 	}
 	return out
 }

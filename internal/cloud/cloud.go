@@ -245,10 +245,11 @@ func ReadHello(conn *backhaul.Conn) (backhaul.Hello, error) {
 // SDR the gateway models.
 const maxSampleRate = 64e6
 
-// checkRate vets a peer-claimed sample rate by building every technology's
-// preamble at it once. A PHY panics on a rate it cannot run at — a
-// configuration bug everywhere else — but here the rate is outside input,
-// so the panic is reported as an error instead of reaching a farm worker.
+// checkRate vets a peer-claimed sample rate by building a decoder at it
+// once, so a rate is refused exactly when no segment at it could be
+// decoded. A PHY panics on a rate it cannot run at — a configuration bug
+// everywhere else — but here the rate is outside input, so the panic is
+// reported as an error instead of reaching a farm worker.
 func (s *Service) checkRate(fs float64) (err error) {
 	if !(fs > 0 && fs <= maxSampleRate) { // written so that NaN fails too
 		return fmt.Errorf("cloud: hello sample rate %v out of range", fs)
@@ -258,9 +259,7 @@ func (s *Service) checkRate(fs float64) (err error) {
 			err = fmt.Errorf("cloud: hello sample rate %v unsupported: %v", fs, r)
 		}
 	}()
-	for _, t := range s.Techs {
-		t.Preamble(fs)
-	}
+	cancel.NewDecoder(s.Techs, fs)
 	return nil
 }
 

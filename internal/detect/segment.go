@@ -7,13 +7,16 @@ package detect
 // and any frames colliding with it.
 type Segment struct {
 	Start   int          // first sample index within the capture
-	Samples []complex128 // the extracted samples
+	Samples []complex128 // the extracted samples, a window of the capture
 }
 
 // ExtractSegments cuts one segment per detection: from maxPacket/2 samples
 // before the event to 3·maxPacket/2 after it (total 2× the maximum packet
 // length), clipped to the capture bounds. Overlapping segments are merged
 // so a collision of several technologies ships as one contiguous block.
+// Each segment's Samples alias rx (capped at the segment's end, so an
+// append cannot write into rx); a caller that keeps a segment beyond rx's
+// lifetime copies it.
 func ExtractSegments(rx []complex128, detections []Detection, maxPacket int) []Segment {
 	if maxPacket < 1 {
 		maxPacket = 1
@@ -47,10 +50,7 @@ func ExtractSegments(rx []complex128, detections []Detection, maxPacket int) []S
 	}
 	out := make([]Segment, 0, len(merged))
 	for _, s := range merged {
-		//lint:ignore hotloopalloc each segment escapes via the result and needs its own backing buffer
-		seg := make([]complex128, s.hi-s.lo)
-		copy(seg, rx[s.lo:s.hi])
-		out = append(out, Segment{Start: s.lo, Samples: seg})
+		out = append(out, Segment{Start: s.lo, Samples: rx[s.lo:s.hi:s.hi]})
 	}
 	return out
 }

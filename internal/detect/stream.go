@@ -82,7 +82,7 @@ func (s *Stream) collect(final bool) []StreamSegment {
 		}
 		//lint:ignore hotloopalloc each emitted segment escapes via the result and needs its own backing buffer
 		samples := make([]complex128, len(seg.Samples)-clip)
-		copy(samples, seg.Samples[clip:])
+		copy(samples, seg.Samples[clip:]) // seg aliases buf, which trim reuses
 		out = append(out, StreamSegment{Start: absStart + int64(clip), Samples: samples})
 		s.emitted = absEnd
 	}

@@ -160,7 +160,6 @@ func detectWith(metric []float64, threshold float64, minGap int) []Detection {
 type UniversalDetector struct {
 	U         *Universal
 	Threshold float64 // normalized correlation threshold
-	MinGap    int     // non-maximum suppression distance in samples
 	// Chunk > 0 splits the template into chunks of that many samples and
 	// sums correlation magnitudes non-coherently, trading a little
 	// sensitivity for robustness to carrier frequency offset. Chunk == 0
@@ -176,7 +175,7 @@ func NewUniversal(techs []phy.Technology, fs, threshold float64) (*UniversalDete
 	if err != nil {
 		return nil, err
 	}
-	return &UniversalDetector{U: u, Threshold: threshold, MinGap: len(u.Template)}, nil
+	return &UniversalDetector{U: u, Threshold: threshold}, nil
 }
 
 // Name implements Detector.
@@ -190,13 +189,10 @@ func (d *UniversalDetector) Metric(rx []complex128) []float64 {
 	return chunkedMetric(rx, d.U.Template, d.Chunk)
 }
 
-// Detect implements Detector.
+// Detect implements Detector. Peaks closer than one template length are
+// suppressed.
 func (d *UniversalDetector) Detect(rx []complex128) []Detection {
-	gap := d.MinGap
-	if gap <= 0 {
-		gap = len(d.U.Template)
-	}
-	return detectWith(d.Metric(rx), d.Threshold, gap)
+	return detectWith(d.Metric(rx), d.Threshold, len(d.U.Template))
 }
 
 // chunkedMetric computes the mean of per-chunk normalized correlation
@@ -232,23 +228,20 @@ func chunkedMetric(rx, tmpl []complex128, chunk int) []float64 {
 type MatchedBank struct {
 	Techs     []phy.Technology
 	Threshold float64
-	MinGap    int
-	fs        float64
 	templates [][]complex128
+	gap       int // non-maximum suppression distance: the shortest preamble
 }
 
 // NewMatchedBank builds the per-technology matched filter bank.
 func NewMatchedBank(techs []phy.Technology, fs, threshold float64) *MatchedBank {
-	b := &MatchedBank{Techs: techs, Threshold: threshold, fs: fs}
-	minLen := 0
+	b := &MatchedBank{Techs: techs, Threshold: threshold}
 	for _, t := range techs {
 		p := t.Preamble(fs)
 		b.templates = append(b.templates, p)
-		if minLen == 0 || len(p) < minLen {
-			minLen = len(p)
+		if b.gap == 0 || len(p) < b.gap {
+			b.gap = len(p)
 		}
 	}
-	b.MinGap = minLen
 	return b
 }
 
@@ -275,11 +268,7 @@ func (b *MatchedBank) Metric(rx []complex128) []float64 {
 
 // Detect implements Detector.
 func (b *MatchedBank) Detect(rx []complex128) []Detection {
-	gap := b.MinGap
-	if gap <= 0 {
-		gap = 256
-	}
-	return detectWith(b.Metric(rx), b.Threshold, gap)
+	return detectWith(b.Metric(rx), b.Threshold, b.gap)
 }
 
 // EnergyDetector is the paper's weak baseline: a sliding-window energy
@@ -288,7 +277,6 @@ func (b *MatchedBank) Detect(rx []complex128) []Detection {
 type EnergyDetector struct {
 	Window      int     // sliding window length in samples
 	ThresholdDB float64 // required ratio above the noise floor, in dB
-	MinGap      int
 }
 
 // NewEnergy returns an energy detector with the given window and dB
@@ -297,7 +285,7 @@ func NewEnergy(window int, thresholdDB float64) *EnergyDetector {
 	if window < 8 {
 		window = 8
 	}
-	return &EnergyDetector{Window: window, ThresholdDB: thresholdDB, MinGap: window}
+	return &EnergyDetector{Window: window, ThresholdDB: thresholdDB}
 }
 
 // Name implements Detector.
@@ -326,14 +314,15 @@ func (d *EnergyDetector) Metric(rx []complex128) []float64 {
 	return out
 }
 
-// Detect implements Detector: rising-edge crossings of the dB threshold.
+// Detect implements Detector: rising-edge crossings of the dB threshold at
+// least one window after the previous burst ended.
 func (d *EnergyDetector) Detect(rx []complex128) []Detection {
 	metric := d.Metric(rx)
 	var out []Detection
 	inBurst := false
-	lastEnd := -d.MinGap
+	lastEnd := -d.Window
 	for i, v := range metric {
-		if !inBurst && v >= d.ThresholdDB && i-lastEnd >= d.MinGap {
+		if !inBurst && v >= d.ThresholdDB && i-lastEnd >= d.Window {
 			out = append(out, Detection{Index: i, Score: v})
 			inBurst = true
 		} else if inBurst && v < d.ThresholdDB {

@@ -19,9 +19,10 @@
 // is exact: a hit is confirmed bit for bit against a private copy of the
 // operand and returns the very slice a fresh transform would produce, so
 // no output depends on what the memo holds. The memo is bounded by a byte
-// budget with least-recently-used eviction, and it lives here rather than
-// in caller state because no caller keeps state across calls: the cloud
-// builds a decoder per segment and concurrent farm workers share the PHYs.
+// budget with least-recently-used eviction. The templates themselves are
+// owned by what correlates with them (a decoder builds its preambles once),
+// but the cloud builds a decoder per segment and concurrent farm workers
+// share the PHYs, so the memo is what shares a spectrum across decoders.
 package dsp
 
 import (

@@ -62,10 +62,10 @@ func newSpectrumMemo(budget int) *spectrumMemo {
 	return &spectrumMemo{budget: budget, entries: make(map[memoKey]*list.Element)}
 }
 
-// memo is the process-wide store. It lives in dsp rather than in caller
-// state because its callers hold none that outlives a call: the cloud
-// builds a Decoder per segment and the PHYs are shared by concurrent farm
-// workers.
+// memo is the process-wide store. A Decoder owns its templates, built once
+// at construction, but the cloud builds a Decoder per segment and the PHYs
+// are shared by concurrent farm workers, so a template's spectrum outlives
+// its owner: the memo shares it across decoders.
 var memo = newSpectrumMemo(memoBudget)
 
 // lookup returns the entry under key whose operand equals op bit for bit.

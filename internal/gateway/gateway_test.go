@@ -198,9 +198,9 @@ func TestEndToEndGatewayCloud(t *testing.T) {
 // workCounts is what a countingTech set has been asked to do.
 type workCounts struct{ preamble, demodulate, modulate int }
 
-// countingTech counts the per-technology work the edge policy can cause:
-// one Preamble call per technology is one Classify pass (the detector asks
-// for preambles only while it is built).
+// countingTech counts the per-technology work the edge policy can cause.
+// The detector and the edge decoder ask for preambles only while they are
+// built, so a Preamble call after New is a template rebuilt per segment.
 type countingTech struct {
 	phy.Technology
 	n *workCounts
@@ -222,7 +222,7 @@ func (c countingTech) Modulate(payload []byte, sampleRate float64) ([]complex128
 }
 
 // TestEdgePolicyWork pins what the edge-vs-cloud decision costs, as counts:
-// every segment is classified once; a lone packet is demodulated once; a
+// no preamble is rebuilt per segment; a lone packet is demodulated once; a
 // suspected collision is not demodulated at all; nothing is ever
 // re-modulated (the edge cancels nothing).
 func TestEdgePolicyWork(t *testing.T) {
@@ -240,7 +240,7 @@ func TestEdgePolicyWork(t *testing.T) {
 			n:         len(x) + 60000,
 			emissions: []channel.Emission{{Samples: x, Offset: 30000, SNRdB: 15}},
 			resolved:  1,
-			want:      workCounts{preamble: 3, demodulate: 1},
+			want:      workCounts{preamble: 0, demodulate: 1},
 		},
 		{
 			name: "suspected collision",
@@ -249,7 +249,7 @@ func TestEdgePolicyWork(t *testing.T) {
 				{Samples: l, Offset: 20000, SNRdB: 10},
 				{Samples: x, Offset: 24000, SNRdB: 10},
 			},
-			want: workCounts{preamble: 3},
+			want: workCounts{preamble: 0},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -262,7 +262,7 @@ func TestEdgePolicyWork(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n = workCounts{} // building the detector asked for every preamble
+			n = workCounts{} // building the detector and edge decoder asked for every preamble
 			g.Process(channel.Mix(tc.n, tc.emissions, rng.New(5), fs))
 			g.Flush()
 			st := g.Stats()

@@ -94,11 +94,8 @@ func (r *Radio) Name() string { return "lora" }
 // Class implements phy.Technology.
 func (r *Radio) Class() phy.Class { return phy.ClassCSS }
 
-// SpreadingFactor implements phy.ChirpTechnology.
-func (r *Radio) SpreadingFactor() int { return r.cfg.SF }
-
-// ChirpBandwidth implements phy.ChirpTechnology.
-func (r *Radio) ChirpBandwidth() float64 { return r.cfg.Bandwidth }
+// Chirp implements phy.ChirpTechnology: the base chirp, symbol 0.
+func (r *Radio) Chirp(up bool, fs float64) []complex128 { return r.chirp(up, 0, fs) }
 
 // Config returns the active configuration.
 func (r *Radio) Config() Config { return r.cfg }

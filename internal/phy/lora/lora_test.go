@@ -268,7 +268,7 @@ func TestInterfaceCompliance(t *testing.T) {
 	if !ok {
 		t.Fatal("lora must implement ChirpTechnology")
 	}
-	if ct.SpreadingFactor() != 7 || ct.ChirpBandwidth() != 125e3 {
+	if up, down := ct.Chirp(true, fs), ct.Chirp(false, fs); len(up) != 1024 || len(down) != 1024 || up[1] == down[1] {
 		t.Fatal("chirp params")
 	}
 }

@@ -102,16 +102,22 @@ func (r *Radio) Class() phy.Class { return phy.ClassDSSS }
 // Config returns the active configuration.
 func (r *Radio) Config() Config { return r.cfg }
 
-// ChipRate implements phy.CodedTechnology.
-func (r *Radio) ChipRate() float64 { return r.cfg.ChipRate }
-
-// ChipCodes implements phy.CodedTechnology.
-func (r *Radio) ChipCodes() [][]byte {
-	out := make([][]byte, 16)
-	for i := range chipTable {
-		seq := make([]byte, 32)
-		copy(seq, chipTable[i][:])
-		out[i] = seq
+// CodeWaveforms implements phy.CodedTechnology: each symbol's 32 chips
+// shaped as the modulator shapes them, over one symbol period (the trailing
+// half-pulse that spills into the next symbol is cut). It panics if fs is
+// not a supported rate, as Preamble does.
+func (r *Radio) CodeWaveforms(fs float64) [][]complex128 {
+	spc, err := r.spc(fs)
+	if err != nil {
+		panic(err)
+	}
+	symLen := 32 * spc
+	buf := make([]complex128, len(chipTable)*symLen)
+	out := make([][]complex128, len(chipTable))
+	for sym := range out {
+		w := buf[sym*symLen : (sym+1)*symLen : (sym+1)*symLen]
+		shapeChips(w, []byte{byte(sym)}, spc)
+		out[sym] = w
 	}
 	return out
 }
@@ -159,6 +165,32 @@ func bytesOfSymbols(symbols []byte) []byte {
 	return out
 }
 
+// shapeChips adds the chips of symbols into w as O-QPSK half-sine pulses
+// at spc samples per chip: chip i of the stream starts at sample i·spc and
+// spans two chips, even chips on I and odd chips on Q (so Q runs one chip
+// behind I). w must reach past the last chip's start; pulses that run past
+// its end are cut.
+func shapeChips(w []complex128, symbols []byte, spc int) {
+	pulse := make([]float64, 2*spc)
+	for t := range pulse {
+		pulse[t] = math.Sin(math.Pi * float64(t) / float64(2*spc))
+	}
+	for k, sym := range symbols {
+		for i, chip := range chipTable[sym&0x0F] {
+			d := float64(2*int(chip) - 1)
+			start := (32*k + i) * spc
+			for t, p := range pulse[:min(len(pulse), len(w)-start)] {
+				v := w[start+t]
+				if i%2 == 0 {
+					w[start+t] = complex(real(v)+d*p, imag(v))
+				} else {
+					w[start+t] = complex(real(v), imag(v)+d*p)
+				}
+			}
+		}
+	}
+}
+
 // modulateSymbols produces the O-QPSK half-sine waveform of the given 4-bit
 // symbols. The output is extended by one chip period for the trailing Q
 // pulse; amplitude is normalized so the burst has unit average power.
@@ -167,42 +199,8 @@ func (r *Radio) modulateSymbols(symbols []byte, fs float64) ([]complex128, error
 	if err != nil {
 		return nil, err
 	}
-	nChips := 32 * len(symbols)
-	// Each chip occupies spc samples; I pulses start at even-chip
-	// boundaries and span 2 chips; Q likewise, delayed by one chip.
-	n := nChips*spc + spc
-	iCh := make([]float64, n)
-	qCh := make([]float64, n)
-	pulse := make([]float64, 2*spc)
-	for t := range pulse {
-		pulse[t] = math.Sin(math.Pi * float64(t) / float64(2*spc))
-	}
-	chipIdx := 0
-	for _, sym := range symbols {
-		seq := chipTable[sym&0x0F]
-		for i := 0; i < 32; i++ {
-			d := float64(2*int(seq[i]) - 1)
-			startSample := chipIdx * spc
-			if i%2 == 0 {
-				for t, p := range pulse {
-					if startSample+t < n {
-						iCh[startSample+t] += d * p
-					}
-				}
-			} else {
-				for t, p := range pulse {
-					if startSample+t < n {
-						qCh[startSample+t] += d * p
-					}
-				}
-			}
-			chipIdx++
-		}
-	}
-	out := make([]complex128, n)
-	for i := range out {
-		out[i] = complex(iCh[i], qCh[i])
-	}
+	out := make([]complex128, 32*len(symbols)*spc+spc)
+	shapeChips(out, symbols, spc)
 	// O-QPSK with half-sine shaping is constant-envelope (|s| = 1) except
 	// at the burst edges; normalize to unit average power.
 	dsp.Normalize(out)

@@ -44,20 +44,144 @@ func TestChipTableProperties(t *testing.T) {
 	}
 }
 
-func TestChipCodesAccessor(t *testing.T) {
-	codes := Default().ChipCodes()
-	if len(codes) != 16 {
-		t.Fatalf("%d codes", len(codes))
+// oldCodeWaveforms is the O-QPSK shaper KILL-CODES kept for itself before
+// it asked the technology for its code waveforms: each code rendered over
+// one symbol, even chips on I, odd on Q, trailing half-pulse cut.
+func oldCodeWaveforms(codes [][]byte, chipRate, fs float64) [][]complex128 {
+	spcF := fs / chipRate
+	spc := int(math.Round(spcF))
+	if spc < 2 || math.Abs(spcF-float64(spc)) > 1e-9 {
+		return nil
 	}
-	for i, c := range codes {
-		if len(c) != 32 {
-			t.Fatalf("code %d length %d", i, len(c))
+	nChips := len(codes[0])
+	symLen := nChips * spc
+	pulse := make([]float64, 2*spc)
+	for t := range pulse {
+		pulse[t] = math.Sin(math.Pi * float64(t) / float64(2*spc))
+	}
+	out := make([][]complex128, len(codes))
+	for ci, code := range codes {
+		w := make([]complex128, symLen)
+		for i, chip := range code {
+			d := float64(2*int(chip) - 1)
+			startSample := i * spc
+			for t, p := range pulse {
+				idx := startSample + t
+				if idx >= symLen {
+					break
+				}
+				if i%2 == 0 {
+					w[idx] += complex(d*p, 0)
+				} else {
+					w[idx] += complex(0, d*p)
+				}
+			}
+		}
+		out[ci] = w
+	}
+	return out
+}
+
+// oldModulateSymbols is modulateSymbols before it shared its chip shaper
+// with CodeWaveforms: separate I and Q rails, summed into one waveform.
+func oldModulateSymbols(r *Radio, symbols []byte, fs float64) ([]complex128, error) {
+	spc, err := r.spc(fs)
+	if err != nil {
+		return nil, err
+	}
+	nChips := 32 * len(symbols)
+	n := nChips*spc + spc
+	iCh := make([]float64, n)
+	qCh := make([]float64, n)
+	pulse := make([]float64, 2*spc)
+	for t := range pulse {
+		pulse[t] = math.Sin(math.Pi * float64(t) / float64(2*spc))
+	}
+	chipIdx := 0
+	for _, sym := range symbols {
+		seq := chipTable[sym&0x0F]
+		for i := 0; i < 32; i++ {
+			d := float64(2*int(seq[i]) - 1)
+			startSample := chipIdx * spc
+			if i%2 == 0 {
+				for t, p := range pulse {
+					if startSample+t < n {
+						iCh[startSample+t] += d * p
+					}
+				}
+			} else {
+				for t, p := range pulse {
+					if startSample+t < n {
+						qCh[startSample+t] += d * p
+					}
+				}
+			}
+			chipIdx++
 		}
 	}
-	// mutation of the returned slice must not affect the table
-	codes[0][0] ^= 1
-	if Default().ChipCodes()[0][0] == codes[0][0] {
-		t.Fatal("ChipCodes aliases internal table")
+	out := make([]complex128, n)
+	for i := range out {
+		out[i] = complex(iCh[i], qCh[i])
+	}
+	dsp.Normalize(out)
+	return out, nil
+}
+
+// sameSamples compares bit patterns, so even the sign of a zero counts.
+func sameSamples(a, b []complex128) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) || math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// oracleRates are three sample rates the 250 kchip/s default runs at.
+var oracleRates = []float64{500e3, 1e6, 2e6}
+
+func TestCodeWaveformsMatchOldBody(t *testing.T) {
+	r := Default()
+	codes := make([][]byte, len(chipTable))
+	for i := range chipTable {
+		codes[i] = chipTable[i][:]
+	}
+	for _, rate := range oracleRates {
+		got, want := r.CodeWaveforms(rate), oldCodeWaveforms(codes, r.Config().ChipRate, rate)
+		if len(got) != 16 || len(want) != 16 {
+			t.Fatalf("%g Hz: %d waveforms, oracle %d", rate, len(got), len(want))
+		}
+		for sym := range got {
+			if !sameSamples(got[sym], want[sym]) {
+				t.Fatalf("%g Hz: symbol %d waveform differs from the old body", rate, sym)
+			}
+		}
+		// Each waveform is its own slice: appending to one cannot
+		// overwrite the next.
+		if cap(got[0]) != len(got[0]) {
+			t.Fatalf("%g Hz: waveform capacity %d exceeds its length %d", rate, cap(got[0]), len(got[0]))
+		}
+	}
+}
+
+func TestModulateSymbolsMatchesOldBody(t *testing.T) {
+	r := Default()
+	symbols := append(r.headerSymbols(), symbolsOf([]byte{3, 0x5a, 0xff, 0x00, 0x81})...)
+	for _, rate := range oracleRates {
+		got, err := r.modulateSymbols(symbols, rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oldModulateSymbols(r, symbols, rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameSamples(got, want) {
+			t.Fatalf("%g Hz: modulateSymbols differs from the old body", rate)
+		}
 	}
 }
 
@@ -69,8 +193,8 @@ func TestIdentity(t *testing.T) {
 	if r.BitRate() != 31250 {
 		t.Fatalf("bit rate %v", r.BitRate())
 	}
-	if r.ChipRate() != 250e3 {
-		t.Fatalf("chip rate %v", r.ChipRate())
+	if r.Config().ChipRate != 250e3 {
+		t.Fatalf("chip rate %v", r.Config().ChipRate)
 	}
 }
 

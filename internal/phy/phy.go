@@ -115,20 +115,23 @@ type ToneTechnology interface {
 	Tones() []float64
 }
 
-// ChirpTechnology is implemented by CSS-class technologies; KILL-CSS needs
-// the chirp parameters to dechirp, notch and re-chirp.
+// ChirpTechnology is implemented by CSS-class technologies; KILL-CSS
+// dechirps with the base downchirp, notches and re-chirps with the upchirp.
 type ChirpTechnology interface {
 	Technology
-	SpreadingFactor() int
-	ChirpBandwidth() float64 // Hz
+	// Chirp returns one base (unshifted) chirp period at the given sample
+	// rate: an upchirp when up is set, else a downchirp.
+	Chirp(up bool, sampleRate float64) []complex128
 }
 
 // CodedTechnology is implemented by DSSS-class technologies; KILL-CODES
 // projects received samples off the code subspace.
 type CodedTechnology interface {
 	Technology
-	ChipCodes() [][]byte // one chip sequence (0/1 values) per symbol value
-	ChipRate() float64   // chips per second
+	// CodeWaveforms returns, per symbol value, the unnormalized baseband
+	// waveform of its spreading code, one symbol long, as the modulator
+	// shapes it at the given sample rate.
+	CodeWaveforms(sampleRate float64) [][]complex128
 }
 
 // NarrowbandTechnology is implemented by PSK-class technologies; it reports
