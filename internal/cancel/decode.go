@@ -107,6 +107,9 @@ func NewDecoder(techs []phy.Technology, fs float64) *Decoder {
 	return d
 }
 
+// SampleRate returns the rate the decoder's waveforms were built at.
+func (d *Decoder) SampleRate() float64 { return d.fs }
+
 // NewSIC returns the plain successive-interference-cancellation baseline.
 func NewSIC(techs []phy.Technology, fs float64) *Decoder {
 	d := NewDecoder(techs, fs)

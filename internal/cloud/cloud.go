@@ -19,6 +19,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/backhaul"
 	"repro/internal/cancel"
@@ -29,7 +30,9 @@ import (
 
 // Service decodes shipped segments.
 type Service struct {
-	Techs []phy.Technology
+	techs []phy.Technology
+	// dec is the decoder at the rate last asked for (see decoder).
+	dec atomic.Pointer[cancel.Decoder]
 	// Logf receives per-segment diagnostics; nil silences them.
 	Logf func(format string, args ...any)
 
@@ -82,7 +85,7 @@ func newCloudMetrics(reg *obs.Registry, techs []phy.Technology) cloudMetrics {
 
 // NewService returns a decoder service over the given technologies.
 func NewService(techs []phy.Technology) *Service {
-	s := &Service{Techs: techs}
+	s := &Service{techs: techs}
 	s.reg = obs.NewRegistry()
 	s.m = newCloudMetrics(s.reg, techs)
 	return s
@@ -95,7 +98,7 @@ func NewService(techs []phy.Technology) *Service {
 func (s *Service) UseObs(reg *obs.Registry, tr *obs.Tracer) {
 	if reg != nil {
 		s.reg = reg
-		s.m = newCloudMetrics(reg, s.Techs)
+		s.m = newCloudMetrics(reg, s.techs)
 	}
 	s.tracer = tr
 }
@@ -155,8 +158,11 @@ func (s *Service) DecodeSegment(seg backhaul.Segment) backhaul.FramesReport {
 // accounting, per-segment diagnostics. A trace span riding on ctx (placed
 // there by handleSegment) collects the decode and SIC stages.
 func (s *Service) decodeSegment(ctx context.Context, seg backhaul.Segment) (backhaul.FramesReport, cancel.Stats, error) {
+	dec, err := s.decoder(seg.SampleRate)
+	if err != nil {
+		return backhaul.FramesReport{}, cancel.Stats{}, err
+	}
 	sp := obs.SpanFromContext(ctx)
-	dec := cancel.NewDecoder(s.Techs, seg.SampleRate)
 	tDecode := sp.Now()
 	frames, stats := dec.DecodeTraced(seg.Samples, sp)
 	sp.Stage("decode", sp.Now()-tDecode, float64(len(frames)))
@@ -245,22 +251,29 @@ func ReadHello(conn *backhaul.Conn) (backhaul.Hello, error) {
 // SDR the gateway models.
 const maxSampleRate = 64e6
 
-// checkRate vets a peer-claimed sample rate by building a decoder at it
-// once, so a rate is refused exactly when no segment at it could be
-// decoded. A PHY panics on a rate it cannot run at — a configuration bug
-// everywhere else — but here the rate is outside input, so the panic is
-// reported as an error instead of reaching a farm worker.
-func (s *Service) checkRate(fs float64) (err error) {
+// decoder returns the service's decoder at sample rate fs. The service
+// keeps one decoder, for the rate it last built at, and builds a new one
+// when fs differs from it in any bit; one Decoder serves concurrent
+// decodes. Building it vets a peer-claimed rate, so a rate is refused
+// exactly when no segment at it could be decoded. A PHY panics on a rate
+// it cannot run at — a configuration bug everywhere else — but here the
+// rate is outside input, so the panic is reported as an error instead of
+// reaching a farm worker.
+func (s *Service) decoder(fs float64) (dec *cancel.Decoder, err error) {
 	if !(fs > 0 && fs <= maxSampleRate) { // written so that NaN fails too
-		return fmt.Errorf("cloud: hello sample rate %v out of range", fs)
+		return nil, fmt.Errorf("cloud: sample rate %v out of range", fs)
+	}
+	if dec := s.dec.Load(); dec != nil && math.Float64bits(dec.SampleRate()) == math.Float64bits(fs) {
+		return dec, nil
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("cloud: hello sample rate %v unsupported: %v", fs, r)
+			err = fmt.Errorf("cloud: sample rate %v unsupported: %v", fs, r)
 		}
 	}()
-	cancel.NewDecoder(s.Techs, fs)
-	return nil
+	dec = cancel.NewDecoder(s.techs, fs)
+	s.dec.Store(dec)
+	return dec, nil
 }
 
 // ServeConn handles one gateway session over a byte stream: hello (with
@@ -289,7 +302,7 @@ func (s *Service) ServeHello(conn *backhaul.Conn, hello backhaul.Hello, hint bac
 	if err != nil {
 		return fmt.Errorf("cloud: %w", err)
 	}
-	if err := s.checkRate(hello.SampleRate); err != nil {
+	if _, err := s.decoder(hello.SampleRate); err != nil {
 		return err
 	}
 	f := s.Farm()

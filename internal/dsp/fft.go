@@ -21,8 +21,8 @@
 // no output depends on what the memo holds. The memo is bounded by a byte
 // budget with least-recently-used eviction. The templates themselves are
 // owned by what correlates with them (a decoder builds its preambles once),
-// but the cloud builds a decoder per segment and concurrent farm workers
-// share the PHYs, so the memo is what shares a spectrum across decoders.
+// but PHY demodulators still build their sync templates per call and each
+// gateway and shard has its own decoder, so the memo shares the spectra.
 package dsp
 
 import (

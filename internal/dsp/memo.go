@@ -63,9 +63,9 @@ func newSpectrumMemo(budget int) *spectrumMemo {
 }
 
 // memo is the process-wide store. A Decoder owns its templates, built once
-// at construction, but the cloud builds a Decoder per segment and the PHYs
-// are shared by concurrent farm workers, so a template's spectrum outlives
-// its owner: the memo shares it across decoders.
+// at construction, but PHY demodulators build their sync templates on every
+// call and every gateway and cloud shard has its own Decoder, so a template's
+// spectrum outlives its owner: the memo shares it across them.
 var memo = newSpectrumMemo(memoBudget)
 
 // lookup returns the entry under key whose operand equals op bit for bit.

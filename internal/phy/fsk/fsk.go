@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"repro/internal/dsp"
+	"repro/internal/phy"
 )
 
 // Modem describes a binary FSK air interface.
@@ -45,14 +46,10 @@ func (m Modem) NumSamples(nBits int, fs float64) int {
 	return m.boundary(nBits, fs)
 }
 
-// ModulateBits produces the unit-amplitude complex baseband waveform of the
-// given bit stream (values 0/1).
-func (m Modem) ModulateBits(bitstream []byte, fs float64) ([]complex128, error) {
-	if err := m.Validate(fs); err != nil {
-		return nil, err
-	}
+// levels returns the per-sample NRZ level sequence (±1) of the bit stream,
+// Gaussian-shaped when BT is set.
+func (m Modem) levels(bitstream []byte, fs float64) []float64 {
 	n := m.NumSamples(len(bitstream), fs)
-	// Per-sample NRZ level sequence.
 	levels := make([]float64, n)
 	for i, b := range bitstream {
 		lv := -1.0
@@ -72,7 +69,17 @@ func (m Modem) ModulateBits(bitstream []byte, fs float64) ([]complex128, error) 
 		g := dsp.Gaussian(m.BT, sps, 4)
 		levels = g.ApplyReal(levels)
 	}
-	out := make([]complex128, n)
+	return levels
+}
+
+// ModulateBits produces the unit-amplitude complex baseband waveform of the
+// given bit stream (values 0/1).
+func (m Modem) ModulateBits(bitstream []byte, fs float64) ([]complex128, error) {
+	if err := m.Validate(fs); err != nil {
+		return nil, err
+	}
+	levels := m.levels(bitstream, fs)
+	out := make([]complex128, len(levels))
 	phase := 0.0
 	k := 2 * math.Pi * m.Deviation / fs
 	for i, lv := range levels {
@@ -197,44 +204,11 @@ func (m Modem) EstimateCFO(disc []float64, start, nBits int, fs float64) float64
 	return acc / float64(to-from)
 }
 
-// Sync finds the most likely start of a known preamble waveform within rx
-// using normalized correlation, returning the start index and the
-// correlation value in [0, 1]. Coherent correlation degrades under carrier
-// frequency offset; prefer SyncDisc for frame synchronization and use this
-// only when the carrier is known to be accurate.
-func Sync(rx, preamble []complex128) (start int, quality float64) {
-	metric := dsp.NormalizedCorrelate(rx, preamble)
-	pk := dsp.MaxPeak(metric)
-	if pk.Index < 0 {
-		return 0, 0
-	}
-	return pk.Index, pk.Value
-}
-
 // FreqTemplate returns the expected instantaneous-frequency trajectory (Hz
 // per sample) of the given bit stream, including Gaussian shaping. It is
 // the matched template for discriminator-domain synchronization.
 func (m Modem) FreqTemplate(bitstream []byte, fs float64) []float64 {
-	n := m.NumSamples(len(bitstream), fs)
-	levels := make([]float64, n)
-	for i, b := range bitstream {
-		lv := -1.0
-		if b != 0 {
-			lv = 1.0
-		}
-		from, to := m.boundary(i, fs), m.boundary(i+1, fs)
-		for j := from; j < to && j < n; j++ {
-			levels[j] = lv
-		}
-	}
-	if m.BT > 0 {
-		sps := int(math.Round(fs / m.BitRate))
-		if sps < 2 {
-			sps = 2
-		}
-		g := dsp.Gaussian(m.BT, sps, 4)
-		levels = g.ApplyReal(levels)
-	}
+	levels := m.levels(bitstream, fs)
 	for i := range levels {
 		levels[i] *= m.Deviation
 	}
@@ -257,4 +231,67 @@ func (m Modem) SyncDisc(disc []float64, preBits []byte, fs float64) (start int, 
 		return 0, 0
 	}
 	return pk.Index, pk.Value
+}
+
+// syncQuality is the lowest SyncDisc correlation Receive accepts as a
+// frame header.
+const syncQuality = 0.35
+
+// Decisions makes the bit decisions of one synchronized frame, by the
+// discriminator or, in Receive's fallback pass, by tone detection.
+type Decisions struct {
+	m       Modem
+	disc    []float64
+	rx      []complex128
+	start   int
+	fs, cfo float64
+	tone    bool
+}
+
+// Bits returns n bit decisions starting at sample at, counted from the end
+// of the frame header.
+func (d Decisions) Bits(at, n int) []byte {
+	if d.tone {
+		return d.m.DemodulateBitsTone(d.rx, d.start+at, n, d.fs, d.cfo)
+	}
+	return d.m.DemodulateBits(d.disc, d.start+at, n, d.fs, d.cfo)
+}
+
+// Receive is the FSK receive path the PHYs share. It finds the header bit
+// pattern hdr in rx by discriminator sync, estimates the carrier offset
+// over the header's first cfoBits bits, and hands the bits after the
+// header to parse, which returns the frame's bytes and whether its check
+// sequence holds. parse runs on the discriminator's decisions first (best
+// in clean AWGN) and again on noncoherent tone decisions when that gives no
+// CRC-clean frame: tone detection looks only at the two tones, so it
+// survives interference the discriminator's low-pass lets through. A
+// window shorter than the header plus minBits bits is no frame; tech names
+// the PHY in errors. start is the header's first sample in rx.
+func (m Modem) Receive(rx []complex128, fs float64, tech string, hdr []byte, minBits, cfoBits int,
+	parse func(Decisions) ([]byte, bool, error)) (frame []byte, crcOK bool, start int, cfo float64, err error) {
+	if err := m.Validate(fs); err != nil {
+		return nil, false, 0, 0, err
+	}
+	hdrSamples := m.NumSamples(len(hdr), fs)
+	if len(rx) < hdrSamples+m.NumSamples(minBits, fs) {
+		return nil, false, 0, 0, fmt.Errorf("%w: %s window too short", phy.ErrNoFrame, tech)
+	}
+	disc := m.Discriminate(rx, fs)
+	start, quality := m.SyncDisc(disc, hdr, fs)
+	if quality < syncQuality {
+		return nil, false, 0, 0, fmt.Errorf("%w: %s preamble not found (quality %.3f)", phy.ErrNoFrame, tech, quality)
+	}
+	cfo = m.EstimateCFO(disc, start, cfoBits, fs)
+	d := Decisions{m: m, disc: disc, rx: rx, start: start + hdrSamples, fs: fs, cfo: cfo}
+	frame, crcOK, err = parse(d)
+	if err != nil || !crcOK {
+		d.tone = true
+		if f2, ok2, err2 := parse(d); err2 == nil && ok2 {
+			frame, crcOK, err = f2, ok2, nil
+		}
+	}
+	if err != nil {
+		return nil, false, 0, 0, err
+	}
+	return frame, crcOK, start, cfo, nil
 }

@@ -137,24 +137,6 @@ func TestCFOEstimateAndCorrection(t *testing.T) {
 	}
 }
 
-func TestSyncFindsPreamble(t *testing.T) {
-	pre := bits.Repeat([]byte{0, 1}, 16)
-	wave, _ := gfsk.ModulateBits(pre, fs)
-	gen := rng.New(5)
-	rx := make([]complex128, 10000)
-	for i := range rx {
-		rx[i] = complex(0.01, 0) * gen.Complex()
-	}
-	dsp.Add(rx, wave, 4321)
-	start, q := Sync(rx, wave)
-	if start != 4321 {
-		t.Fatalf("sync at %d, want 4321", start)
-	}
-	if q < 0.9 {
-		t.Fatalf("sync quality %v", q)
-	}
-}
-
 func TestNumSamplesFractionalRates(t *testing.T) {
 	m := Modem{BitRate: 9600, Deviation: 20e3} // 104.1667 samples per bit
 	if err := m.Validate(fs); err != nil {

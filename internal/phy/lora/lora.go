@@ -185,6 +185,9 @@ func (r *Radio) Preamble(fs float64) []complex128 {
 	return out
 }
 
+// preambleSamples is the length of Preamble for n samples per symbol.
+func (r *Radio) preambleSamples(n int) int { return (r.cfg.PreambleLen+2)*n + n/4 }
+
 // headerBytes builds the 3-byte explicit header: length, flags (CR and CRC
 // present) and an XOR checksum.
 func headerBytes(payloadLen, cr int) [3]byte {
@@ -362,10 +365,11 @@ func (r *Radio) demodSymbol(window, downRef []complex128) (uint32, complex128) {
 // symbol-period ambiguity. A small local refinement of the up- and
 // down-chirp alignments then decouples timing from CFO (a frequency offset
 // shifts upchirp peaks one way and downchirp peaks the other).
-func (r *Radio) sync(rx []complex128, fs float64) (start int, ok bool) {
-	n := r.symbolSamples(fs)
+// up is the base upchirp at fs.
+func (r *Radio) sync(rx, up []complex128, fs float64) (start int, ok bool) {
+	n := len(up)
 	p := r.cfg.PreambleLen
-	ms := dsp.NormalizedCorrelateAll(rx, r.chirp(true, 0, fs), r.chirp(false, 0, fs))
+	ms := dsp.NormalizedCorrelateAll(rx, up, r.chirp(false, 0, fs))
 	mUp, mDown := ms[0], ms[1]
 	span := (p + 2) * n
 	limit := len(mUp) - span
@@ -430,17 +434,18 @@ func (r *Radio) Demodulate(rx []complex128, fs float64) (*phy.Frame, error) {
 	if _, err := r.osr(fs); err != nil {
 		return nil, err
 	}
-	n := r.symbolSamples(fs)
-	pre := r.Preamble(fs)
-	if len(rx) < len(pre)+8*n {
+	up := r.chirp(true, 0, fs)
+	n := len(up)
+	dataStart := r.preambleSamples(n)
+	if len(rx) < dataStart+8*n {
 		return nil, fmt.Errorf("%w: lora window too short", phy.ErrNoFrame)
 	}
-	start, ok := r.sync(rx, fs)
+	start, ok := r.sync(rx, up, fs)
 	if !ok {
 		return nil, fmt.Errorf("%w: lora preamble not found", phy.ErrNoFrame)
 	}
 
-	downRef := dsp.Conj(r.chirp(true, 0, fs))
+	downRef := dsp.Conj(up)
 
 	// Coarse CFO: with timing fixed by the up/down-chirp sync, the
 	// dechirped preamble peak bin measures the integer part of the carrier
@@ -489,7 +494,6 @@ func (r *Radio) Demodulate(rx []complex128, fs float64) (*phy.Frame, error) {
 	work := dsp.Clone(rx[start:])
 	dsp.Mix(work, -cfo, 0, fs)
 
-	dataStart := len(pre)
 	readSymbols := func(from, count int) ([]uint32, error) {
 		if from+count*n > len(work) {
 			return nil, fmt.Errorf("%w: lora window truncated", phy.ErrNoFrame)

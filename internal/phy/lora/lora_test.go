@@ -242,6 +242,22 @@ func TestPreambleStructure(t *testing.T) {
 	}
 }
 
+// TestPreambleSamplesMatchesPreamble: the data offset Demodulate computes
+// is the length of the preamble it does not build.
+func TestPreambleSamplesMatchesPreamble(t *testing.T) {
+	for _, sf := range []int{7, 9} {
+		r, err := New(Config{SF: sf, Bandwidth: 125e3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rate := range []float64{250e3, 1e6, 2e6} {
+			if got, want := r.preambleSamples(r.symbolSamples(rate)), len(r.Preamble(rate)); got != want {
+				t.Errorf("SF%d at %g Hz: preambleSamples %d, len(Preamble) %d", sf, rate, got, want)
+			}
+		}
+	}
+}
+
 func TestHeaderRoundTrip(t *testing.T) {
 	for _, l := range []int{1, 37, 255} {
 		for cr := 1; cr <= 4; cr++ {

@@ -148,64 +148,29 @@ func (r *Radio) MaxPacketSamples(fs float64) int {
 
 // Demodulate implements phy.Technology.
 func (r *Radio) Demodulate(rx []complex128, fs float64) (*phy.Frame, error) {
-	if err := r.modem.Validate(fs); err != nil {
-		return nil, err
-	}
-	hdrAirBits := r.headerAirBits()
-	if len(rx) < r.modem.NumSamples(len(hdrAirBits), fs)+r.modem.NumSamples(8*3, fs) {
-		return nil, fmt.Errorf("%w: xbee window too short", phy.ErrNoFrame)
-	}
-	disc := r.modem.Discriminate(rx, fs)
-	start, quality := r.modem.SyncDisc(disc, hdrAirBits, fs)
-	if quality < 0.35 {
-		return nil, fmt.Errorf("%w: xbee preamble not found (quality %.3f)", phy.ErrNoFrame, quality)
-	}
-	// CFO from the DC-balanced 0x55 preamble run.
-	cfo := r.modem.EstimateCFO(disc, start, 8*r.cfg.PreambleLen, fs)
-
-	hdrBits := len(hdrAirBits)
-	dataStart := start + r.modem.NumSamples(hdrBits, fs)
-
-	// parse runs the frame state machine over one bit-decision strategy.
-	parse := func(demodBits func(at, n int) []byte) (payload []byte, length int, crcOK bool, err error) {
-		lenBits := demodBits(dataStart, 8)
-		length = int(bits.PackLSB(lenBits)[0])
+	// parse reads the length byte, then the whitened payload and its CRC.
+	parse := func(d fsk.Decisions) ([]byte, bool, error) {
+		length := int(bits.PackLSB(d.Bits(0, 8))[0])
 		if length == 0 || length > r.cfg.MaxPayload {
-			return nil, 0, false, fmt.Errorf("%w: xbee length %d invalid", phy.ErrNoFrame, length)
+			return nil, false, fmt.Errorf("%w: xbee length %d invalid", phy.ErrNoFrame, length)
 		}
-		bodyBits := 8 * (length + 2)
-		bodyStart := dataStart + r.modem.NumSamples(8, fs)
-		raw := demodBits(bodyStart, bodyBits)
-		body := bits.PackLSB(raw)
+		body := bits.PackLSB(d.Bits(r.modem.NumSamples(8, fs), 8*(length+2)))
 		w := bits.NewDC9Whitener()
 		body = w.ApplyBytes(body)
-		payload = body[:length]
+		payload := body[:length]
 		gotCRC := uint16(body[length]) | uint16(body[length+1])<<8
-		return payload, length, gotCRC == bits.CRC16IBM(payload), nil
+		return payload, gotCRC == bits.CRC16IBM(payload), nil
 	}
-	// Primary path: FM discriminator (best in clean AWGN). Fallback:
-	// noncoherent tone detection, which survives residual interference
-	// left behind by the cloud's kill filters.
-	payload, length, crcOK, perr := parse(func(at, n int) []byte {
-		return r.modem.DemodulateBits(disc, at, n, fs, cfo)
-	})
-	if perr != nil || !crcOK {
-		p2, l2, ok2, err2 := parse(func(at, n int) []byte {
-			return r.modem.DemodulateBitsTone(rx, at, n, fs, cfo)
-		})
-		if err2 == nil && ok2 {
-			payload, length, crcOK, perr = p2, l2, ok2, nil
-		}
+	// The CFO is read off the DC-balanced 0x55 preamble run.
+	payload, crcOK, start, cfo, err := r.modem.Receive(rx, fs, "xbee", r.headerAirBits(), 8*3, 8*r.cfg.PreambleLen, parse)
+	if err != nil {
+		return nil, err
 	}
-	if perr != nil {
-		return nil, perr
-	}
-
 	frame := &phy.Frame{
 		Tech:    "xbee",
 		Payload: payload,
 		CRCOK:   crcOK,
-		Bits:    length * 8,
+		Bits:    len(payload) * 8,
 		Offset:  start,
 		CFO:     cfo,
 	}

@@ -121,6 +121,34 @@ func TestRoundTripNoiseAndCFO(t *testing.T) {
 	}
 }
 
+// TestDemodulateFallsBackToToneDetection: at 8 Msps the discriminator's
+// low-pass, capped at 129 taps, passes a tone burst 60 kHz off the carrier
+// that starts after the header, so the discriminator misreads the body.
+// The tone detector, which only looks at the two FSK tones, recovers the
+// frame.
+func TestDemodulateFallsBackToToneDetection(t *testing.T) {
+	const rate, at = 8e6, 2000
+	r := Default()
+	payload := []byte("tone fallback")
+	sig, err := r.Modulate(payload, rate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := r.modem.NumSamples(len(r.headerAirBits()), rate)
+	rx := make([]complex128, at+len(sig)+at)
+	copy(rx[at:], sig)
+	dsp.Add(rx, dsp.Scale(dsp.Tone(len(rx)-at-hdr, 60e3, 0, rate), 2.5), at+hdr)
+
+	air := r.frameAirBits(payload)
+	if got := r.modem.DemodulateBits(r.modem.Discriminate(rx, rate), at, len(air), rate, 0); bytes.Equal(got, air) {
+		t.Fatal("the burst leaves the discriminator's decisions intact")
+	}
+	f, err := r.Demodulate(rx, rate)
+	if err != nil || !f.CRCOK || !bytes.Equal(f.Payload, payload) {
+		t.Fatalf("frame %+v err %v, want the payload back through the tone detector", f, err)
+	}
+}
+
 func TestDemodulateNoise(t *testing.T) {
 	r := Default()
 	gen := rng.New(13)

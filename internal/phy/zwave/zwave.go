@@ -252,33 +252,14 @@ func (r *Radio) MaxPacketSamples(fs float64) int {
 
 // Demodulate implements phy.Technology.
 func (r *Radio) Demodulate(rx []complex128, fs float64) (*phy.Frame, error) {
-	if err := r.modem.Validate(fs); err != nil {
-		return nil, err
-	}
 	if r.cfg.CenterOffset != 0 {
 		rx = dsp.Mix(dsp.Clone(rx), -r.cfg.CenterOffset, 0, fs)
 	}
-	hdrAirBits := r.headerAirBits()
-	minMPDU := 10 * 8 * r.airBitsPerLogical()
-	if len(rx) < r.modem.NumSamples(len(hdrAirBits), fs)+r.modem.NumSamples(minMPDU, fs) {
-		return nil, fmt.Errorf("%w: zwave window too short", phy.ErrNoFrame)
-	}
-	disc := r.modem.Discriminate(rx, fs)
-	start, quality := r.modem.SyncDisc(disc, hdrAirBits, fs)
-	if quality < 0.35 {
-		return nil, fmt.Errorf("%w: zwave preamble not found (quality %.3f)", phy.ErrNoFrame, quality)
-	}
-	cfo := r.modem.EstimateCFO(disc, start, 8*r.cfg.PreambleLen*r.airBitsPerLogical(), fs)
-
-	mpduStart := start + r.modem.NumSamples(len(hdrAirBits), fs)
-	minLen := 4 + 1 + 2 + 1 + 1 + 1
-
-	// parse runs the MPDU state machine over one bit-decision strategy.
-	parse := func(demodBits func(at, n int) []byte) (mpdu []byte, crcOK bool, err error) {
-		// Demodulate the fixed 8-byte MPDU prefix to learn the length.
-		prefixAir := 8 * 8 * r.airBitsPerLogical()
-		rawPrefix := demodBits(mpduStart, prefixAir)
-		prefix := bits.Pack(r.lineDecode(rawPrefix))
+	const minLen = 4 + 1 + 2 + 1 + 1 + 1
+	// parse reads the fixed 8-byte MPDU prefix to learn the length, then
+	// the whole MPDU and its checksum.
+	parse := func(d fsk.Decisions) ([]byte, bool, error) {
+		prefix := bits.Pack(r.lineDecode(d.Bits(0, 8*8*r.airBitsPerLogical())))
 		if len(prefix) < 8 {
 			return nil, false, fmt.Errorf("%w: zwave prefix truncated", phy.ErrNoFrame)
 		}
@@ -286,34 +267,19 @@ func (r *Radio) Demodulate(rx []complex128, fs float64) (*phy.Frame, error) {
 		if total < minLen || total > minLen+r.cfg.MaxPayload {
 			return nil, false, fmt.Errorf("%w: zwave MPDU length %d invalid", phy.ErrNoFrame, total)
 		}
-		mpduAir := 8 * total * r.airBitsPerLogical()
-		raw := demodBits(mpduStart, mpduAir)
-		mpdu = bits.Pack(r.lineDecode(raw))
+		mpdu := bits.Pack(r.lineDecode(d.Bits(0, 8*total*r.airBitsPerLogical())))
 		if len(mpdu) < total {
 			return nil, false, fmt.Errorf("%w: zwave MPDU truncated", phy.ErrNoFrame)
 		}
 		mpdu = mpdu[:total]
 		return mpdu, bits.CRC8XOR(0xFF, mpdu[:total-1]) == mpdu[total-1], nil
 	}
-	// Primary: FM discriminator; fallback: noncoherent tone detection
-	// (robust to kill-filter residue from collided technologies).
-	mpdu, crcOK, perr := parse(func(at, n int) []byte {
-		return r.modem.DemodulateBits(disc, at, n, fs, cfo)
-	})
-	if perr != nil || !crcOK {
-		m2, ok2, err2 := parse(func(at, n int) []byte {
-			return r.modem.DemodulateBitsTone(rx, at, n, fs, cfo)
-		})
-		if err2 == nil && ok2 {
-			mpdu, crcOK, perr = m2, ok2, nil
-		}
+	mpdu, crcOK, start, cfo, err := r.modem.Receive(rx, fs, "zwave", r.headerAirBits(),
+		10*8*r.airBitsPerLogical(), 8*r.cfg.PreambleLen*r.airBitsPerLogical(), parse)
+	if err != nil {
+		return nil, err
 	}
-	if perr != nil {
-		return nil, perr
-	}
-	total := len(mpdu)
-	payload := mpdu[9 : total-1]
-
+	payload := mpdu[9 : len(mpdu)-1]
 	frame := &phy.Frame{
 		Tech:    "zwave",
 		Payload: append([]byte{}, payload...),
